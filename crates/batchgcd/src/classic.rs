@@ -18,8 +18,8 @@ use wk_bigint::Natural;
 pub struct BatchStats {
     /// Wall-clock time building the product tree.
     pub product_tree_time: Duration,
-    /// Wall-clock time precomputing per-node squares and Barrett
-    /// reciprocals ([`ProductTree::attach_recips`]); zero on pure
+    /// Wall-clock time precomputing per-node Barrett reciprocals
+    /// ([`ProductTree::attach_cofactor_recips`]); zero on pure
     /// division-path runs.
     pub recip_build_time: Duration,
     /// Summed in-task time spent inside Barrett reductions during the
@@ -28,7 +28,7 @@ pub struct BatchStats {
     pub barrett_rem_time: Duration,
     /// Wall-clock time descending the remainder tree.
     pub remainder_tree_time: Duration,
-    /// Wall-clock time for the final per-leaf division + gcd.
+    /// Wall-clock time for the final per-leaf gcd.
     pub gcd_time: Duration,
     /// Peak stored tree size in bytes (the paper's 70-100 GB per node).
     pub tree_bytes: usize,
@@ -38,7 +38,7 @@ pub struct BatchStats {
     pub product_tree_exec: PhaseExec,
     /// Executor metrics for the remainder-tree phase.
     pub remainder_tree_exec: PhaseExec,
-    /// Executor metrics for the division + gcd phase.
+    /// Executor metrics for the per-leaf gcd phase.
     pub gcd_exec: PhaseExec,
     /// Shard-store I/O metrics; all-zero [`Default`] for in-memory runs,
     /// populated by [`sharded_batch_gcd`](crate::corpus::sharded_batch_gcd).
@@ -53,9 +53,6 @@ pub struct BatchStats {
     /// Fraction of limb-arena checkouts served from pooled buffers over the
     /// run (1.0 when no checkouts happened).
     pub arena_hit_ratio: f64,
-    /// Levels driven by the scaled remainder tree across the run's plain
-    /// descents; 0 when every descent ran exact or through Barrett caches.
-    pub scaled_levels: u64,
 }
 
 impl Default for BatchStats {
@@ -76,7 +73,6 @@ impl Default for BatchStats {
             alloc_events: 0,
             // An idle arena served every (zero) checkout.
             arena_hit_ratio: 1.0,
-            scaled_levels: 0,
         }
     }
 }
@@ -212,9 +208,6 @@ pub fn batch_gcd(moduli: &[Natural], threads: usize) -> BatchGcdResult {
             delta: DeltaMetrics::default(),
             alloc_events: arena.alloc_events,
             arena_hit_ratio: arena.hit_ratio(),
-            // The cofactor descent always runs exact/Barrett: the scaled
-            // form cannot carry the sibling re-multiplication soundly.
-            scaled_levels: 0,
         },
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The paper batch-GCDs 81.2M distinct moduli — far more than fits in one
 //! machine's RAM — and its cluster design assumes the corpus streams from
-//! stable storage in chunks. [`SpilledProductTree`](crate::spill) already
-//! spills the *product tree*; this module spills the *input corpus* itself:
+//! stable storage in chunks. This module keeps the *input corpus* itself
+//! on disk:
 //!
 //! * [`ShardStore`] writes the corpus as fixed-capacity, checksummed shard
 //!   files (format specified field-by-field in DESIGN.md §7) and re-opens
@@ -17,10 +17,10 @@
 //!   streams shard-by-shard, so peak resident moduli stay at one shard per
 //!   worker instead of the whole corpus.
 //!
-//! The per-modulus payload encoding is the exact limb codec
-//! [`SpilledProductTree`](crate::spill::SpilledProductTree) uses for tree
-//! levels (little-endian `u64` limb count, then the limbs), so tooling that
-//! understands one format understands both.
+//! The per-modulus payload encoding is the limb codec [`encode_natural`] /
+//! [`decode_natural`] (little-endian `u64` limb count, then the limbs),
+//! shared with the tree-cache sections and the cluster exchange files, so
+//! tooling that understands one format understands all three.
 //!
 //! # Examples
 //!
@@ -44,7 +44,6 @@
 use crate::classic::{BatchGcdResult, BatchStats};
 use crate::pool::{ExecDomain, WorkerPool};
 use crate::resolve::resolve_with_hits;
-use crate::spill::{decode_natural, encode_natural, PartialGuard};
 use crate::tree::{DescentScratch, ProductTree};
 use std::fmt;
 use std::fs::{self, File};
@@ -79,6 +78,117 @@ fn shard_file_name(index: u32) -> String {
 /// function; DESIGN.md §8.2 states the resulting guarantee.
 pub fn fsync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
+}
+
+/// A unique scratch directory under the system temp dir (no external
+/// tempfile dependency; uniqueness from pid + a process-wide counter).
+pub fn scratch_dir(tag: &str) -> PathBuf {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static COUNTER: AtomicU64 = AtomicU64::new(0);
+    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("wk-batchgcd-{tag}-{}-{n}", std::process::id()))
+}
+
+// ---------------------------------------------------------------------------
+// Natural record codec
+// ---------------------------------------------------------------------------
+
+/// Append one value's record to `w`: `u64` limb count (LE) followed by the
+/// limbs (LE). Returns the record's byte length. This codec is shared
+/// verbatim between shard-store payloads, tree-cache sections, and the
+/// cluster exchange format — public so out-of-crate consumers (the
+/// `wk-cluster` exchange files) serialize naturals bit-compatibly with
+/// every other on-disk artifact.
+pub fn encode_natural<W: Write>(w: &mut W, n: &Natural) -> io::Result<u64> {
+    let limbs = n.limbs();
+    w.write_all(&(limbs.len() as u64).to_le_bytes())?;
+    for &l in limbs {
+        w.write_all(&l.to_le_bytes())?;
+    }
+    Ok(8 + limbs.len() as u64 * 8)
+}
+
+/// Read one record back. `scratch` is left holding the record's raw bytes
+/// (limb-count prefix included) so callers can checksum exactly what was
+/// read; the return value is the decoded natural plus the record length.
+///
+/// A limb count above `max_limbs` fails with [`io::ErrorKind::InvalidData`]
+/// before any allocation, so a corrupt length prefix cannot trigger a huge
+/// buffer request; reads past EOF fail with `UnexpectedEof`.
+pub fn decode_natural<R: Read>(
+    r: &mut R,
+    scratch: &mut Vec<u8>,
+    max_limbs: u64,
+) -> io::Result<(Natural, u64)> {
+    let mut header = [0u8; 8];
+    r.read_exact(&mut header)?;
+    let len = u64::from_le_bytes(header);
+    if len > max_limbs {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "record limb count exceeds bound",
+        ));
+    }
+    scratch.clear();
+    scratch.extend_from_slice(&header);
+    scratch.resize(8 + len as usize * 8, 0);
+    r.read_exact(&mut scratch[8..])?;
+    let limbs: Vec<u64> = scratch[8..]
+        .chunks_exact(8)
+        // chunks_exact(8) yields exactly-8-byte slices, so the
+        // conversion is infallible; the fallback is never taken.
+        .map(|chunk| u64::from_le_bytes(chunk.try_into().unwrap_or([0; 8])))
+        .collect();
+    Ok((Natural::from_limbs(limbs), 8 + len * 8))
+}
+
+/// Removes tracked files (and the directory, when left empty) on drop
+/// unless defused: arm it before writing a multi-file artifact, [`track`]
+/// each path before creating it, and [`defuse`] once every write has
+/// succeeded. An early `?` return then leaves no partial output behind.
+/// Used by [`ShardStore::create`] and [`ShardStore::append`].
+///
+/// [`track`]: PartialGuard::track
+/// [`defuse`]: PartialGuard::defuse
+pub(crate) struct PartialGuard {
+    dir: PathBuf,
+    paths: Vec<PathBuf>,
+    armed: bool,
+}
+
+impl PartialGuard {
+    /// An armed guard for output under `dir`.
+    pub(crate) fn new(dir: PathBuf) -> PartialGuard {
+        PartialGuard {
+            dir,
+            paths: Vec::new(),
+            armed: true,
+        }
+    }
+
+    /// Register `path` for removal if the guard fires. Call *before*
+    /// creating the file, so a write that fails halfway is still covered.
+    pub(crate) fn track(&mut self, path: PathBuf) {
+        self.paths.push(path);
+    }
+
+    /// The artifact is complete; keep the files.
+    pub(crate) fn defuse(&mut self) {
+        self.armed = false;
+    }
+}
+
+impl Drop for PartialGuard {
+    /// Best-effort removal of every tracked path, then of the directory if
+    /// nothing else lives in it.
+    fn drop(&mut self) {
+        if self.armed {
+            for p in &self.paths {
+                let _ = fs::remove_file(p);
+            }
+            let _ = fs::remove_dir(&self.dir);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -336,8 +446,7 @@ impl ShardMeta {
 // ---------------------------------------------------------------------------
 
 /// A directory of fixed-capacity, checksummed shard files holding a modulus
-/// corpus. Unlike [`SpilledProductTree`](crate::spill::SpilledProductTree)
-/// scratch space, a store is *persistent*: nothing is deleted on drop, and
+/// corpus. A store is *persistent*: nothing is deleted on drop, and
 /// [`ShardStore::open`] re-attaches to a directory written earlier (by this
 /// process or a previous one). Delete explicitly with
 /// [`ShardStore::remove`].
@@ -496,8 +605,7 @@ impl ShardStore {
         self.shards.iter().map(|s| s.count).sum()
     }
 
-    /// Total bytes on disk (headers + payloads) — the corpus analog of
-    /// [`SpilledProductTree::bytes_written`](crate::spill::SpilledProductTree::bytes_written).
+    /// Total bytes on disk (headers + payloads).
     pub fn bytes_on_disk(&self) -> u64 {
         self.shards.iter().map(|s| s.file_len()).sum()
     }
@@ -1233,9 +1341,6 @@ fn assemble_impl(
                 delta: crate::incremental::DeltaMetrics::default(),
                 alloc_events: arena.alloc_events,
                 arena_hit_ratio: arena.hit_ratio(),
-                // Sharded runs descend in cofactor form throughout; the
-                // scaled driver never engages.
-                scaled_levels: 0,
             },
         },
         kept_products,
@@ -1247,7 +1352,6 @@ fn assemble_impl(
 mod tests {
     use super::*;
     use crate::classic::batch_gcd;
-    use crate::spill::scratch_dir;
 
     fn nat(v: u128) -> Natural {
         Natural::from(v)

@@ -13,11 +13,12 @@
 //! reports as 86 minutes wall-clock / 1089 CPU-hours with k = 16 versus 500
 //! minutes for the unmodified algorithm on one large machine.
 //!
-//! One precision beyond the paper's prose: `z_i / N_i` is exact only when
-//! `N_i` divides the pushed-down product, i.e. for the node's *own* subset.
-//! For foreign products this implementation therefore descends with plain
-//! residues (`P_j mod N_i`) and takes `gcd(N_i, P_j mod N_i)`, which is the
-//! correct pair-coverage quantity.
+//! One precision beyond the paper's prose: the two kinds of product need
+//! two descents. The node's *own* product `P_i` is divisible by every leaf,
+//! so it runs the cofactor descent and each leaf takes
+//! `gcd(N, (P_i/N) mod N)`, as in the classic pass. A *foreign* product
+//! `P_j` shares no leaf, so it runs the plain descent and each leaf takes
+//! `gcd(N, P_j mod N)`, which is the correct pair-coverage quantity.
 
 use crate::corpus::{CorpusError, ShardMetrics, ShardStore};
 use crate::incremental::DeltaMetrics;
@@ -68,7 +69,7 @@ pub struct NodeReport {
     pub product_tree_time: Duration,
     /// Wall time for all k remainder-tree descents on this node.
     pub remainder_time: Duration,
-    /// Wall time for the final division+gcd pass on this node.
+    /// Wall time for the per-leaf gcd passes on this node.
     pub gcd_time: Duration,
     /// Bytes held by the node's own product tree (paper: 70-100 GB/node).
     pub tree_bytes: usize,
@@ -344,23 +345,19 @@ fn run_cluster(
                 let mut gcd_time = Duration::ZERO;
                 for (j, product) in products.iter().enumerate() {
                     let t0 = Instant::now();
+                    let exec = pool.exec_in(descent_domain);
+                    // Own subset: (P_i/N) mod N, as in the classic pass.
+                    // Foreign subset: P_j mod N.
                     let rems = if i == j {
-                        tree.remainder_tree(product, pool.exec_in(descent_domain))
+                        tree.remainder_tree_cofactor(&Natural::one(), exec)
                     } else {
-                        tree.remainder_tree_plain(product, pool.exec_in(descent_domain))
+                        tree.remainder_tree_plain(product, exec)
                     };
                     remainder_time += t0.elapsed();
 
                     let t1 = Instant::now();
                     for (idx, (leaf, z)) in subset.iter().zip(rems).enumerate() {
-                        let candidate = if i == j {
-                            // Own subset: exact z/N as in the classic pass.
-                            let (zn, r) = z.div_rem(leaf);
-                            debug_assert!(r.is_zero());
-                            leaf.gcd(&zn)
-                        } else {
-                            leaf.gcd(&z)
-                        };
+                        let candidate = leaf.gcd(&z);
                         if !candidate.is_one() {
                             merge_divisor(&mut divisors[idx], leaf, candidate);
                         }
@@ -506,7 +503,7 @@ mod tests {
     #[test]
     fn sharded_distributed_matches_in_memory() {
         let moduli = mixed_moduli();
-        let dir = crate::spill::scratch_dir("dist-shard");
+        let dir = crate::corpus::scratch_dir("dist-shard");
         let store = ShardStore::create(&dir, 4, &moduli).unwrap();
         for k in [1usize, 2, 3, 5] {
             let mem = distributed_batch_gcd(&moduli, ClusterConfig::sequential(k));

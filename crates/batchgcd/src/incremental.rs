@@ -49,11 +49,11 @@
 
 use crate::classic::{BatchGcdResult, BatchStats};
 use crate::corpus::{
-    crc32, sharded_batch_gcd_keeping_tree, CorpusError, Crc32, ShardMetrics, ShardStore,
+    crc32, decode_natural, encode_natural, sharded_batch_gcd_keeping_tree, CorpusError, Crc32,
+    ShardMetrics, ShardStore,
 };
 use crate::pool::{PhaseExec, WorkerPool};
 use crate::resolve::resolve_with_hits;
-use crate::spill::{decode_natural, encode_natural};
 use crate::tree::{multiply_pair, pair_level, ProductTree, TreeError};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -192,9 +192,6 @@ pub struct DeltaMetrics {
     pub delta_sweep_exec: PhaseExec,
     /// Executor metrics for the cross (new-vs-`P_old`) phase.
     pub delta_cross_exec: PhaseExec,
-    /// Levels the scaled remainder tree drove during the cross-phase plain
-    /// descent; 0 when that descent rode attached Barrett caches instead.
-    pub cross_scaled_levels: u64,
 }
 
 impl DeltaMetrics {
@@ -1031,8 +1028,8 @@ pub fn incremental_batch_gcd(
     // descent of P_old rides the reciprocals phase 1 attached (only the
     // root step falls back to one division).
     let t2 = Instant::now();
-    let (rems_old, barrett_cross, cross_scaled_levels) =
-        t_new.remainder_tree_plain_metered(&cache.top_product, pool.exec_in(&cross_domain));
+    let (rems_old, barrett_cross) =
+        t_new.remainder_tree_plain_timed(&cache.top_product, pool.exec_in(&cross_domain));
     drop(t_new);
     let cross_items: Vec<(&Natural, Natural, Option<Natural>)> = delta
         .iter()
@@ -1175,11 +1172,9 @@ pub fn incremental_batch_gcd(
                 delta_tree_exec: tree_domain.phase(),
                 delta_sweep_exec: sweep_domain.phase(),
                 delta_cross_exec: cross_domain.phase(),
-                cross_scaled_levels: cross_scaled_levels as u64,
             },
             alloc_events: arena.alloc_events,
             arena_hit_ratio: arena.hit_ratio(),
-            scaled_levels: cross_scaled_levels as u64,
         },
     })
 }
@@ -1244,8 +1239,7 @@ fn reconstruct_cached(
 mod tests {
     use super::*;
     use crate::classic::batch_gcd;
-    use crate::corpus::sharded_batch_gcd;
-    use crate::spill::scratch_dir;
+    use crate::corpus::{scratch_dir, sharded_batch_gcd};
 
     fn nat(v: u128) -> Natural {
         Natural::from(v)

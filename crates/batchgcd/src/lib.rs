@@ -23,8 +23,6 @@
 //!   made against;
 //! * [`mod@resolve`] — turning raw divisors into factorizations, including the
 //!   full-gcd clique case (IBM nine-prime) via a pairwise sweep;
-//! * [`spill`] — the paper's original disk-backed mode: tree levels spill
-//!   to scratch files (removed on drop) so peak memory stays at two levels;
 //! * [`corpus`] — persistent corpus sharding: the input moduli themselves
 //!   live on disk as fixed-capacity checksummed shards (format in DESIGN.md
 //!   §7), and [`corpus::sharded_batch_gcd`] runs the classic algorithm with
@@ -64,13 +62,13 @@ pub mod incremental;
 pub mod naive;
 pub mod pool;
 pub mod resolve;
-pub mod spill;
 pub mod tree;
 
 pub use classic::{batch_gcd, BatchGcdResult, BatchStats};
 pub use corpus::{
-    assemble_from_shard_roots, crc32, fsync_dir, shard_subtree_root, sharded_batch_gcd,
-    CorpusError, ShardAssembly, ShardMeta, ShardMetrics, ShardReader, ShardStore,
+    assemble_from_shard_roots, crc32, decode_natural, encode_natural, fsync_dir, scratch_dir,
+    shard_subtree_root, sharded_batch_gcd, CorpusError, ShardAssembly, ShardMeta, ShardMetrics,
+    ShardReader, ShardStore,
 };
 pub use distributed::{
     distributed_batch_gcd, distributed_batch_gcd_sharded, ClusterConfig, ClusterReport,
@@ -83,5 +81,4 @@ pub use incremental::{
 pub use naive::{naive_pairwise_gcd, NaiveResult};
 pub use pool::{Exec, ExecDomain, PhaseExec, WorkerPool};
 pub use resolve::{resolve, resolve_with_hits, KeyStatus};
-pub use spill::{decode_natural, encode_natural, scratch_dir, SpilledProductTree};
 pub use tree::{DescentScratch, ProductTree, TreeError};

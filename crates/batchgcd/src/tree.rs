@@ -3,36 +3,27 @@
 //!
 //! * The **product tree** multiplies the inputs pairwise up a binary tree;
 //!   the root is `P = Π N_i`.
-//! * The **remainder tree** pushes a value down the same tree: at each node
-//!   the parent's value is reduced modulo the node's square, ending with
-//!   `z_i = P mod N_i^2` at the leaves.
+//! * A **remainder tree** pushes a value `V` down the same tree, reducing
+//!   it at every node. There is one descent per job:
+//!   - the **cofactor descent**
+//!     ([`remainder_tree_cofactor`](ProductTree::remainder_tree_cofactor))
+//!     yields `(V/N_i) mod N_i` for any `V` the root divides. With `V = P`
+//!     that is the quantity batch GCD needs: `gcd(N_i, (P/N_i) mod N_i)` is
+//!     the product of the primes `N_i` shares with the other inputs;
+//!   - the **plain descent**
+//!     ([`remainder_tree_plain`](ProductTree::remainder_tree_plain)) yields
+//!     `V mod N_i` for a foreign `V` — another subset's product, or a cached
+//!     corpus product — which the leaves do not divide.
 //!
-//! Squares (`mod N_i^2` rather than `mod N_i`) matter because every `N_i`
-//! divides `P`: the useful quantity is `(P / N_i) mod N_i`, recovered as
-//! `z_i / N_i` — exact division precisely because `N_i | P`.
+//! Both descents keep every residue below its node, so no node is ever
+//! squared. [`attach_cofactor_recips`](ProductTree::attach_cofactor_recips)
+//! turns their reductions into Barrett steps; the leaves are byte-identical
+//! either way.
 
 use crate::pool::Exec;
 use std::fmt;
 use std::time::{Duration, Instant};
 use wk_bigint::{arena, Natural, Reciprocal};
-
-/// Guard bits carried by every fixed-point residue of the scaled remainder
-/// tree: a node `u`'s scaled image approximates `frac(V/u) * 2^F` with
-/// `F = bit_len(u) + SCALED_GUARD_BITS`. Recovery needs the accumulated
-/// truncation error below `2^SCALED_GUARD_BITS`; the per-level recurrence
-/// `e_child <= 2*e_parent + 1` (sibling multiply plus rescale truncation)
-/// keeps 64 guard bits sound through [`SCALED_MAX_LEVELS`] levels.
-pub const SCALED_GUARD_BITS: u64 = 64;
-
-/// Deepest scaled descent the guard bits provably cover: after `d` levels
-/// the error is at most `3 * 2^d`, which must stay below `2^64`.
-const SCALED_MAX_LEVELS: usize = 58;
-
-/// Node size (limbs) below which the scaled driver hands over to the exact
-/// descent: at small widths the per-node shift/mask bookkeeping costs more
-/// than the plain division it replaces, and recovery at the handover level
-/// amortizes over the whole subtree below it.
-pub const SCALED_CUTOFF_LIMBS: usize = 8;
 
 /// Why a product tree could not be built. Both conditions are caller bugs
 /// in an in-memory run, but become reachable data errors once moduli stream
@@ -63,37 +54,21 @@ impl fmt::Display for TreeError {
 
 impl std::error::Error for TreeError {}
 
-/// Per-node cache for the squared descent: the node's square (the descent
-/// modulus) plus a Barrett reciprocal of it, sized to the incoming-value
-/// bound established at attach time.
-#[derive(Clone, Debug)]
-struct SquaredCache {
-    square: Natural,
-    recip: Reciprocal,
-}
-
-/// Per-node cache for the plain (unsquared) descent.
-#[derive(Clone, Debug)]
-struct PlainCache {
-    recip: Reciprocal,
-}
-
 /// A materialized product tree. `levels[0]` is the leaf level (the inputs);
 /// the last level holds the single root.
 ///
-/// Optionally carries per-node reciprocal caches (see
-/// [`attach_recips`](ProductTree::attach_recips)) so the remainder descents
-/// replace each Burnikel-Ziegler division with a Barrett reduction — two
-/// multiplies plus at most two correction subtractions per node.
+/// Optionally carries per-node Barrett reciprocals (see
+/// [`attach_cofactor_recips`](ProductTree::attach_cofactor_recips)) so the
+/// remainder descents replace each Burnikel-Ziegler division with a Barrett
+/// reduction — two multiplies plus at most two correction subtractions per
+/// node.
 #[derive(Clone, Debug)]
 pub struct ProductTree {
     levels: Vec<Vec<Natural>>,
-    /// Squared-descent caches, level-aligned with `levels`; empty until
-    /// [`attach_recips`](ProductTree::attach_recips) populates it.
-    sq_caches: Vec<Vec<Option<SquaredCache>>>,
-    /// Plain-descent caches, level-aligned with `levels`; empty until
-    /// [`attach_plain_recips`](ProductTree::attach_plain_recips).
-    plain_caches: Vec<Vec<Option<PlainCache>>>,
+    /// Per-node reciprocals, level-aligned with `levels`; empty until
+    /// [`attach_cofactor_recips`](ProductTree::attach_cofactor_recips)
+    /// populates it.
+    recips: Vec<Vec<Option<Reciprocal>>>,
 }
 
 impl ProductTree {
@@ -150,8 +125,7 @@ impl ProductTree {
     fn from_levels(levels: Vec<Vec<Natural>>) -> ProductTree {
         ProductTree {
             levels,
-            sq_caches: Vec::new(),
-            plain_caches: Vec::new(),
+            recips: Vec::new(),
         }
     }
 
@@ -184,99 +158,6 @@ impl ProductTree {
             .sum()
     }
 
-    /// Precompute squared-descent caches (per-node square + Barrett
-    /// reciprocal) on `exec`, for descents whose initial value has at most
-    /// `value_bits` bits. Returns the wall-clock build time (the
-    /// `recip_build_ns` metric).
-    ///
-    /// The bound is propagated down the tree — a node whose incoming value
-    /// is provably below its square gets no cache (the descent's trivial
-    /// guard skips it), which is what keeps the always-trivial reductions
-    /// near the root (including the root's own `P mod P^2`) from ever
-    /// computing their giant squares. Descending a *larger* value than the
-    /// hint stays correct: uncached nodes fall back to plain division.
-    pub fn attach_recips(&mut self, value_bits: u64, exec: Exec<'_>) -> Duration {
-        let start = Instant::now();
-        let top_level = self.levels.len() - 1;
-        let bounds = self.descent_bounds(value_bits, true);
-        let mut jobs: Vec<(usize, usize, u64)> = Vec::new();
-        for (level_idx, level) in self.levels.iter().enumerate().take(top_level) {
-            // The level directly below the root never reduces through its
-            // cache on a conventional descent: the root-product split (see
-            // `root_split_squared`) derives its residues from the exact
-            // quotient structure instead, so the two largest squares and
-            // reciprocals of the tree are never needed. Foreign-value
-            // descents through these nodes fall back to plain division.
-            if level_idx + 1 == top_level {
-                continue;
-            }
-            for (i, node) in level.iter().enumerate() {
-                let incoming = bounds[level_idx + 1][i / 2];
-                // Mirror of the descent guard: incoming values of up to
-                // `incoming` bits never reach node^2 >= 2^(2t-2).
-                if incoming + 2 <= 2 * node.bit_len() {
-                    continue;
-                }
-                jobs.push((level_idx, i, incoming));
-            }
-        }
-        let levels = &self.levels;
-        let computed = exec.map_chunked(jobs, |(level_idx, i, incoming)| {
-            let node = &levels[level_idx][i];
-            let square = node.square();
-            let cap = (incoming.div_ceil(64) as usize).min(2 * square.limb_len());
-            Reciprocal::with_capacity(&square, cap)
-                .ok()
-                .map(|recip| (level_idx, i, SquaredCache { square, recip }))
-        });
-        let mut caches: Vec<Vec<Option<SquaredCache>>> =
-            self.levels.iter().map(|l| vec![None; l.len()]).collect();
-        for (level_idx, i, cache) in computed.into_iter().flatten() {
-            caches[level_idx][i] = Some(cache);
-        }
-        self.sq_caches = caches;
-        start.elapsed()
-    }
-
-    /// Precompute plain-descent caches (Barrett reciprocal of each node
-    /// itself, root included) for descents of values up to `value_bits`
-    /// bits. Returns the wall-clock build time.
-    pub fn attach_plain_recips(&mut self, value_bits: u64, exec: Exec<'_>) -> Duration {
-        let start = Instant::now();
-        let top_level = self.levels.len() - 1;
-        let bounds = self.descent_bounds(value_bits, false);
-        let mut jobs: Vec<(usize, usize, u64)> = Vec::new();
-        for (level_idx, level) in self.levels.iter().enumerate() {
-            for (i, node) in level.iter().enumerate() {
-                let incoming = if level_idx == top_level {
-                    value_bits
-                } else {
-                    bounds[level_idx + 1][i / 2]
-                };
-                // Values of fewer bits than the node are below it already.
-                if incoming < node.bit_len() {
-                    continue;
-                }
-                jobs.push((level_idx, i, incoming));
-            }
-        }
-        let levels = &self.levels;
-        let computed = exec.map_chunked(jobs, |(level_idx, i, incoming)| {
-            let node = &levels[level_idx][i];
-            let cap = (incoming.div_ceil(64) as usize).min(2 * node.limb_len());
-            Reciprocal::with_capacity(node, cap)
-                .ok()
-                .map(|recip| (level_idx, i, PlainCache { recip }))
-        });
-        let mut caches: Vec<Vec<Option<PlainCache>>> =
-            self.levels.iter().map(|l| vec![None; l.len()]).collect();
-        for (level_idx, i, cache) in computed.into_iter().flatten() {
-            caches[level_idx][i] = Some(cache);
-        }
-        self.plain_caches = caches;
-        start.elapsed()
-    }
-
     /// Precompute the plain per-node reciprocals driving the cofactor
     /// descent
     /// ([`remainder_tree_cofactor`](ProductTree::remainder_tree_cofactor)),
@@ -291,11 +172,9 @@ impl ProductTree {
     /// or fall back to division. Returns the wall-clock build time (the
     /// `recip_build_ns` metric).
     ///
-    /// The caches land in the same slots
-    /// [`attach_plain_recips`](ProductTree::attach_plain_recips) fills, so a
-    /// subsequent [`remainder_tree_plain`](ProductTree::remainder_tree_plain)
-    /// descent over the same tree reuses them (the incremental cross phase
-    /// does exactly that).
+    /// A later [`remainder_tree_plain`](ProductTree::remainder_tree_plain)
+    /// descent over the same tree reuses these reciprocals (the incremental
+    /// cross phase does exactly that).
     pub fn attach_cofactor_recips(&mut self, exec: Exec<'_>) -> Duration {
         let start = Instant::now();
         let top_level = self.levels.len() - 1;
@@ -334,101 +213,26 @@ impl ProductTree {
         let computed = exec.map_chunked(jobs, |(level_idx, i, cap)| {
             Reciprocal::with_capacity(&levels[level_idx][i], cap)
                 .ok()
-                .map(|recip| (level_idx, i, PlainCache { recip }))
+                .map(|recip| (level_idx, i, recip))
         });
-        let mut caches: Vec<Vec<Option<PlainCache>>> =
+        let mut recips: Vec<Vec<Option<Reciprocal>>> =
             self.levels.iter().map(|l| vec![None; l.len()]).collect();
-        for (level_idx, i, cache) in computed.into_iter().flatten() {
-            caches[level_idx][i] = Some(cache);
+        for (level_idx, i, recip) in computed.into_iter().flatten() {
+            recips[level_idx][i] = Some(recip);
         }
-        self.plain_caches = caches;
+        self.recips = recips;
         start.elapsed()
     }
 
-    /// True when squared-descent reciprocal caches are attached.
-    pub fn has_recips(&self) -> bool {
-        !self.sq_caches.is_empty()
-    }
-
-    /// True when plain-descent reciprocal caches are attached.
-    pub fn has_plain_recips(&self) -> bool {
-        !self.plain_caches.is_empty()
-    }
-
-    /// Bytes held by the attached reciprocal caches (squares + reciprocals),
-    /// on top of [`total_bytes`](ProductTree::total_bytes).
+    /// Bytes held by the attached reciprocals, on top of
+    /// [`total_bytes`](ProductTree::total_bytes).
     pub fn cache_bytes(&self) -> usize {
-        let sq: usize = self
-            .sq_caches
+        self.recips
             .iter()
             .flatten()
             .flatten()
-            .map(|c| c.square.limb_len() * 8 + c.recip.bytes())
-            .sum();
-        let plain: usize = self
-            .plain_caches
-            .iter()
-            .flatten()
-            .flatten()
-            .map(|c| c.recip.bytes())
-            .sum();
-        sq + plain
-    }
-
-    /// Per-node out-bound (bits) of the value leaving each node's reduction,
-    /// for an initial descent value of at most `value_bits` bits. `squared`
-    /// selects the `mod node^2` bound chain vs the `mod node` one.
-    fn descent_bounds(&self, value_bits: u64, squared: bool) -> Vec<Vec<u64>> {
-        let top_level = self.levels.len() - 1;
-        let mut bounds: Vec<Vec<u64>> = self.levels.iter().map(|l| vec![0; l.len()]).collect();
-        let root_bits = self.root().bit_len();
-        let top_bound = if squared {
-            value_bits.min(2 * root_bits)
-        } else {
-            value_bits.min(root_bits)
-        };
-        if let Some(slot) = bounds[top_level].first_mut() {
-            *slot = top_bound;
-        }
-        for level_idx in (0..top_level).rev() {
-            for i in 0..self.levels[level_idx].len() {
-                let incoming = bounds[level_idx + 1][i / 2];
-                let node_bits = self.levels[level_idx][i].bit_len();
-                let cap = if squared { 2 * node_bits } else { node_bits };
-                bounds[level_idx][i] = incoming.min(cap);
-            }
-        }
-        bounds
-    }
-
-    /// One squared-descent reduction: `pv mod node^2`, via (in order) the
-    /// trivial-value guard, a cached-square comparison, Barrett reduction
-    /// against the cached reciprocal, or plain division. Returns the reduced
-    /// value and the time spent inside Barrett reduction (zero otherwise).
-    fn reduce_squared(&self, pv: &Natural, level_idx: usize, i: usize) -> (Natural, Duration) {
-        let node = &self.levels[level_idx][i];
-        // node^2 >= 2^(2t-2), so a value of at most 2t-2 bits is already
-        // reduced — in particular the root step of a conventional descent
-        // (value = P < P^2) never squares the root.
-        if pv.bit_len() + 2 <= 2 * node.bit_len() {
-            return (arena::clone_natural(pv), Duration::ZERO);
-        }
-        if let Some(cache) = self
-            .sq_caches
-            .get(level_idx)
-            .and_then(|l| l.get(i))
-            .and_then(Option::as_ref)
-        {
-            if pv < &cache.square {
-                return (arena::clone_natural(pv), Duration::ZERO);
-            }
-            let start = Instant::now();
-            if let Ok(r) = pv.barrett_rem(&cache.square, &cache.recip) {
-                return (r, start.elapsed());
-            }
-            return (pv % &cache.square, Duration::ZERO);
-        }
-        (pv % &node.square(), Duration::ZERO)
+            .map(Reciprocal::bytes)
+            .sum()
     }
 
     /// One plain reduction: `pv mod node`, via comparison, Barrett, or
@@ -438,48 +242,33 @@ impl ProductTree {
         if pv < node {
             return (arena::clone_natural(pv), Duration::ZERO);
         }
-        if let Some(cache) = self
-            .plain_caches
+        if let Some(recip) = self
+            .recips
             .get(level_idx)
             .and_then(|l| l.get(i))
             .and_then(Option::as_ref)
         {
             let start = Instant::now();
-            if let Ok(r) = pv.barrett_rem(node, &cache.recip) {
+            if let Ok(r) = pv.barrett_rem(node, recip) {
                 return (r, start.elapsed());
             }
         }
         (pv % node, Duration::ZERO)
     }
 
-    /// Shared descent driver: reduce at the root, then level by level down
-    /// to the leaves. Parent buffers move into their last child's task (only
-    /// first children clone), and wide levels dispatch in contiguous chunks.
+    /// Shared descent driver: reduce `value` modulo the root, then apply
+    /// `reduce` level by level down to the leaves. Parent buffers move into
+    /// their last child's task (only first children clone), and wide levels
+    /// dispatch in contiguous chunks. Returns the leaves and the summed
+    /// Barrett time.
     fn descend<R>(&self, value: &Natural, exec: Exec<'_>, reduce: &R) -> (Vec<Natural>, Duration)
     where
         R: Fn(&Natural, usize, usize) -> (Natural, Duration) + Sync,
     {
         let top_level = self.levels.len() - 1;
-        let (root_val, barrett) = reduce(value, top_level, 0);
-        let (leaves, below) = self.descend_levels(vec![root_val], top_level, exec, reduce);
-        (leaves, barrett + below)
-    }
-
-    /// The level loop of [`descend`](ProductTree::descend): `current` holds
-    /// the residues at level `top`, reduced level by level down to the
-    /// leaves.
-    fn descend_levels<R>(
-        &self,
-        mut current: Vec<Natural>,
-        top: usize,
-        exec: Exec<'_>,
-        reduce: &R,
-    ) -> (Vec<Natural>, Duration)
-    where
-        R: Fn(&Natural, usize, usize) -> (Natural, Duration) + Sync,
-    {
-        let mut barrett = Duration::ZERO;
-        for level_idx in (0..top).rev() {
+        let (root_val, mut barrett) = self.reduce_plain(value, top_level, 0);
+        let mut current = vec![root_val];
+        for level_idx in (0..top_level).rev() {
             let width = self.levels[level_idx].len();
             let mut tasks: Vec<(Natural, usize)> = Vec::with_capacity(width);
             for i in 0..width {
@@ -508,103 +297,12 @@ impl ProductTree {
         (current, barrett)
     }
 
-    /// Scaled-remainder-tree shortcut for the first squared-descent step.
-    ///
-    /// When the descent value is exactly the root product `P = c0 * c1`,
-    /// the children's residues follow from the quotient structure:
-    /// `P mod c_i^2 = c_i * (sibling mod c_i)`, one sibling-size reduction
-    /// and one half-size multiply — instead of reducing the corpus-sized
-    /// `P` by each child's square, the single largest reduction of a
-    /// conventional descent. Returns `None` (fall back to the generic
-    /// driver) for foreign values or a single-level tree.
-    fn root_split_squared(&self, value: &Natural, exec: Exec<'_>) -> Option<Vec<Natural>> {
-        let top_level = self.levels.len().checked_sub(1)?;
-        if top_level == 0 || value != self.root() {
-            return None;
-        }
-        let children = self.levels.get(top_level - 1)?;
-        if children.len() != 2 {
-            return None;
-        }
-        Some(exec.map(vec![0usize, 1], |i| {
-            let c = &children[i];
-            let sibling = &children[i ^ 1];
-            if sibling < c {
-                // P = c * sibling < c^2 already: the residue is P itself,
-                // and multiplying back out would just recompute it.
-                value.clone()
-            } else {
-                c * &(sibling % c)
-            }
-        }))
-    }
-
-    /// Compute `value mod leaf_i^2` for every leaf by descending the tree.
-    ///
-    /// The conventional use sets `value = self.root()` (so `N_i | value`),
-    /// but any value works: the k-subset distributed variant pushes *other*
-    /// subsets' products down this tree. With reciprocal caches attached
-    /// (see [`attach_recips`](ProductTree::attach_recips)) each non-trivial
-    /// reduction is a Barrett step; results are byte-identical either way.
-    pub fn remainder_tree(&self, value: &Natural, exec: Exec<'_>) -> Vec<Natural> {
-        self.remainder_tree_timed(value, exec).0
-    }
-
-    /// [`remainder_tree`](ProductTree::remainder_tree), also returning the
-    /// summed in-task time spent in Barrett reductions (the
-    /// `barrett_rem_ns` metric; zero on the division path).
-    pub fn remainder_tree_timed(
-        &self,
-        value: &Natural,
-        exec: Exec<'_>,
-    ) -> (Vec<Natural>, Duration) {
-        let reduce = |pv: &Natural, l: usize, i: usize| self.reduce_squared(pv, l, i);
-        if let Some(split) = self.root_split_squared(value, exec) {
-            return self.descend_levels(split, self.levels.len() - 2, exec, &reduce);
-        }
-        self.descend(value, exec, &reduce)
-    }
-
-    /// Squared descent on the calling thread, no pool dispatch — the
-    /// shard-leaf counterpart of [`build_local`](ProductTree::build_local).
-    ///
-    /// `value_below_root_square` asserts the caller's knowledge that
-    /// `value < root^2` already — true by construction for a residue
-    /// received from an enclosing tree's descent (`P mod root^2`). The
-    /// root reduction is then skipped entirely: the bit-length guard alone
-    /// cannot prove triviality for values within two bits of `root^2`, and
-    /// proving it by comparison would compute the very root square the
-    /// skip avoids (the largest multiply of the whole local descent).
-    pub fn remainder_tree_local(
-        &self,
-        value: &Natural,
-        value_below_root_square: bool,
-    ) -> Vec<Natural> {
-        let top_level = self.levels.len() - 1;
-        let root_val = if value_below_root_square {
-            debug_assert!(*value < self.root().square());
-            arena::clone_natural(value)
-        } else {
-            self.reduce_squared(value, top_level, 0).0
-        };
-        let mut current = vec![root_val];
-        for level_idx in (0..top_level).rev() {
-            let width = self.levels[level_idx].len();
-            let mut next = Vec::with_capacity(width);
-            for i in 0..width {
-                next.push(self.reduce_squared(&current[i / 2], level_idx, i).0);
-            }
-            for dead in core::mem::replace(&mut current, next) {
-                arena::recycle(dead);
-            }
-        }
-        current
-    }
-
-    /// Compute `value mod leaf_i` (no squaring) for every leaf. Used by the
-    /// distributed variant for subsets that do **not** contain the leaf, so
-    /// exact divisibility is not available and plain residues are the right
-    /// quantity.
+    /// Compute `value mod leaf_i` for every leaf. This is the descent for
+    /// values the leaves do not divide: the distributed variant's foreign
+    /// subset products and the incremental cross phase's cached corpus
+    /// product. Each node reduces by exact division, or by a Barrett step
+    /// where [`attach_cofactor_recips`](ProductTree::attach_cofactor_recips)
+    /// cached a reciprocal.
     pub fn remainder_tree_plain(&self, value: &Natural, exec: Exec<'_>) -> Vec<Natural> {
         self.remainder_tree_plain_timed(value, exec).0
     }
@@ -616,151 +314,7 @@ impl ProductTree {
         value: &Natural,
         exec: Exec<'_>,
     ) -> (Vec<Natural>, Duration) {
-        let (r, d, _) = self.remainder_tree_plain_metered(value, exec);
-        (r, d)
-    }
-
-    /// [`remainder_tree_plain`](ProductTree::remainder_tree_plain), choosing
-    /// between the exact driver and the **scaled remainder tree** (Bernstein,
-    /// *Scaled remainder trees*): with no reciprocal caches attached, each
-    /// interior node would cost a full division, so instead the descent
-    /// carries a fixed-point image of `frac(V/node)` — one truncated
-    /// sibling multiply per child, no divisions and no reciprocal
-    /// precomputation — and recovers exact residues once nodes shrink below
-    /// [`SCALED_CUTOFF_LIMBS`]. Leaf output is byte-identical to the exact
-    /// driver (test `scaled_descent_equiv`). The third return is the number
-    /// of levels the scaled driver ran (the `scaled_levels` metric; 0 on the
-    /// exact path).
-    pub fn remainder_tree_plain_metered(
-        &self,
-        value: &Natural,
-        exec: Exec<'_>,
-    ) -> (Vec<Natural>, Duration, usize) {
-        let scaled_levels = if self.has_plain_recips() {
-            // Attached reciprocals already make every reduction a Barrett
-            // step; the scaled form would only re-derive what `mu` caches.
-            0
-        } else {
-            self.scaled_level_count()
-        };
-        if scaled_levels == 0 {
-            let (r, d) = self.descend(value, exec, &|pv, l, i| self.reduce_plain(pv, l, i));
-            return (r, d, 0);
-        }
-        self.remainder_tree_plain_scaled(value, exec, scaled_levels)
-    }
-
-    /// Number of levels (starting just below the root) the scaled driver
-    /// covers: consecutive levels whose widest node still has at least
-    /// [`SCALED_CUTOFF_LIMBS`] limbs, capped by the guard-bit error budget.
-    fn scaled_level_count(&self) -> usize {
-        let top_level = self.levels.len() - 1;
-        let mut count = 0;
-        for level_idx in (0..top_level).rev() {
-            let max_limbs = self.levels[level_idx]
-                .iter()
-                .map(Natural::limb_len)
-                .max()
-                .unwrap_or(0);
-            if max_limbs < SCALED_CUTOFF_LIMBS || count == SCALED_MAX_LEVELS {
-                break;
-            }
-            count += 1;
-        }
-        count
-    }
-
-    /// The scaled driver: seed the root's fixed-point image with one exact
-    /// division, push it down `scaled_levels` levels with truncated sibling
-    /// multiplies, recover exact residues at the handover level, and finish
-    /// with the exact descent.
-    fn remainder_tree_plain_scaled(
-        &self,
-        value: &Natural,
-        exec: Exec<'_>,
-        scaled_levels: usize,
-    ) -> (Vec<Natural>, Duration, usize) {
-        let top_level = self.levels.len() - 1;
-        // Exact residue at the root (`V mod P`), then its scaled image
-        // `floor((V mod P) * 2^F / P)` — a floor, so the error starts
-        // one-sided below 1 ulp.
-        let (v0, d0) = self.reduce_plain(value, top_level, 0);
-        let f_root = self.root().bit_len() + SCALED_GUARD_BITS;
-        let shifted = v0.shl_bits(f_root);
-        arena::recycle(v0);
-        let (xhat, seed_rem) = shifted.div_rem(self.root());
-        arena::recycle(shifted);
-        arena::recycle(seed_rem);
-
-        let mut current = vec![xhat];
-        let mut level_idx = top_level;
-        for _ in 0..scaled_levels {
-            level_idx -= 1;
-            let width = self.levels[level_idx].len();
-            let mut tasks: Vec<(Natural, usize)> = Vec::with_capacity(width);
-            for i in 0..width {
-                let p = i / 2;
-                let xv = if i % 2 == 0 && i + 1 < width {
-                    arena::clone_natural(&current[p])
-                } else {
-                    core::mem::replace(&mut current[p], Natural::zero())
-                };
-                tasks.push((xv, i));
-            }
-            current = exec.map_chunked(tasks, |(xv, i)| self.scale_child(xv, level_idx, i));
-        }
-
-        let handover: Vec<(Natural, usize)> = current
-            .into_iter()
-            .enumerate()
-            .map(|(i, x)| (x, i))
-            .collect();
-        let recovered = exec.map_chunked(handover, |(x, i)| self.recover_scaled(x, level_idx, i));
-        let (leaves, d_below) = self.descend_levels(recovered, level_idx, exec, &|pv, l, i| {
-            self.reduce_plain(pv, l, i)
-        });
-        (leaves, d0 + d_below, scaled_levels)
-    }
-
-    /// One scaled child step. For node `c` with sibling `s` under parent
-    /// `u = c * s`: `frac(V/c) = frac(frac(V/u) * s)`, so the fixed-point
-    /// image maps as `x_c = (x_u * s mod 2^{F_u}) >> (F_u - F_c)` — the mod
-    /// is limb truncation, the shift realigns to the child's scale. A
-    /// promoted odd node is its own parent: image and scale pass through.
-    fn scale_child(&self, xu: Natural, level_idx: usize, i: usize) -> Natural {
-        let sib = i ^ 1;
-        if sib >= self.levels[level_idx].len() {
-            return xu;
-        }
-        let f_u = self.levels[level_idx + 1][i / 2].bit_len() + SCALED_GUARD_BITS;
-        let f_c = self.levels[level_idx][i].bit_len() + SCALED_GUARD_BITS;
-        let mut t = &xu * &self.levels[level_idx][sib];
-        arena::recycle(xu);
-        t.keep_low_bits(f_u);
-        t.shr_assign_bits(f_u - f_c);
-        t
-    }
-
-    /// Recover the exact residue from a node's scaled image:
-    /// `r = ceil(node * x / 2^F)`. The image under-estimates in the circle
-    /// `R/Z` by less than `2^-SCALED_GUARD_BITS` of a node, so the ceiling
-    /// is exact except when the true residue is 0 — there the fixed-point
-    /// wraps to just below `2^F` and the ceiling lands on `node` itself,
-    /// which the conditional subtraction folds back to 0.
-    fn recover_scaled(&self, x: Natural, level_idx: usize, i: usize) -> Natural {
-        let node = &self.levels[level_idx][i];
-        let f = node.bit_len() + SCALED_GUARD_BITS;
-        let mut t = &x * node;
-        arena::recycle(x);
-        let round_up = t.trailing_zeros().is_some_and(|z| z < f);
-        t.shr_assign_bits(f);
-        if round_up {
-            t.add_assign_ref(&Natural::one());
-        }
-        if t >= *node {
-            t.sub_assign_ref(node);
-        }
-        t
+        self.descend(value, exec, &|pv, l, i| self.reduce_plain(pv, l, i))
     }
 
     /// One step of the cofactor recurrence. For a node `u` with sibling `s`
@@ -788,11 +342,8 @@ impl ProductTree {
     /// remainder tree). The conventional `V = root` descent passes
     /// `cofactor_rem = 1`.
     ///
-    /// Every intermediate residue is bounded by its *node* rather than the
-    /// node's square, so each reduction is half the width of the squared
-    /// descent's, no per-node squares are ever formed, and the leaf values
-    /// are exactly the `(V/N) mod N` the gcd stage consumes — the trailing
-    /// exact division of the squared form disappears. Attach
+    /// Every intermediate residue is bounded by its *node*, and the leaf
+    /// values are exactly the `(V/N) mod N` the gcd stage consumes. Attach
     /// [`attach_cofactor_recips`](ProductTree::attach_cofactor_recips) first
     /// to run every non-trivial reduction as a Barrett step; results are
     /// byte-identical either way.
@@ -807,12 +358,9 @@ impl ProductTree {
         cofactor_rem: &Natural,
         exec: Exec<'_>,
     ) -> (Vec<Natural>, Duration) {
-        let top_level = self.levels.len() - 1;
-        let (seed, d0) = self.reduce_plain(cofactor_rem, top_level, 0);
-        let (leaves, below) = self.descend_levels(vec![seed], top_level, exec, &|pv, l, i| {
+        self.descend(cofactor_rem, exec, &|pv, l, i| {
             self.reduce_cofactor(pv, l, i)
-        });
-        (leaves, d0 + below)
+        })
     }
 
     /// Consume the tree and return every node's limb buffer to the thread
@@ -833,8 +381,7 @@ impl ProductTree {
     /// shard-leaf counterpart of
     /// [`remainder_tree_cofactor`](ProductTree::remainder_tree_cofactor).
     /// The enclosing tree's cofactor descent hands each shard exactly the
-    /// `(P/root) mod root` seed this wants, at half the width of the squared
-    /// residue the old handoff moved.
+    /// `(P/root) mod root` seed this wants.
     pub fn remainder_tree_cofactor_local(&self, cofactor_rem: &Natural) -> Vec<Natural> {
         let mut scratch = DescentScratch::default();
         let mut out = Vec::new();
@@ -903,8 +450,8 @@ impl DescentScratch {
 }
 
 /// Pair up adjacent nodes of one level: `[a, b, c]` becomes
-/// `[(a, Some(b)), (c, None)]`. Shared by the in-RAM and disk-spilled
-/// product-tree builders.
+/// `[(a, Some(b)), (c, None)]`. Shared by the product-tree builders and the
+/// incremental cache's chunk products.
 pub(crate) fn pair_level(level: &[Natural]) -> Vec<(Natural, Option<Natural>)> {
     level
         .chunks(2)
@@ -937,14 +484,22 @@ mod tests {
         Natural::from(v)
     }
 
-    fn pseudo_moduli(count: usize, seed: u64) -> Vec<Natural> {
+    /// `count` odd moduli of exactly `limbs` limbs each.
+    fn pseudo_moduli(count: usize, limbs: usize, seed: u64) -> Vec<Natural> {
         let mut state = seed | 1;
         (0..count)
             .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                nat((state | 1) as u128) // odd, nonzero
+                let mut words: Vec<u64> = (0..limbs)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        state
+                    })
+                    .collect();
+                words[0] |= 1;
+                words[limbs - 1] |= 1 << 63;
+                Natural::from_limbs(words)
             })
             .collect()
     }
@@ -968,26 +523,42 @@ mod tests {
     fn single_leaf() {
         let tree = ProductTree::build(&[nat(42)], seq().exec()).unwrap();
         assert_eq!(tree.root(), &nat(42));
-        let r = tree.remainder_tree(&nat(100), seq().exec());
-        assert_eq!(r, vec![nat(100)]);
+        let r = tree.remainder_tree_plain(&nat(100), seq().exec());
+        assert_eq!(r, vec![nat(100 % 42)]);
+        let r = tree.remainder_tree_cofactor(&Natural::one(), seq().exec());
+        assert_eq!(r, vec![Natural::one()]);
     }
 
     #[test]
     fn remainder_tree_matches_direct() {
-        let moduli = pseudo_moduli(13, 99);
-        let tree = ProductTree::build(&moduli, seq().exec()).unwrap();
-        let root = tree.root().clone();
-        let rems = tree.remainder_tree(&root, seq().exec());
-        for (m, z) in moduli.iter().zip(rems.iter()) {
-            assert_eq!(z, &(&root % &m.square()));
-            // Exactness: N_i divides P, so z_i is divisible by N_i.
-            assert!((z % m).is_zero());
+        // 8-limb leaves, so every node the plain descent reduces spans at
+        // least 8 limbs. 2/3 leaves: split shapes incl. the promoted odd
+        // node. 13/16: ragged and balanced interiors.
+        let foreign_tree = ProductTree::build(&pseudo_moduli(5, 8, 77), seq().exec()).unwrap();
+        let foreign = foreign_tree.root();
+        for n in [2usize, 3, 13, 16] {
+            let moduli = pseudo_moduli(n, 8, 4242);
+            let mut tree = ProductTree::build(&moduli, seq().exec()).unwrap();
+            let values = [tree.root().clone(), foreign.clone(), foreign * foreign];
+            // Exact division first, then the Barrett steps the cofactor
+            // reciprocals enable (the incremental cross phase's path).
+            for with_recips in [false, true] {
+                if with_recips {
+                    tree.attach_cofactor_recips(seq().exec());
+                }
+                for v in &values {
+                    let rems = tree.remainder_tree_plain(v, seq().exec());
+                    for (m, r) in moduli.iter().zip(&rems) {
+                        assert_eq!(r, &(v % m), "n={n} recips={with_recips}");
+                    }
+                }
+            }
         }
     }
 
     #[test]
     fn remainder_tree_plain_matches_direct() {
-        let moduli = pseudo_moduli(9, 1234);
+        let moduli = pseudo_moduli(9, 1, 1234);
         let tree = ProductTree::build(&moduli, seq().exec()).unwrap();
         let external = nat(0xdead_beef_cafe_f00d_1234u128);
         let rems = tree.remainder_tree_plain(&external, seq().exec());
@@ -997,36 +568,11 @@ mod tests {
     }
 
     #[test]
-    fn root_split_descent_matches_direct_with_recips() {
-        // 2 leaves: the split lands directly on the leaf level. 3 leaves:
-        // one top child is smaller than its sibling (the residue-is-P
-        // branch). 13/16: balanced and ragged interior shapes.
-        for n in [2usize, 3, 13, 16] {
-            let moduli = pseudo_moduli(n, 4242);
-            let mut tree = ProductTree::build(&moduli, seq().exec()).unwrap();
-            tree.attach_recips(tree.root().bit_len(), seq().exec());
-            let root = tree.root().clone();
-            let rems = tree.remainder_tree(&root, seq().exec());
-            for (m, z) in moduli.iter().zip(rems.iter()) {
-                assert_eq!(z, &(&root % &m.square()));
-            }
-            // A foreign value (here larger than the attach hint) takes the
-            // generic driver, with plain division at the cache-free level
-            // below the root.
-            let foreign = &root * &nat(3);
-            let rems = tree.remainder_tree(&foreign, seq().exec());
-            for (m, z) in moduli.iter().zip(rems.iter()) {
-                assert_eq!(z, &(&foreign % &m.square()));
-            }
-        }
-    }
-
-    #[test]
     fn cofactor_descent_matches_direct() {
         // 1 leaf: degenerate pass-through. 2/3: split shapes incl. the
         // promoted odd node. 13/16: balanced and ragged interior shapes.
         for n in [1usize, 2, 3, 13, 16] {
-            let moduli = pseudo_moduli(n, 4242);
+            let moduli = pseudo_moduli(n, 1, 4242);
             let mut tree = ProductTree::build(&moduli, seq().exec()).unwrap();
             tree.attach_cofactor_recips(seq().exec());
             let root = tree.root().clone();
@@ -1053,20 +599,25 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
-        let moduli = pseudo_moduli(31, 5);
+        let moduli = pseudo_moduli(31, 2, 5);
         let pool1 = seq();
         let pool4 = WorkerPool::new(4);
         let t1 = ProductTree::build(&moduli, pool1.exec()).unwrap();
         let t4 = ProductTree::build(&moduli, pool4.exec()).unwrap();
         assert_eq!(t1.root(), t4.root());
-        let r1 = t1.remainder_tree(t1.root(), pool1.exec());
-        let r4 = t4.remainder_tree(t4.root(), pool4.exec());
+        let one = Natural::one();
+        let r1 = t1.remainder_tree_cofactor(&one, pool1.exec());
+        let r4 = t4.remainder_tree_cofactor(&one, pool4.exec());
+        assert_eq!(r1, r4);
+        let foreign = &(t1.root() * t1.root()) + &one;
+        let r1 = t1.remainder_tree_plain(&foreign, pool1.exec());
+        let r4 = t4.remainder_tree_plain(&foreign, pool4.exec());
         assert_eq!(r1, r4);
     }
 
     #[test]
     fn total_bytes_positive_and_superlinear_in_input() {
-        let moduli = pseudo_moduli(16, 77);
+        let moduli = pseudo_moduli(16, 1, 77);
         let tree = ProductTree::build(&moduli, seq().exec()).unwrap();
         let leaf_bytes: usize = moduli.iter().map(|m| m.limb_len() * 8).sum();
         assert!(

@@ -2,14 +2,17 @@
 //! against the classic formulation, across every production entry point.
 //!
 //! The invariant: replacing per-node `div_rem` with Barrett reduction
-//! against cached reciprocals — and replacing the squared descent
-//! `P mod N^2` with the cofactor recurrence `r_u = (s * (r_v mod u)) mod u`
-//! — changes timings only. Raw divisors and statuses stay byte-identical
-//! across thread counts and shard capacities, and the cofactor leaves
-//! relate to the squared leaves by exactly `leaf_sq = r_N * N`.
+//! against cached reciprocals — and replacing the squared form `P mod N^2`
+//! with the cofactor recurrence `r_u = (s * (r_v mod u)) mod u` — changes
+//! timings only. Raw divisors and statuses stay byte-identical across
+//! thread counts, shard capacities and entry points, and the cofactor
+//! leaves relate to the squared residues by exactly `P mod N^2 = r_N * N`.
 
 use proptest::prelude::*;
-use wk_batchgcd::{batch_gcd, scratch_dir, sharded_batch_gcd, ProductTree, ShardStore, WorkerPool};
+use wk_batchgcd::{
+    batch_gcd, distributed_batch_gcd, incremental_batch_gcd, scratch_dir, sharded_batch_gcd,
+    ClusterConfig, ProductTree, ShardStore, TreeCache, WorkerPool,
+};
 use wk_bigint::Natural;
 use wk_keygen::{KeygenBehavior, ModelKeygen, PrimeShaping};
 
@@ -17,20 +20,25 @@ use wk_keygen::{KeygenBehavior, ModelKeygen, PrimeShaping};
 /// `healthy` keys with fresh primes, interleaved. 128-bit moduli keep the
 /// suite fast while still exercising multi-limb reductions at every level.
 fn population(vulnerable: usize, healthy: usize, seed: u64) -> Vec<Natural> {
+    population_bits(128, vulnerable, healthy, seed)
+}
+
+/// [`population`] at `bits`-bit moduli.
+fn population_bits(bits: u64, vulnerable: usize, healthy: usize, seed: u64) -> Vec<Natural> {
     let pool_size = (vulnerable / 3).max(1);
     let mut vuln_gen = ModelKeygen::new(
         KeygenBehavior::SharedPrimePool {
             shaping: PrimeShaping::OpensslStyle,
             pool_size,
         },
-        128,
+        bits,
         seed,
     );
     let mut healthy_gen = ModelKeygen::new(
         KeygenBehavior::Healthy {
             shaping: PrimeShaping::OpensslStyle,
         },
-        128,
+        bits,
         seed + 1,
     );
     let mut moduli: Vec<Natural> = (0..vulnerable)
@@ -103,10 +111,10 @@ fn sharded_identical_across_capacities_and_threads() {
 
 #[test]
 fn cofactor_leaves_factor_the_squared_leaves() {
-    // The algebraic bridge between the two descents: with V = P (the
+    // The algebraic bridge to the squared formulation: with V = P (the
     // root), `P mod N^2 = N * ((P/N) mod N)` for every leaf N dividing P.
-    // So the old squared-descent leaf must equal the new cofactor leaf
-    // times the modulus — exactly, not just modulo N.
+    // So the cofactor leaf times the modulus must equal the direct squared
+    // residue — exactly, not just modulo N.
     let moduli = population(9, 6, 777);
     let pool = WorkerPool::new(2);
     let domain = pool.domain();
@@ -121,12 +129,66 @@ fn cofactor_leaves_factor_the_squared_leaves() {
     );
 
     let root = tree.root().clone();
-    let squared = tree.remainder_tree_local(&root, true);
-    assert_eq!(squared.len(), cofactor.len());
-    for ((n, r), zn) in moduli.iter().zip(&cofactor).zip(&squared) {
-        assert_eq!(&(n * r), zn, "leaf_sq != r_N * N for modulus {n:?}");
+    assert_eq!(moduli.len(), cofactor.len());
+    for (n, r) in moduli.iter().zip(&cofactor) {
+        assert_eq!(
+            n * r,
+            &root % &n.square(),
+            "P mod N^2 != r_N * N for modulus {n:?}"
+        );
         assert!(r < n, "cofactor leaf not fully reduced");
     }
+}
+
+#[test]
+fn plain_descent_of_root_square_is_zero() {
+    // A value the root divides reduces to 0 at every leaf: the plain
+    // descent must carry exact zeros through 8-limb interior nodes.
+    let moduli = population_bits(512, 5, 4, 1693);
+    let pool = WorkerPool::new(2);
+    let domain = pool.domain();
+    let tree = ProductTree::build(&moduli, pool.exec_in(&domain)).unwrap();
+    let value = tree.root() * tree.root();
+    let leaves = tree.remainder_tree_plain(&value, pool.exec_in(&domain));
+    assert_eq!(leaves.len(), moduli.len());
+    for r in &leaves {
+        assert!(
+            r.is_zero(),
+            "root-divisible value must reduce to 0 everywhere"
+        );
+    }
+}
+
+#[test]
+fn pipelines_agree_at_512_bit() {
+    // Hits and statuses across the classic, sharded, incremental and
+    // distributed entry points over 512-bit moduli, where every interior
+    // node of every descent spans at least 8 limbs.
+    let moduli = population_bits(512, 9, 7, 555);
+    let classic = batch_gcd(&moduli, 1);
+    assert!(
+        classic.vulnerable_count() >= 2,
+        "population must be interesting"
+    );
+
+    let (divs, statuses) = sharded_over(&moduli, 4, 2, "512-bit");
+    assert_eq!(divs, classic.raw_divisors);
+    assert_eq!(statuses, classic.statuses);
+
+    let (old, delta) = moduli.split_at(moduli.len() - 4);
+    let mut store = ShardStore::create(&scratch_dir("descent-equiv-incr-store"), 4, old).unwrap();
+    let (mut cache, _) =
+        TreeCache::build(&scratch_dir("descent-equiv-incr-cache"), &store, 2).unwrap();
+    let incr = incremental_batch_gcd(&mut store, &mut cache, delta, 4, 2).unwrap();
+    assert_eq!(incr.raw_divisors, classic.raw_divisors);
+    assert_eq!(incr.statuses, classic.statuses);
+    cache.remove().unwrap();
+    store.remove().unwrap();
+
+    // Own subsets run the cofactor descent, foreign subsets the plain one.
+    let dist = distributed_batch_gcd(&moduli, ClusterConfig::sequential(3));
+    assert_eq!(dist.raw_divisors, classic.raw_divisors);
+    assert_eq!(dist.statuses, classic.statuses);
 }
 
 proptest! {
@@ -170,5 +232,57 @@ proptest! {
             prop_assert!(rem.is_zero());
             prop_assert_eq!(&q.div_rem(n).1, r);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Random 512-bit trees and foreign values (products of a disjoint
+    /// healthy population, as in the distributed foreign-subset descents):
+    /// the plain descent always equals the direct per-leaf remainder.
+    #[test]
+    fn random_plain_descent_is_exact(
+        vulnerable in 2usize..6,
+        healthy in 1usize..5,
+        width in 1usize..5,
+        seed in 0u64..1000,
+    ) {
+        let moduli = population_bits(512, vulnerable, healthy, seed);
+        let value = population_bits(512, 0, width, seed + 5000)
+            .iter()
+            .fold(Natural::one(), |acc, n| &acc * n);
+        let pool = WorkerPool::new(2);
+        let domain = pool.domain();
+        let tree = ProductTree::build(&moduli, pool.exec_in(&domain)).unwrap();
+        let leaves = tree.remainder_tree_plain(&value, pool.exec_in(&domain));
+        for (m, r) in moduli.iter().zip(&leaves) {
+            prop_assert_eq!(r, &(&value % m));
+        }
+    }
+
+    /// Random incremental chains over 512-bit moduli stay byte-identical
+    /// to the classic union run.
+    #[test]
+    fn random_incremental_matches_classic_at_512_bit(
+        vulnerable in 3usize..7,
+        healthy in 1usize..5,
+        seed in 0u64..1000,
+        capacity in 2usize..6,
+    ) {
+        let moduli = population_bits(512, vulnerable, healthy, seed);
+        let classic = batch_gcd(&moduli, 1);
+        let split = moduli.len() - (moduli.len() / 3).max(2);
+        let (old, delta) = moduli.split_at(split);
+        let tag = format!("descent-prop-{vulnerable}-{healthy}-{seed}-{capacity}");
+        let mut store =
+            ShardStore::create(&scratch_dir(&format!("{tag}-store")), capacity, old).unwrap();
+        let (mut cache, _) =
+            TreeCache::build(&scratch_dir(&format!("{tag}-cache")), &store, 1).unwrap();
+        let incr = incremental_batch_gcd(&mut store, &mut cache, delta, capacity, 1).unwrap();
+        prop_assert_eq!(&incr.raw_divisors, &classic.raw_divisors);
+        prop_assert_eq!(&incr.statuses, &classic.statuses);
+        cache.remove().unwrap();
+        store.remove().unwrap();
     }
 }

@@ -177,6 +177,7 @@ proptest! {
         let (moduli, expected) = population(vulnerable, healthy, seed);
         let classic = batch_gcd(&moduli, 1);
         let dist = distributed_batch_gcd(&moduli, ClusterConfig::sequential(k));
+        prop_assert_eq!(&classic.raw_divisors, &dist.raw_divisors);
         prop_assert_eq!(&classic.statuses, &dist.statuses);
         for (status, want) in classic.statuses.iter().zip(expected.iter()) {
             prop_assert_eq!(status.is_vulnerable(), *want);

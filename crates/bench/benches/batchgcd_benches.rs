@@ -5,21 +5,22 @@
 //!   (and with real nodes, the critical path) shrinks.
 //! * `ablation_naive_vs_batch` — quasilinear batch GCD vs the quadratic
 //!   pairwise baseline (§3.2's feasibility argument).
-//! * `ablation_remainder_tree` — the remainder tree vs dividing the root
-//!   product by each modulus directly.
+//! * `ablation_remainder_tree` — the cofactor descent vs computing
+//!   `(P / N) mod N` for each modulus directly.
 //! * `exec_skewed_sizes` — the work-stealing case: a population whose
 //!   bigint sizes are pathologically uneven, where static chunking would
 //!   serialize on whichever chunk drew the large moduli.
 //! * `ablation_corpus_shards` — in-memory classic batch GCD vs the
 //!   disk-backed shard store feeding the same pool (DESIGN.md §7): what the
 //!   bounded-memory streaming mode costs in shard re-reads and per-shard
-//!   tree rebuilds.
+//!   tree rebuilds. This is also the in-RAM vs on-disk contrast of §3.2
+//!   (the original hardware wrote its trees to disk).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use wk_batchgcd::{
     batch_gcd, distributed_batch_gcd, naive_pairwise_gcd, scratch_dir, sharded_batch_gcd,
-    ClusterConfig, ProductTree, ShardStore, SpilledProductTree, WorkerPool,
+    ClusterConfig, ProductTree, ShardStore, WorkerPool,
 };
 use wk_bench::key_population;
 
@@ -80,44 +81,14 @@ fn ablation_remainder_tree(c: &mut Criterion) {
     let pool = WorkerPool::new(1);
     let tree = ProductTree::build(&moduli, pool.exec()).unwrap();
     let root = tree.root().clone();
+    let one = wk_bigint::Natural::one();
     let mut group = c.benchmark_group("ablation_remainder_tree");
     group.sample_size(10);
     group.bench_function("remainder_tree", |b| {
-        b.iter(|| tree.remainder_tree(black_box(&root), pool.exec()))
+        b.iter(|| tree.remainder_tree_cofactor(black_box(&one), pool.exec()))
     });
     group.bench_function("direct_division_per_leaf", |b| {
-        b.iter(|| {
-            moduli
-                .iter()
-                .map(|m| &root % &m.square())
-                .collect::<Vec<_>>()
-        })
-    });
-    group.finish();
-}
-
-/// The paper's disk-vs-RAM contrast (§3.2): the original hardware spilled
-/// trees to disk (500 min); the cluster run kept them in RAM.
-fn ablation_disk_spill(c: &mut Criterion) {
-    let moduli = key_population(400, 512, 0.05, 37);
-    let pool = WorkerPool::new(1);
-    let mut group = c.benchmark_group("ablation_disk_spill");
-    group.sample_size(10);
-    group.bench_function("in_ram", |b| {
-        b.iter(|| {
-            let tree = ProductTree::build(black_box(&moduli), pool.exec()).unwrap();
-            tree.remainder_tree(tree.root(), pool.exec())
-        })
-    });
-    group.bench_function("spilled_to_disk", |b| {
-        b.iter(|| {
-            let dir = scratch_dir("bench");
-            let tree = SpilledProductTree::build(black_box(&moduli), &dir, pool.exec()).unwrap();
-            let root = tree.root().unwrap();
-            let rems = tree.remainder_tree(&root, pool.exec()).unwrap();
-            tree.cleanup().unwrap();
-            rems
-        })
+        b.iter(|| moduli.iter().map(|m| &(&root / m) % m).collect::<Vec<_>>())
     });
     group.finish();
 }
@@ -349,7 +320,7 @@ criterion_group! {
     name = batchgcd;
     config = Criterion::default().sample_size(10);
     targets = fig2_distributed_batchgcd, ablation_naive_vs_batch, ablation_remainder_tree,
-              ablation_disk_spill, ablation_corpus_shards, ablation_all_to_all_lowmem,
+              ablation_corpus_shards, ablation_all_to_all_lowmem,
               exec_skewed_sizes
 }
 criterion_main!(batchgcd);

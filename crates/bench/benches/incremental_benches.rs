@@ -157,8 +157,7 @@ fn main() {
         "total_steals": {},
         "busy_ns": {},
         "alloc_events": {},
-        "arena_hit_ratio": {:.4},
-        "scaled_levels": {}
+        "arena_hit_ratio": {:.4}
       }},
       "incremental": {{
         "wall_ns": {},
@@ -175,8 +174,7 @@ fn main() {
         "busy_ns": {},
         "shards_read": {},
         "alloc_events": {},
-        "arena_hit_ratio": {:.4},
-        "cross_scaled_levels": {}
+        "arena_hit_ratio": {:.4}
       }},
       "speedup": {:.3}
     }}"#,
@@ -192,7 +190,6 @@ fn main() {
             full_busy.as_nanos(),
             fs.alloc_events,
             fs.arena_hit_ratio,
-            fs.scaled_levels,
             inc.wall.as_nanos(),
             d.delta_tree_time.as_nanos(),
             d.delta_sweep_time.as_nanos(),
@@ -207,7 +204,6 @@ fn main() {
             inc.result.stats.shard.shards_read,
             inc.result.stats.alloc_events,
             inc.result.stats.arena_hit_ratio,
-            d.cross_scaled_levels,
             full.wall.as_secs_f64() / inc.wall.as_secs_f64().max(f64::MIN_POSITIVE),
         )
         .unwrap();

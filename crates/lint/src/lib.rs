@@ -423,7 +423,7 @@ mod tests {
     fn relaxed_outside_pool_not_audited() {
         let src = "fn f(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }\n";
         assert!(
-            check_source("crates/batchgcd/src/spill.rs", "batchgcd", src)
+            check_source("crates/batchgcd/src/corpus.rs", "batchgcd", src)
                 .iter()
                 .all(|d| d.rule != rules::ATOMICS)
         );
