@@ -14,18 +14,10 @@ use std::time::{Duration, Instant};
 use wk_bigint::Natural;
 
 /// Timing and memory accounting for one batch-GCD run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct BatchStats {
     /// Wall-clock time building the product tree.
     pub product_tree_time: Duration,
-    /// Wall-clock time precomputing per-node Barrett reciprocals
-    /// ([`ProductTree::attach_cofactor_recips`]); zero on pure
-    /// division-path runs.
-    pub recip_build_time: Duration,
-    /// Summed in-task time spent inside Barrett reductions during the
-    /// remainder descents (a busy total across workers, not wall clock);
-    /// zero on the division path.
-    pub barrett_rem_time: Duration,
     /// Wall-clock time descending the remainder tree.
     pub remainder_tree_time: Duration,
     /// Wall-clock time for the final per-leaf gcd.
@@ -47,41 +39,12 @@ pub struct BatchStats {
     /// populated by
     /// [`incremental_batch_gcd`](crate::incremental::incremental_batch_gcd).
     pub delta: DeltaMetrics,
-    /// Limb-arena buffer requests the thread pools could not serve over the
-    /// run (fresh heap allocations); the steady-state target is near zero.
-    pub alloc_events: u64,
-    /// Fraction of limb-arena checkouts served from pooled buffers over the
-    /// run (1.0 when no checkouts happened).
-    pub arena_hit_ratio: f64,
-}
-
-impl Default for BatchStats {
-    fn default() -> Self {
-        BatchStats {
-            product_tree_time: Duration::ZERO,
-            recip_build_time: Duration::ZERO,
-            barrett_rem_time: Duration::ZERO,
-            remainder_tree_time: Duration::ZERO,
-            gcd_time: Duration::ZERO,
-            tree_bytes: 0,
-            input_count: 0,
-            product_tree_exec: PhaseExec::default(),
-            remainder_tree_exec: PhaseExec::default(),
-            gcd_exec: PhaseExec::default(),
-            shard: ShardMetrics::default(),
-            delta: DeltaMetrics::default(),
-            alloc_events: 0,
-            // An idle arena served every (zero) checkout.
-            arena_hit_ratio: 1.0,
-        }
-    }
 }
 
 impl BatchStats {
-    /// Total wall-clock time across phases (reciprocal precompute
-    /// included).
+    /// Total wall-clock time across the three phases.
     pub fn total_time(&self) -> Duration {
-        self.product_tree_time + self.recip_build_time + self.remainder_tree_time + self.gcd_time
+        self.product_tree_time + self.remainder_tree_time + self.gcd_time
     }
 
     /// Executor metrics summed over all three phases.
@@ -146,7 +109,6 @@ pub fn batch_gcd(moduli: &[Natural], threads: usize) -> BatchGcdResult {
     );
     // One work-stealing pool serves every phase of the run; per-phase
     // domains separate the executor accounting.
-    let arena0 = wk_bigint::arena::stats();
     let pool = WorkerPool::new(threads);
     let build_domain = pool.domain();
     let remainder_domain = pool.domain();
@@ -164,14 +126,12 @@ pub fn batch_gcd(moduli: &[Natural], threads: usize) -> BatchGcdResult {
     // to exact division when no cache is attached, byte-identically.
     // Reciprocals are attached only where they amortize: the incremental
     // delta tree (three reductions per node) and the persisted shard set.
-    let recip_build_time = Duration::ZERO;
     let tree_bytes = tree.total_bytes() + tree.cache_bytes();
 
     let t1 = Instant::now();
     // Cofactor descent of V = P (seed (P/root) mod root = 1): the leaves
     // are (P/N) mod N directly, so no trailing exact division is needed.
-    let (remainders, barrett_rem_time) =
-        tree.remainder_tree_cofactor_timed(&Natural::one(), pool.exec_in(&remainder_domain));
+    let remainders = tree.remainder_tree_cofactor(&Natural::one(), pool.exec_in(&remainder_domain));
     let remainder_tree_time = t1.elapsed();
 
     let t2 = Instant::now();
@@ -189,14 +149,11 @@ pub fn batch_gcd(moduli: &[Natural], threads: usize) -> BatchGcdResult {
     let gcd_time = t2.elapsed();
 
     let statuses = resolve(moduli, &raw_divisors);
-    let arena = wk_bigint::arena::stats().delta_since(&arena0);
     BatchGcdResult {
         raw_divisors,
         statuses,
         stats: BatchStats {
             product_tree_time,
-            recip_build_time,
-            barrett_rem_time,
             remainder_tree_time,
             gcd_time,
             tree_bytes,
@@ -204,10 +161,7 @@ pub fn batch_gcd(moduli: &[Natural], threads: usize) -> BatchGcdResult {
             product_tree_exec: build_domain.phase(),
             remainder_tree_exec: remainder_domain.phase(),
             gcd_exec: gcd_domain.phase(),
-            shard: ShardMetrics::default(),
-            delta: DeltaMetrics::default(),
-            alloc_events: arena.alloc_events,
-            arena_hit_ratio: arena.hit_ratio(),
+            ..BatchStats::default()
         },
     }
 }

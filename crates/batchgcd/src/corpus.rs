@@ -919,10 +919,11 @@ impl ShardMetrics {
 ///    keeps only the shard product (one [`Natural`] per shard).
 /// 2. **Top tree** — an in-memory product tree over the shard products
 ///    yields the global product `P`.
-/// 3. **Leaf remainders** — a remainder descent over the top tree gives
-///    `P mod prod_s^2` per shard; workers then claim shards again, re-read
-///    each one, rebuild its (shard-local) tree, descend to `P mod N_i^2`,
-///    and compute the final divisions and gcds for that shard's leaves.
+/// 3. **Leaf remainders** — a cofactor descent over the top tree gives the
+///    seed `(P/R_s) mod R_s` per shard, where `R_s` is the shard product;
+///    workers then claim shards again, re-read each one, rebuild its
+///    (shard-local) tree, continue the cofactor descent to `(P/N_i) mod N_i`,
+///    and take one gcd per leaf — no division follows the descent.
 ///
 /// Peak resident moduli are one shard per active worker (plus the shard
 /// products and top tree), not the corpus — the property that lets the
@@ -1044,7 +1045,6 @@ pub fn assemble_from_shard_roots(
     let build_domain = pool.domain();
     let pre = PhaseOne {
         start: Instant::now(),
-        arena0: wk_bigint::arena::stats(),
         max_shard_tree_bytes: 0,
         shard_busy: vec![Duration::ZERO; store.shard_count()],
         shards_read: 0,
@@ -1067,9 +1067,6 @@ struct PhaseOne {
     /// When the run's product phase began; `product_tree_time` spans from
     /// here through the top-tree build.
     start: Instant,
-    /// Arena counters at the start of the run, for the per-run
-    /// `alloc_events` / `arena_hit_ratio` deltas.
-    arena0: wk_bigint::arena::ArenaStats,
     /// Largest shard tree seen so far (bytes).
     max_shard_tree_bytes: usize,
     /// Per-shard busy time accumulated so far, index-aligned.
@@ -1104,7 +1101,6 @@ fn sharded_impl(
     // Phase 1: one pool task per shard; the deques deal and steal them, so
     // a free worker always claims the next unprocessed shard.
     let t0 = Instant::now();
-    let arena0 = wk_bigint::arena::stats();
     let product_tasks: Vec<_> = (0..shard_count as u32)
         .map(|index| {
             move || -> Result<(Natural, usize, Duration), CorpusError> {
@@ -1148,7 +1144,6 @@ fn sharded_impl(
 
     let pre = PhaseOne {
         start: t0,
-        arena0,
         max_shard_tree_bytes,
         shard_busy,
         shards_read: shard_count as u64,
@@ -1187,9 +1182,7 @@ fn assemble_impl(
     // division matches a Barrett step almost exactly — so single-use
     // reciprocals are pure overhead here. Barrett pays only where `mu` is
     // reused across runs (the persisted shard reciprocals of the
-    // incremental sweep); the rebuild's `recip_build_ns` is exactly that
-    // persisted set, charged by `TreeCache::build`.
-    let recip_build_time = Duration::ZERO;
+    // incremental sweep, built by `TreeCache::build`).
     let top_bytes = top.total_bytes() + top.cache_bytes();
     let kept_products = if keep_tree {
         shard_products
@@ -1204,8 +1197,8 @@ fn assemble_impl(
     // (P/R_s) mod R_s — half the width of the squared residues this
     // handoff used to move — then per-shard leaf work.
     let t1 = Instant::now();
-    let (shard_residues, barrett_rem_time) =
-        top.remainder_tree_cofactor_timed(&Natural::one(), pool.exec_in(&remainder_domain));
+    let shard_residues =
+        top.remainder_tree_cofactor(&Natural::one(), pool.exec_in(&remainder_domain));
     let kept_top = if keep_tree {
         top.root().clone()
     } else {
@@ -1315,15 +1308,12 @@ fn assemble_impl(
 
     let statuses = resolve_with_hits(total, &hits, &raw_divisors);
     let gcd_exec = gcd_domain.phase();
-    let arena = wk_bigint::arena::stats().delta_since(&pre.arena0);
     Ok((
         BatchGcdResult {
             raw_divisors,
             statuses,
             stats: BatchStats {
                 product_tree_time,
-                recip_build_time,
-                barrett_rem_time,
                 remainder_tree_time,
                 gcd_time: gcd_exec.busy_total(),
                 tree_bytes: top_bytes + max_shard_tree_bytes,
@@ -1338,9 +1328,7 @@ fn assemble_impl(
                     bytes_read: pre.bytes_read + store.bytes_on_disk(),
                     shard_busy,
                 },
-                delta: crate::incremental::DeltaMetrics::default(),
-                alloc_events: arena.alloc_events,
-                arena_hit_ratio: arena.hit_ratio(),
+                ..BatchStats::default()
             },
         },
         kept_products,

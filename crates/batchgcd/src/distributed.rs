@@ -21,7 +21,6 @@
 //! `gcd(N, P_j mod N)`, which is the correct pair-coverage quantity.
 
 use crate::corpus::{CorpusError, ShardMetrics, ShardStore};
-use crate::incremental::DeltaMetrics;
 use crate::pool::{ExecDomain, PhaseExec, WorkerPool};
 use crate::resolve::{resolve, KeyStatus};
 use crate::tree::ProductTree;
@@ -104,11 +103,6 @@ pub struct ClusterReport {
     /// Shard-store I/O metrics; all-zero [`Default`] for in-memory runs,
     /// populated by [`distributed_batch_gcd_sharded`].
     pub shard: ShardMetrics,
-    /// Delta-phase metrics; all-zero [`Default`] for cluster runs (the
-    /// incremental path is single-corpus — see
-    /// [`incremental_batch_gcd`](crate::incremental::incremental_batch_gcd)
-    /// — but the field keeps report schemas aligned across entry points).
-    pub delta: DeltaMetrics,
 }
 
 impl ClusterReport {
@@ -177,20 +171,38 @@ fn partition_ranges(total: usize, k: usize) -> Vec<std::ops::Range<usize>> {
     ranges
 }
 
-/// Run the k-subset distributed batch GCD.
+/// The result of a run over no moduli, shared by both entry points.
+fn empty_result(wall_start: Instant) -> DistributedResult {
+    DistributedResult {
+        raw_divisors: Vec::new(),
+        statuses: Vec::new(),
+        report: ClusterReport {
+            nodes: Vec::new(),
+            wall_time: wall_start.elapsed(),
+            k: 0,
+            build_exec: PhaseExec::default(),
+            descent_exec: PhaseExec::default(),
+            shard: ShardMetrics::default(),
+        },
+    }
+}
+
+/// Run the k-subset distributed batch GCD. An empty input yields an empty
+/// result.
 ///
 /// # Panics
-/// Panics if `moduli` is empty, any modulus is zero, or
-/// `config.subsets == 0`.
+/// Panics if any modulus is zero or `config.subsets == 0`.
 pub fn distributed_batch_gcd(moduli: &[Natural], config: ClusterConfig) -> DistributedResult {
-    assert!(!moduli.is_empty(), "empty input");
+    assert!(config.subsets > 0, "need at least one subset");
+    let wall_start = Instant::now();
+    if moduli.is_empty() {
+        return empty_result(wall_start);
+    }
     assert!(
         moduli.iter().all(|m| !m.is_zero()),
         "zero modulus in distributed batch GCD input"
     );
-    assert!(config.subsets > 0, "need at least one subset");
     let k = config.subsets.min(moduli.len());
-    let wall_start = Instant::now();
     let subsets: Vec<&[Natural]> = partition_ranges(moduli.len(), k)
         .into_iter()
         .map(|r| &moduli[r])
@@ -231,19 +243,7 @@ pub fn distributed_batch_gcd_sharded(
     let total = store.total_moduli() as usize;
     let wall_start = Instant::now();
     if total == 0 {
-        return Ok(DistributedResult {
-            raw_divisors: Vec::new(),
-            statuses: Vec::new(),
-            report: ClusterReport {
-                nodes: Vec::new(),
-                wall_time: wall_start.elapsed(),
-                k: 0,
-                build_exec: PhaseExec::default(),
-                descent_exec: PhaseExec::default(),
-                shard: ShardMetrics::default(),
-                delta: DeltaMetrics::default(),
-            },
-        });
+        return Ok(empty_result(wall_start));
     }
     let k = config.subsets.min(total);
 
@@ -409,7 +409,6 @@ fn run_cluster(
             build_exec,
             descent_exec,
             shard,
-            delta: DeltaMetrics::default(),
         },
     )
 }
@@ -490,6 +489,21 @@ mod tests {
         assert_eq!(dist.report.total_exec().tasks(), node_tasks);
         assert!(dist.report.build_exec.tasks() > 0);
         assert!(dist.report.descent_exec.tasks() > 0);
+    }
+
+    #[test]
+    fn empty_input_yields_empty_result_on_both_entry_points() {
+        let mem = distributed_batch_gcd(&[], ClusterConfig::sequential(4));
+        let dir = crate::corpus::scratch_dir("dist-empty");
+        let store = ShardStore::create(&dir, 4, std::iter::empty()).unwrap();
+        let disk = distributed_batch_gcd_sharded(&store, ClusterConfig::sequential(4)).unwrap();
+        for res in [&mem, &disk] {
+            assert!(res.raw_divisors.is_empty());
+            assert!(res.statuses.is_empty());
+            assert_eq!(res.report.k, 0);
+            assert!(res.report.nodes.is_empty());
+        }
+        store.remove().unwrap();
     }
 
     #[test]

@@ -165,9 +165,9 @@ impl From<io::Error> for IncrementalError {
 // ---------------------------------------------------------------------------
 
 /// Per-phase accounting for one incremental run, surfaced on
-/// [`BatchStats`] (and through it on
-/// [`ClusterReport`](crate::distributed::ClusterReport)). From-scratch runs
-/// leave it all-zero (the `Default`).
+/// [`BatchStats`]. From-scratch runs leave it all-zero (the `Default`).
+/// Executor metrics live on [`BatchStats`] itself: the delta-tree phase is
+/// `product_tree_exec`, the sweep and cross phases `remainder_tree_exec`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DeltaMetrics {
     /// New moduli resolved this run (the delta size `M`).
@@ -185,13 +185,6 @@ pub struct DeltaMetrics {
     /// updated cache (chunk products plus the one `P_old * P_new`
     /// multiply).
     pub delta_cache_update_time: Duration,
-    /// Executor metrics for the delta-tree phase (includes cache-update
-    /// chunk products).
-    pub delta_tree_exec: PhaseExec,
-    /// Executor metrics for the old-corpus sweep phase.
-    pub delta_sweep_exec: PhaseExec,
-    /// Executor metrics for the cross (new-vs-`P_old`) phase.
-    pub delta_cross_exec: PhaseExec,
 }
 
 impl DeltaMetrics {
@@ -411,11 +404,8 @@ impl TreeCache {
         store: &ShardStore,
         threads: usize,
     ) -> Result<(TreeCache, BatchGcdResult), IncrementalError> {
-        let (mut result, shard_products, top_product) =
-            sharded_batch_gcd_keeping_tree(store, threads)?;
-        let recip_start = Instant::now();
+        let (result, shard_products, top_product) = sharded_batch_gcd_keeping_tree(store, threads)?;
         let shard_recips = shard_recips_for(dir, &shard_products)?;
-        result.stats.recip_build_time += recip_start.elapsed();
         let hits = result
             .raw_divisors
             .iter()
@@ -839,9 +829,6 @@ struct SweepOut {
     /// `(global index, modulus)` for every cached-hit index in this shard.
     cached: Vec<(u64, Natural)>,
     busy: Duration,
-    /// Time spent inside the Barrett reduction of `P_new` by this shard's
-    /// cached root (zero when the reciprocal path was unusable).
-    barrett: Duration,
 }
 
 /// Resolve the union of `store`'s cached corpus and the `delta` moduli,
@@ -851,10 +838,10 @@ struct SweepOut {
 /// [`batch_gcd`](crate::classic::batch_gcd) over the union in store order
 /// (old moduli first, then the delta).
 ///
-/// The phases, measured individually in [`BatchStats::delta`]:
+/// The phases, timed individually in [`BatchStats::delta`]:
 ///
 /// 1. **delta tree** — classic batch GCD over the delta alone, in memory:
-///    product tree (root `P_new`), squared remainder descent, per-leaf gcd.
+///    product tree (root `P_new`), cofactor remainder descent, per-leaf gcd.
 /// 2. **sweep** — for each *old* shard, reduce `P_new` by the cached shard
 ///    root (through its persisted Barrett reciprocal; a no-op
 ///    short-circuit while `P_new` is smaller) and take one
@@ -868,9 +855,10 @@ struct SweepOut {
 /// 4. **cache update** — append the delta shards, multiply
 ///    `P_old * P_new` once, compute the new shards' products, persist.
 ///
-/// On the stats: `product_tree_time` mirrors phase 1 and
-/// `remainder_tree_time` the sum of phases 2–3; the authoritative per-phase
-/// breakdown (including executor counters) is `stats.delta`. An empty delta
+/// On the stats: `product_tree_time` and `product_tree_exec` mirror phase 1
+/// (plus phase 4's chunk products on the executor side), and
+/// `remainder_tree_time` and `remainder_tree_exec` cover phases 2–3; the
+/// per-phase wall times are in `stats.delta`. An empty delta
 /// skips every phase and reconstructs the cached result from the hit list,
 /// reading only the shards that contain hits.
 ///
@@ -905,24 +893,22 @@ pub fn incremental_batch_gcd(
     let old_bytes_on_disk = store.bytes_on_disk();
     let total = old_total + delta.len();
 
-    let arena0 = wk_bigint::arena::stats();
     let pool = WorkerPool::new(threads);
     let tree_domain = pool.domain();
     let sweep_domain = pool.domain();
     let cross_domain = pool.domain();
 
     // Phase 1: classic batch GCD over the delta alone, on the cofactor
-    // descent. The attached plain reciprocals serve double duty: phase 3
+    // descent. The attached cofactor reciprocals serve double duty: phase 3
     // reuses them to push P_old down this same tree.
     let t0 = Instant::now();
     let mut t_new = ProductTree::build(delta, pool.exec_in(&tree_domain))
         // lint:allow(no-panic-in-lib) invariant: delta is nonempty and zero-free, checked above
         .expect("validated delta");
     let p_new = t_new.root().clone();
-    let delta_recip_time = t_new.attach_cofactor_recips(pool.exec_in(&tree_domain));
+    t_new.attach_cofactor_recips(pool.exec_in(&tree_domain));
     let tree_bytes = t_new.total_bytes() + t_new.cache_bytes();
-    let (rems, barrett_delta) =
-        t_new.remainder_tree_cofactor_timed(&Natural::one(), pool.exec_in(&tree_domain));
+    let rems = t_new.remainder_tree_cofactor(&Natural::one(), pool.exec_in(&tree_domain));
     let delta_raw: Vec<Option<Natural>> = pool.exec_in(&tree_domain).map(
         delta.iter().zip(rems).collect(),
         |(n, zn): (&Natural, Natural)| {
@@ -977,12 +963,9 @@ pub fn incremental_batch_gcd(
             move || -> Result<SweepOut, CorpusError> {
                 let start = Instant::now();
                 let moduli = store.read_shard(s as u32)?;
-                let reduce_start = Instant::now();
-                let (reduced, barrett) =
-                    match p_new.barrett_rem(&shard_products[s], &shard_recips[s]) {
-                        Ok(r) => (r, reduce_start.elapsed()),
-                        Err(_) => (p_new % &shard_products[s], Duration::ZERO),
-                    };
+                let reduced = p_new
+                    .barrett_rem(&shard_products[s], &shard_recips[s])
+                    .unwrap_or_else(|_| p_new % &shard_products[s]);
                 let ds: Vec<Option<Natural>> =
                     pool.exec_in(sweep_domain)
                         .map(moduli.iter().collect(), |n: &Natural| {
@@ -1008,18 +991,15 @@ pub fn incremental_batch_gcd(
                     fresh,
                     cached,
                     busy: start.elapsed(),
-                    barrett,
                 })
             }
         })
         .collect();
     let mut shard_busy = vec![Duration::ZERO; old_shards];
-    let mut barrett_sweep = Duration::ZERO;
     let mut sweep_outs = Vec::with_capacity(old_shards);
     for (s, outcome) in pool.exec().run_tasks(sweep_tasks).into_iter().enumerate() {
         let out = outcome?;
         shard_busy[s] = out.busy;
-        barrett_sweep += out.barrett;
         sweep_outs.push(out);
     }
     let delta_sweep_time = t1.elapsed();
@@ -1028,8 +1008,7 @@ pub fn incremental_batch_gcd(
     // descent of P_old rides the reciprocals phase 1 attached (only the
     // root step falls back to one division).
     let t2 = Instant::now();
-    let (rems_old, barrett_cross) =
-        t_new.remainder_tree_plain_timed(&cache.top_product, pool.exec_in(&cross_domain));
+    let rems_old = t_new.remainder_tree_plain(&cache.top_product, pool.exec_in(&cross_domain));
     drop(t_new);
     let cross_items: Vec<(&Natural, Natural, Option<Natural>)> = delta
         .iter()
@@ -1114,9 +1093,7 @@ pub fn incremental_batch_gcd(
     });
     // Reciprocals only for the shards this delta created — the cached
     // shards' reciprocals ride forward untouched.
-    let recip_start = Instant::now();
     let new_recips = shard_recips_for(&cache.dir, &new_products)?;
-    let recip_build_time = delta_recip_time + recip_start.elapsed();
     cache.shard_recips.extend(new_recips);
     cache.shard_products.extend(new_products);
     cache.source_crcs.extend(
@@ -1140,14 +1117,11 @@ pub fn incremental_batch_gcd(
     let mut remainder_exec = sweep_domain.phase();
     remainder_exec.merge(&cross_domain.phase());
     let new_shards = (appended.end - appended.start) as u64;
-    let arena = wk_bigint::arena::stats().delta_since(&arena0);
     Ok(BatchGcdResult {
         raw_divisors,
         statuses,
         stats: BatchStats {
             product_tree_time: delta_tree_time,
-            recip_build_time,
-            barrett_rem_time: barrett_delta + barrett_sweep + barrett_cross,
             remainder_tree_time: delta_sweep_time + delta_cross_time,
             gcd_time: Duration::ZERO,
             tree_bytes,
@@ -1169,12 +1143,7 @@ pub fn incremental_batch_gcd(
                 delta_sweep_time,
                 delta_cross_time,
                 delta_cache_update_time,
-                delta_tree_exec: tree_domain.phase(),
-                delta_sweep_exec: sweep_domain.phase(),
-                delta_cross_exec: cross_domain.phase(),
             },
-            alloc_events: arena.alloc_events,
-            arena_hit_ratio: arena.hit_ratio(),
         },
     })
 }
@@ -1399,9 +1368,9 @@ mod tests {
         assert!(!delta.is_empty());
         assert_eq!(delta.delta_count, 3);
         assert_eq!(delta.cached_count, 3);
-        assert!(delta.delta_tree_exec.tasks() > 0);
-        assert!(delta.delta_sweep_exec.tasks() > 0);
-        assert!(delta.delta_cross_exec.tasks() > 0);
+        // Delta tree on the product side; sweep and cross on the remainder side.
+        assert!(res.stats.product_tree_exec.tasks() > 0);
+        assert!(res.stats.remainder_tree_exec.tasks() > 0);
         assert_eq!(res.stats.shard.shards_read, 2); // both old shards swept
 
         // The store and cache both advanced to the union.

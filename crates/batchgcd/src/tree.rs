@@ -22,7 +22,6 @@
 
 use crate::pool::Exec;
 use std::fmt;
-use std::time::{Duration, Instant};
 use wk_bigint::{arena, Natural, Reciprocal};
 
 /// Why a product tree could not be built. Both conditions are caller bugs
@@ -169,14 +168,12 @@ impl ProductTree {
     /// their residue through unreduced and the root only ever sees the
     /// seed, so neither is cached. Descents from larger foreign seeds stay
     /// correct — oversized values chunk-fold through the same reciprocals
-    /// or fall back to division. Returns the wall-clock build time (the
-    /// `recip_build_ns` metric).
+    /// or fall back to division.
     ///
     /// A later [`remainder_tree_plain`](ProductTree::remainder_tree_plain)
     /// descent over the same tree reuses these reciprocals (the incremental
     /// cross phase does exactly that).
-    pub fn attach_cofactor_recips(&mut self, exec: Exec<'_>) -> Duration {
-        let start = Instant::now();
+    pub fn attach_cofactor_recips(&mut self, exec: Exec<'_>) {
         let top_level = self.levels.len() - 1;
         // Bound chain for the seed-1 descent, in bits: at node `u` with
         // sibling `s`, the first reduction sees the parent residue
@@ -221,7 +218,6 @@ impl ProductTree {
             recips[level_idx][i] = Some(recip);
         }
         self.recips = recips;
-        start.elapsed()
     }
 
     /// Bytes held by the attached reciprocals, on top of
@@ -237,10 +233,10 @@ impl ProductTree {
 
     /// One plain reduction: `pv mod node`, via comparison, Barrett, or
     /// division.
-    fn reduce_plain(&self, pv: &Natural, level_idx: usize, i: usize) -> (Natural, Duration) {
+    fn reduce_plain(&self, pv: &Natural, level_idx: usize, i: usize) -> Natural {
         let node = &self.levels[level_idx][i];
         if pv < node {
-            return (arena::clone_natural(pv), Duration::ZERO);
+            return arena::clone_natural(pv);
         }
         if let Some(recip) = self
             .recips
@@ -248,26 +244,23 @@ impl ProductTree {
             .and_then(|l| l.get(i))
             .and_then(Option::as_ref)
         {
-            let start = Instant::now();
             if let Ok(r) = pv.barrett_rem(node, recip) {
-                return (r, start.elapsed());
+                return r;
             }
         }
-        (pv % node, Duration::ZERO)
+        pv % node
     }
 
     /// Shared descent driver: reduce `value` modulo the root, then apply
     /// `reduce` level by level down to the leaves. Parent buffers move into
     /// their last child's task (only first children clone), and wide levels
-    /// dispatch in contiguous chunks. Returns the leaves and the summed
-    /// Barrett time.
-    fn descend<R>(&self, value: &Natural, exec: Exec<'_>, reduce: &R) -> (Vec<Natural>, Duration)
+    /// dispatch in contiguous chunks.
+    fn descend<R>(&self, value: &Natural, exec: Exec<'_>, reduce: &R) -> Vec<Natural>
     where
-        R: Fn(&Natural, usize, usize) -> (Natural, Duration) + Sync,
+        R: Fn(&Natural, usize, usize) -> Natural + Sync,
     {
         let top_level = self.levels.len() - 1;
-        let (root_val, mut barrett) = self.reduce_plain(value, top_level, 0);
-        let mut current = vec![root_val];
+        let mut current = vec![self.reduce_plain(value, top_level, 0)];
         for level_idx in (0..top_level).rev() {
             let width = self.levels[level_idx].len();
             let mut tasks: Vec<(Natural, usize)> = Vec::with_capacity(width);
@@ -280,7 +273,7 @@ impl ProductTree {
                 };
                 tasks.push((pv, i));
             }
-            let reduced = exec.map_chunked(tasks, |(pv, i)| {
+            current = exec.map_chunked(tasks, |(pv, i)| {
                 let out = reduce(&pv, level_idx, i);
                 // The consumed parent residue goes back to the arena of the
                 // worker that just reduced it — the next level's reductions
@@ -288,13 +281,8 @@ impl ProductTree {
                 arena::recycle(pv);
                 out
             });
-            current = Vec::with_capacity(width);
-            for (v, d) in reduced {
-                barrett += d;
-                current.push(v);
-            }
         }
-        (current, barrett)
+        current
     }
 
     /// Compute `value mod leaf_i` for every leaf. This is the descent for
@@ -304,16 +292,6 @@ impl ProductTree {
     /// where [`attach_cofactor_recips`](ProductTree::attach_cofactor_recips)
     /// cached a reciprocal.
     pub fn remainder_tree_plain(&self, value: &Natural, exec: Exec<'_>) -> Vec<Natural> {
-        self.remainder_tree_plain_timed(value, exec).0
-    }
-
-    /// [`remainder_tree_plain`](ProductTree::remainder_tree_plain) with the
-    /// summed Barrett-reduction time.
-    pub fn remainder_tree_plain_timed(
-        &self,
-        value: &Natural,
-        exec: Exec<'_>,
-    ) -> (Vec<Natural>, Duration) {
         self.descend(value, exec, &|pv, l, i| self.reduce_plain(pv, l, i))
     }
 
@@ -323,17 +301,17 @@ impl ProductTree {
     /// `V/u = (V/v) * s`. A promoted odd node is its own parent, so its
     /// residue passes through unchanged (the comparison in
     /// [`reduce_plain`](ProductTree::reduce_plain) short-circuits it).
-    fn reduce_cofactor(&self, pv: &Natural, level_idx: usize, i: usize) -> (Natural, Duration) {
-        let (t, d1) = self.reduce_plain(pv, level_idx, i);
+    fn reduce_cofactor(&self, pv: &Natural, level_idx: usize, i: usize) -> Natural {
+        let t = self.reduce_plain(pv, level_idx, i);
         let sib = i ^ 1;
         if sib >= self.levels[level_idx].len() {
-            return (t, d1);
+            return t;
         }
         let prod = &self.levels[level_idx][sib] * &t;
         arena::recycle(t);
-        let (r, d2) = self.reduce_plain(&prod, level_idx, i);
+        let r = self.reduce_plain(&prod, level_idx, i);
         arena::recycle(prod);
-        (r, d1 + d2)
+        r
     }
 
     /// Compute `(V/leaf_i) mod leaf_i` for every leaf, for any `V` the root
@@ -348,16 +326,6 @@ impl ProductTree {
     /// to run every non-trivial reduction as a Barrett step; results are
     /// byte-identical either way.
     pub fn remainder_tree_cofactor(&self, cofactor_rem: &Natural, exec: Exec<'_>) -> Vec<Natural> {
-        self.remainder_tree_cofactor_timed(cofactor_rem, exec).0
-    }
-
-    /// [`remainder_tree_cofactor`](ProductTree::remainder_tree_cofactor)
-    /// with the summed Barrett-reduction time.
-    pub fn remainder_tree_cofactor_timed(
-        &self,
-        cofactor_rem: &Natural,
-        exec: Exec<'_>,
-    ) -> (Vec<Natural>, Duration) {
         self.descend(cofactor_rem, exec, &|pv, l, i| {
             self.reduce_cofactor(pv, l, i)
         })
@@ -409,11 +377,11 @@ impl ProductTree {
         }
         scratch
             .cur
-            .push(self.reduce_plain(cofactor_rem, top_level, 0).0);
+            .push(self.reduce_plain(cofactor_rem, top_level, 0));
         for level_idx in (0..top_level).rev() {
             let width = self.levels[level_idx].len();
             for i in 0..width {
-                let r = self.reduce_cofactor(&scratch.cur[i / 2], level_idx, i).0;
+                let r = self.reduce_cofactor(&scratch.cur[i / 2], level_idx, i);
                 scratch.next.push(r);
             }
             for dead in scratch.cur.drain(..) {

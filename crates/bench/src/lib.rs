@@ -54,47 +54,6 @@ pub fn key_population(count: usize, bits: u64, weak_fraction: f64, seed: u64) ->
     moduli
 }
 
-/// Today's UTC date as `YYYY-MM-DD`, computed from the epoch second count
-/// with Hinnant's `civil_from_days` algorithm — the bench history needs a
-/// date stamp and the workspace deliberately has no calendar dependency.
-pub fn utc_date_string() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs() as i64)
-        .unwrap_or(0);
-    let z = secs.div_euclid(86_400) + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = yoe + era * 400 + i64::from(m <= 2);
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
-/// Append one JSONL `entry` to the bench history at `path`, keeping only
-/// the newest `cap` lines so the committed file stays reviewable. The
-/// rewrite goes through a sibling temp file and rename, so a crash cannot
-/// truncate history already recorded.
-pub fn append_history_line(path: &std::path::Path, entry: &str, cap: usize) -> std::io::Result<()> {
-    let existing = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-        Err(e) => return Err(e),
-    };
-    let mut lines: Vec<&str> = existing.lines().filter(|l| !l.trim().is_empty()).collect();
-    let entry = entry.trim();
-    lines.push(entry);
-    let start = lines.len().saturating_sub(cap);
-    let mut out = lines[start..].join("\n");
-    out.push('\n');
-    let tmp = path.with_extension("jsonl.tmp");
-    std::fs::write(&tmp, out)?;
-    std::fs::rename(&tmp, path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,36 +72,5 @@ mod tests {
         let cfg = bench_study_config();
         assert!(cfg.scale < 1.0);
         assert!(cfg.background_hosts <= 1000);
-    }
-
-    #[test]
-    fn utc_date_is_well_formed() {
-        let d = utc_date_string();
-        let bytes = d.as_bytes();
-        assert_eq!(bytes.len(), 10, "{d}");
-        assert_eq!(bytes[4], b'-');
-        assert_eq!(bytes[7], b'-');
-        let year: u32 = d[..4].parse().unwrap();
-        let month: u32 = d[5..7].parse().unwrap();
-        let day: u32 = d[8..10].parse().unwrap();
-        assert!((2020..2200).contains(&year), "{d}");
-        assert!((1..=12).contains(&month), "{d}");
-        assert!((1..=31).contains(&day), "{d}");
-    }
-
-    #[test]
-    fn history_append_caps_at_newest() {
-        let dir = wk_batchgcd::scratch_dir("bench-history-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("history.jsonl");
-        for i in 0..7 {
-            append_history_line(&path, &format!(r#"{{"run":{i}}}"#), 5).unwrap();
-        }
-        let body = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = body.lines().collect();
-        assert_eq!(lines.len(), 5);
-        assert_eq!(lines.first(), Some(&r#"{"run":2}"#));
-        assert_eq!(lines.last(), Some(&r#"{"run":6}"#));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
