@@ -1,11 +1,13 @@
 //! Arithmetic ablations (DESIGN.md A2, A3): the sub-quadratic algorithms
 //! against their quadratic baselines, across the operand sizes the batch-GCD
-//! trees actually produce.
+//! trees actually produce; and the prime-search path (Miller-Rabin on
+//! primes, whole OpenSSL-shaped searches).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use std::hint::black_box;
 use wk_bigint::Natural;
+use wk_keygen::{generate_prime, PrimeShaping};
 
 fn random_natural(limbs: usize, seed: u64) -> Natural {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -76,17 +78,25 @@ fn ablation_gcd_algorithms(c: &mut Criterion) {
 fn modpow_primality(c: &mut Criterion) {
     let mut group = c.benchmark_group("modpow_primality");
     group.sample_size(10);
-    // The prime-generation hot path: Miller-Rabin on candidate primes.
+    // Miller-Rabin on primes, so every witness runs to the end: a random odd
+    // candidate usually fails trial division and times nothing. 64 bits
+    // takes the one-limb word path, 256 and 512 the multi-limb one.
     for bits in [64u64, 256, 512] {
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let candidate = {
-            let mut n = Natural::random_bits_exact(&mut rng, bits);
-            n.set_bit(0, true);
-            n
-        };
+        let prime = generate_prime(&mut rng, bits, PrimeShaping::Plain);
         group.bench_with_input(BenchmarkId::new("miller_rabin", bits), &bits, |bch, _| {
-            bch.iter(|| black_box(&candidate).is_probable_prime_fixed())
+            bch.iter(|| black_box(&prime).is_probable_prime_fixed())
         });
+    }
+    // The whole OpenSSL-shaped search: candidate draws, the residue sieve,
+    // and Miller-Rabin on the survivors.
+    for bits in [64u64, 512] {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        group.bench_with_input(
+            BenchmarkId::new("generate_openssl", bits),
+            &bits,
+            |bch, &bits| bch.iter(|| generate_prime(&mut rng, bits, PrimeShaping::OpensslStyle)),
+        );
     }
     group.finish();
 }

@@ -61,5 +61,5 @@ pub use modular::MontgomeryContext;
 pub use mul::{KARATSUBA_THRESHOLD, TOOM3_THRESHOLD};
 pub use natural::Natural;
 pub use ntt::{mul_ntt, NTT_THRESHOLD};
-pub use prime::first_primes;
+pub use prime::{first_primes, is_prime_u64, WordDivisor};
 pub use recip::{RecipError, Reciprocal};

@@ -1,9 +1,9 @@
 //! Modular arithmetic: Montgomery reduction and modular exponentiation.
 //!
-//! Miller-Rabin (and therefore all prime generation in the simulator) runs
-//! on top of [`Natural::mod_pow`], so Montgomery form is worth having: it
-//! turns every modular reduction in the square-and-multiply loop into a
-//! word-level REDC pass instead of a full division.
+//! Miller-Rabin above 64 bits runs on top of [`Natural::mod_pow`], so
+//! Montgomery form is worth having: it turns every modular reduction in the
+//! square-and-multiply loop into a word-level REDC pass instead of a full
+//! division. One-limb moduli get the same arithmetic on bare words.
 //!
 //! These routines are **not constant-time** — the reproduction factors and
 //! generates keys in a simulator, it does not hold secrets against a local
@@ -116,9 +116,86 @@ impl MontgomeryContext {
     }
 }
 
+/// Montgomery arithmetic for an odd one-limb modulus, on machine words:
+/// `R = 2^64`, values in Montgomery form are canonical (`< n`), and nothing
+/// touches the heap. The one-limb Miller-Rabin runs on this.
+pub(crate) struct WordMontgomery {
+    n: u64,
+    /// `n^{-1} mod 2^64`.
+    n_inv: u64,
+    /// `R mod n`: the Montgomery form of 1.
+    one: u64,
+    /// `R^2 mod n`, used to convert into Montgomery form.
+    r_squared: u64,
+}
+
+impl WordMontgomery {
+    /// Context for an odd `n > 1`; `None` otherwise.
+    pub(crate) fn new(n: u64) -> Option<Self> {
+        if n & 1 == 0 || n == 1 {
+            return None;
+        }
+        let one = ((1u128 << 64) % u128::from(n)) as u64;
+        let r_squared = (u128::from(one) * u128::from(one) % u128::from(n)) as u64;
+        Some(WordMontgomery {
+            n,
+            n_inv: inv_limb_2_64(n),
+            one,
+            r_squared,
+        })
+    }
+
+    /// The Montgomery form of 1.
+    pub(crate) fn one(&self) -> u64 {
+        self.one
+    }
+
+    /// The Montgomery form of `n - 1`.
+    pub(crate) fn minus_one(&self) -> u64 {
+        self.n - self.one
+    }
+
+    /// `t * R^{-1} mod n` for `t < n * R`. With `m = t * n^{-1} mod R`,
+    /// `t - m*n` is an exact multiple of `R`, so the result is the high
+    /// word of `t` minus the high word of `m*n`, corrected into `[0, n)`.
+    fn redc(&self, t: u128) -> u64 {
+        let m = (t as u64).wrapping_mul(self.n_inv);
+        let mn_high = ((u128::from(m) * u128::from(self.n)) >> 64) as u64;
+        let (r, borrow) = ((t >> 64) as u64).overflowing_sub(mn_high);
+        if borrow {
+            r.wrapping_add(self.n)
+        } else {
+            r
+        }
+    }
+
+    /// Product of two values in Montgomery form.
+    pub(crate) fn mul(&self, a: u64, b: u64) -> u64 {
+        self.redc(u128::from(a) * u128::from(b))
+    }
+
+    /// Montgomery form of `x mod n`.
+    pub(crate) fn to_mont(&self, x: u64) -> u64 {
+        self.mul(x % self.n, self.r_squared)
+    }
+
+    /// `base^exp` for `base` in Montgomery form, by left-to-right
+    /// square-and-multiply; the result is in Montgomery form.
+    pub(crate) fn pow(&self, base: u64, exp: u64) -> u64 {
+        let mut acc = self.one;
+        for i in (0..u64::BITS - exp.leading_zeros()).rev() {
+            acc = self.mul(acc, acc);
+            if (exp >> i) & 1 == 1 {
+                acc = self.mul(acc, base);
+            }
+        }
+        acc
+    }
+}
+
 /// Inverse of an odd limb modulo 2^64 by Newton-Hensel lifting
 /// (doubling precision each step: 5 steps from 3 correct bits).
-fn inv_limb_2_64(n: u64) -> u64 {
+pub(crate) fn inv_limb_2_64(n: u64) -> u64 {
     debug_assert!(n & 1 == 1);
     let mut x = n; // correct to 3 bits (odd n: n*n ≡ 1 mod 8)
     for _ in 0..5 {
@@ -203,6 +280,29 @@ mod tests {
                         n(ref_modpow(b, e, m)),
                         "b={b} e={e} m={m}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn word_montgomery_pow_matches_reference() {
+        assert!(WordMontgomery::new(0).is_none());
+        assert!(WordMontgomery::new(1).is_none());
+        assert!(WordMontgomery::new(10).is_none());
+        for m in [
+            3u64,
+            1000003,
+            (1 << 61) - 1,
+            0xffff_ffff_ffff_fffb,
+            u64::MAX,
+        ] {
+            let ctx = WordMontgomery::new(m).unwrap();
+            for b in [0u64, 1, 2, 65537, m - 1, u64::MAX] {
+                for e in [0u64, 1, 2, 3, 1000, m - 1, u64::MAX] {
+                    let got = ctx.mul(ctx.pow(ctx.to_mont(b), e), 1);
+                    let want = ref_modpow(b.into(), e.into(), m.into());
+                    assert_eq!(u128::from(got), want, "b={b} e={e} m={m}");
                 }
             }
         }

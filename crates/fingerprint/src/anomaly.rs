@@ -7,6 +7,7 @@
 //! many IPs under many different subjects.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 use wk_bigint::{first_primes, Natural};
 use wk_scan::ModulusId;
 
@@ -23,13 +24,21 @@ pub enum DivisorKind {
     Mixed,
 }
 
-/// Classify a nontrivial divisor by stripping its small-prime part
-/// (first 2048 primes, the same bound the OpenSSL fingerprint uses).
+/// The primes a divisor's small part is stripped over, built once.
+fn smooth_primes() -> &'static [u64] {
+    static PRIMES: OnceLock<Vec<u64>> = OnceLock::new();
+    PRIMES.get_or_init(|| first_primes(2048))
+}
+
+/// Classify a nontrivial divisor by stripping its small-prime part: the
+/// first 2048 primes, 2 through 17863. (OpenSSL's shape check uses the
+/// first 2048 *odd* primes, 3 through 17881; the two lists differ at both
+/// ends.)
 pub fn classify_divisor(g: &Natural) -> DivisorKind {
     assert!(!g.is_zero() && !g.is_one(), "divisor must be nontrivial");
     let mut rest = g.clone();
     let mut stripped_any = false;
-    for &p in first_primes(2048).iter() {
+    for &p in smooth_primes() {
         while rest.rem_limb(p) == 0 {
             rest = &rest / p;
             stripped_any = true;

@@ -7,9 +7,12 @@
 //! identical first prime, and diverge during the second prime search when
 //! one device's clock crosses a second boundary.
 //!
-//! The population simulator does not use this path (it is ~1000x slower than
-//! [`crate::flawed::ModelKeygen`]); it exists to validate that the
-//! statistical model in `flawed` has the right mechanism behind it.
+//! The population simulator does not use this path. It is not much slower
+//! per key, since it runs the same prime search (within 1.5x of
+//! [`crate::flawed::ModelKeygen`] at 128 and 1,024 bits on a 2-vCPU VM), but
+//! it needs a boot profile and a clock per device where the simulator draws
+//! whole populations from pool-level parameters. It exists to validate that
+//! the statistical model in `flawed` has the right mechanism behind it.
 
 use crate::rsa::RsaPrivateKey;
 use rand::RngCore;

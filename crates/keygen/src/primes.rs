@@ -7,10 +7,14 @@
 //! the implementation that generated it ([paper §3.3.4]). This module
 //! generates primes with or without that shaping, and exposes the predicate
 //! the fingerprint crate tests.
+//!
+//! Both run on one residue sieve over the check primes (DESIGN.md §14). A
+//! candidate that passes it goes on to Miller-Rabin, on machine words up to
+//! 64 bits and on `Natural`s above.
 
 use rand::RngCore;
 use std::sync::OnceLock;
-use wk_bigint::{first_primes, Natural};
+use wk_bigint::{first_primes, is_prime_u64, Natural, WordDivisor};
 
 /// How candidate primes are filtered, distinguishing implementations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -27,10 +31,67 @@ pub enum PrimeShaping {
     Safe,
 }
 
-/// The first 2048 odd primes (3, 5, ..., 17891), as checked by OpenSSL.
+/// The first 2048 odd primes (3, 5, ..., 17881), as checked by OpenSSL.
 pub fn openssl_check_primes() -> &'static [u64] {
     static PRIMES: OnceLock<Vec<u64>> = OnceLock::new();
     PRIMES.get_or_init(|| first_primes(2049)[1..].to_vec())
+}
+
+/// Check primes below this bound are also the trial primes of
+/// [`Natural::is_probable_prime`], so the sieve may reject their multiples
+/// without changing which candidates prime search accepts.
+const TRIAL_BOUND: u64 = 1000;
+
+/// A run of consecutive check primes whose product fits in a `u64`.
+struct SieveGroup {
+    product: u64,
+    primes: Vec<WordDivisor>,
+}
+
+/// The check primes in [`SieveGroup`]s, built once.
+fn sieve_groups() -> &'static [SieveGroup] {
+    static GROUPS: OnceLock<Vec<SieveGroup>> = OnceLock::new();
+    GROUPS.get_or_init(|| {
+        let mut groups: Vec<SieveGroup> = Vec::new();
+        for divisor in openssl_check_primes()
+            .iter()
+            .filter_map(|&q| WordDivisor::new(q))
+        {
+            let q = divisor.divisor();
+            match groups.last_mut() {
+                Some(g) if g.product.checked_mul(q).is_some() => {
+                    g.product *= q;
+                    g.primes.push(divisor);
+                }
+                _ => groups.push(SieveGroup {
+                    product: q,
+                    primes: vec![divisor],
+                }),
+            }
+        }
+        groups
+    })
+}
+
+/// The residue sieve: false as soon as `c ≡ 1 (mod q)` for a check prime
+/// `q` or, with `reject_trial_multiples`, `q | c` for a check prime below
+/// [`TRIAL_BOUND`].
+///
+/// `residue(m)` is `c mod m`; the sieve asks for it once per
+/// [`SieveGroup`] product (a one-limb `c` is its own residue), then tests
+/// each `q` against it without a division. For `c > 997` a multiple of a
+/// trial prime is composite and fails Miller-Rabin's trial division anyway,
+/// so the second rule keeps `sieve(c, true) && c.is_probable_prime_fixed()`
+/// equal to `satisfies_openssl_shape(c) && c.is_probable_prime_fixed()`.
+fn sieve(residue: impl Fn(u64) -> u64, reject_trial_multiples: bool) -> bool {
+    sieve_groups().iter().all(|group| {
+        let r = residue(group.product);
+        group.primes.iter().all(|q| {
+            let is_one = r != 0 && q.divides(r - 1);
+            let is_zero = reject_trial_multiples && q.divisor() < TRIAL_BOUND && q.divides(r);
+            !is_one && !is_zero
+        })
+    })
 }
 
 /// Does `p` satisfy the OpenSSL prime-shape predicate — `p ≢ 1 (mod q)` for
@@ -39,7 +100,10 @@ pub fn openssl_check_primes() -> &'static [u64] {
 /// Moduli from OpenSSL-generated keys satisfy this for *every* prime factor;
 /// a random prime satisfies it with probability ≈ Π(1 - 1/(q-1)) ≈ 7.5%.
 pub fn satisfies_openssl_shape(p: &Natural) -> bool {
-    openssl_check_primes().iter().all(|&q| p.rem_limb(q) != 1)
+    match p.to_u64() {
+        Some(word) => sieve(|_| word, false),
+        None => sieve(|m| p.rem_limb(m), false),
+    }
 }
 
 /// Generate a prime of exactly `bits` bits with the given shaping, drawing
@@ -48,7 +112,8 @@ pub fn satisfies_openssl_shape(p: &Natural) -> bool {
 /// Candidates are redrawn (not incremented) on failure so that every
 /// attempt consumes generator output — this matches the divergence model:
 /// how long the search runs determines how much of the entropy stream is
-/// consumed.
+/// consumed. Each candidate is one `Natural::random_bits_exact` draw, also
+/// when it is made on a machine word.
 ///
 /// # Panics
 /// Panics if `bits < 8`, if OpenSSL shaping is requested below 16 bits
@@ -73,16 +138,38 @@ pub fn generate_prime<R: RngCore + ?Sized>(
         );
         return generate_safe_prime(rng, bits);
     }
+    // OpenSSL-shaped candidates have at least 16 bits, so every multiple the
+    // sieve rejects beyond the shape is composite.
+    let openssl = shaping == PrimeShaping::OpensslStyle;
+    if bits <= 64 {
+        loop {
+            let candidate = random_word_exact(rng, bits) | 1; // force odd
+            if openssl && !sieve(|_| candidate, true) {
+                continue;
+            }
+            if is_prime_u64(candidate) {
+                return Natural::from(candidate);
+            }
+        }
+    }
     loop {
         let mut candidate = Natural::random_bits_exact(rng, bits);
         candidate.set_bit(0, true); // force odd
-        if shaping == PrimeShaping::OpensslStyle && !satisfies_openssl_shape(&candidate) {
+        if openssl && !sieve(|m| candidate.rem_limb(m), true) {
             continue;
         }
         if candidate.is_probable_prime_fixed() {
             return candidate;
         }
     }
+}
+
+/// `Natural::random_bits_exact(rng, bits)` for `1 <= bits <= 64`, on a
+/// machine word: the same single `next_u64` draw, masked to `bits` bits,
+/// with the top bit set.
+fn random_word_exact<R: RngCore + ?Sized>(rng: &mut R, bits: u64) -> u64 {
+    let top = 1u64 << (bits - 1);
+    (rng.next_u64() & (top | (top - 1))) | top
 }
 
 /// Generate a safe prime: `p` prime with `(p-1)/2` prime.
@@ -158,7 +245,7 @@ mod tests {
         assert!(half.is_probable_prime_fixed());
         // A safe prime p = 2p'+1: p-1 = 2p' has no small odd prime factors
         // besides possibly p' itself, so the predicate holds whenever
-        // p' > 17891 — true at 31 bits.
+        // p' > 17881 — true at 31 bits.
         assert!(satisfies_openssl_shape(&p));
     }
 
@@ -171,6 +258,80 @@ mod tests {
         // p = 2^127-1: p-1 = 2*(2^126-1); 2^126-1 divisible by 3 -> fails.
         let m127 = &(&Natural::one() << 127u64) - &Natural::one();
         assert!(!satisfies_openssl_shape(&m127));
+    }
+
+    /// The predicate as `satisfies_openssl_shape` once computed it: one
+    /// remainder per check prime.
+    fn brute_force_shape(p: &Natural) -> bool {
+        openssl_check_primes().iter().all(|&q| p.rem_limb(q) != 1)
+    }
+
+    #[test]
+    fn sieve_groups_cover_check_primes_in_order() {
+        let grouped: Vec<u64> = sieve_groups()
+            .iter()
+            .flat_map(|g| g.primes.iter().map(|q| q.divisor()))
+            .collect();
+        assert_eq!(grouped, openssl_check_primes());
+        for g in sieve_groups() {
+            let product = g
+                .primes
+                .iter()
+                .map(|q| u128::from(q.divisor()))
+                .product::<u128>();
+            assert_eq!(u128::from(g.product), product);
+        }
+        assert_eq!(openssl_check_primes().last(), Some(&17881));
+        // A shaped multi-limb value whose residue modulo the first group is
+        // 0: not ≡ 1 modulo any prime of that group, although 2^64 - 1 is
+        // divisible by 3, 5 and 17.
+        let m0 = Natural::from(sieve_groups()[0].product);
+        let p = (1u64..)
+            .map(|k| &(&m0 * &Natural::from(k)) << 64u64)
+            .find(brute_force_shape)
+            .unwrap();
+        assert!(satisfies_openssl_shape(&p));
+    }
+
+    #[test]
+    fn word_draws_match_natural_draws() {
+        for bits in 1u64..=64 {
+            let mut a = StdRng::seed_from_u64(bits);
+            let mut b = StdRng::seed_from_u64(bits);
+            for _ in 0..8 {
+                assert_eq!(
+                    Natural::from(random_word_exact(&mut a, bits)),
+                    Natural::random_bits_exact(&mut b, bits),
+                    "bits={bits}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The sieve's verdict equals the brute-force predicate on 1-, 2-
+        /// and 8-limb values, including values forced to `≡ 1` modulo a
+        /// random check prime; with trial multiples rejected it also drops
+        /// exactly the multiples of the check primes below 1000.
+        #[test]
+        fn sieve_matches_brute_force(seed in proptest::prelude::any::<u64>(), pick in 0usize..2048) {
+            let mut r = StdRng::seed_from_u64(seed);
+            let q = Natural::from(openssl_check_primes()[pick]);
+            for limbs in [1u64, 2, 8] {
+                let v = Natural::random_bits(&mut r, 64 * limbs);
+                let one_mod_q = &(&v - &(&v % &q)) + &Natural::one();
+                for c in [v, one_mod_q] {
+                    let shape = brute_force_shape(&c);
+                    proptest::prop_assert_eq!(satisfies_openssl_shape(&c), shape, "{}", c);
+                    let residue = |m| c.rem_limb(m);
+                    let trial_multiple = openssl_check_primes()
+                        .iter()
+                        .take_while(|&&q| q < TRIAL_BOUND)
+                        .any(|&q| c.rem_limb(q) == 0);
+                    proptest::prop_assert_eq!(sieve(residue, true), shape && !trial_multiple, "{}", c);
+                }
+            }
+        }
     }
 
     #[test]
