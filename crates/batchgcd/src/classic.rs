@@ -5,7 +5,6 @@
 //! study ran on a 16-core machine; the paper's contribution is the k-subset
 //! variant in [`crate::distributed`], benchmarked against this baseline.
 
-use crate::corpus::ShardMetrics;
 use crate::incremental::DeltaMetrics;
 use crate::pool::{PhaseExec, WorkerPool};
 use crate::resolve::{resolve, KeyStatus};
@@ -32,9 +31,6 @@ pub struct BatchStats {
     pub remainder_tree_exec: PhaseExec,
     /// Executor metrics for the per-leaf gcd phase.
     pub gcd_exec: PhaseExec,
-    /// Shard-store I/O metrics; all-zero [`Default`] for in-memory runs,
-    /// populated by [`sharded_batch_gcd`](crate::corpus::sharded_batch_gcd).
-    pub shard: ShardMetrics,
     /// Delta-phase metrics; all-zero [`Default`] for from-scratch runs,
     /// populated by
     /// [`incremental_batch_gcd`](crate::incremental::incremental_batch_gcd).
@@ -56,8 +52,8 @@ impl BatchStats {
     }
 }
 
-/// Result of a batch-GCD run.
-#[derive(Clone, Debug)]
+/// Result of a batch-GCD run. The `Default` is the empty run.
+#[derive(Clone, Debug, Default)]
 pub struct BatchGcdResult {
     /// Raw divisor per modulus: `None` (no shared factor) or `Some(g)`,
     /// `1 < g <= N_i`, the product of all shared primes.
@@ -97,11 +93,7 @@ impl BatchGcdResult {
 /// same condition as a typed error instead).
 pub fn batch_gcd(moduli: &[Natural], threads: usize) -> BatchGcdResult {
     if moduli.is_empty() {
-        return BatchGcdResult {
-            raw_divisors: Vec::new(),
-            statuses: Vec::new(),
-            stats: BatchStats::default(),
-        };
+        return BatchGcdResult::default();
     }
     assert!(
         moduli.iter().all(|m| !m.is_zero()),
@@ -135,17 +127,11 @@ pub fn batch_gcd(moduli: &[Natural], threads: usize) -> BatchGcdResult {
     let remainder_tree_time = t1.elapsed();
 
     let t2 = Instant::now();
-    let raw_divisors: Vec<Option<Natural>> = pool.exec_in(&gcd_domain).map_chunked(
-        moduli.iter().zip(remainders).collect(),
-        |(n, zn)| {
-            let g = n.gcd(&zn);
-            if g.is_one() {
-                None
-            } else {
-                Some(g)
-            }
-        },
-    );
+    let raw_divisors: Vec<Option<Natural>> = pool
+        .exec_in(&gcd_domain)
+        .map_chunked(moduli.iter().zip(remainders).collect(), |(n, zn)| {
+            leaf_gcd(n, &zn)
+        });
     let gcd_time = t2.elapsed();
 
     let statuses = resolve(moduli, &raw_divisors);
@@ -163,6 +149,17 @@ pub fn batch_gcd(moduli: &[Natural], threads: usize) -> BatchGcdResult {
             gcd_exec: gcd_domain.phase(),
             ..BatchStats::default()
         },
+    }
+}
+
+/// The leaf step every batch-GCD path shares: `gcd(n, z)`, or `None` when
+/// it is 1 (`n` shares no prime with `z`).
+pub(crate) fn leaf_gcd(n: &Natural, z: &Natural) -> Option<Natural> {
+    let g = n.gcd(z);
+    if g.is_one() {
+        None
+    } else {
+        Some(g)
     }
 }
 

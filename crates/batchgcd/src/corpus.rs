@@ -41,15 +41,15 @@
 //! store.remove().unwrap();
 //! ```
 
-use crate::classic::{BatchGcdResult, BatchStats};
-use crate::pool::{ExecDomain, WorkerPool};
+use crate::classic::{leaf_gcd, BatchGcdResult, BatchStats};
+use crate::pool::WorkerPool;
 use crate::resolve::resolve_with_hits;
-use crate::tree::{DescentScratch, ProductTree};
+use crate::tree::ProductTree;
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use wk_bigint::Natural;
 
 /// Magic bytes opening every shard file (`"WKSHARD1"`).
@@ -403,10 +403,21 @@ impl ShardMeta {
         h
     }
 
-    fn from_header_bytes(
-        path: &Path,
-        h: &[u8; SHARD_HEADER_LEN],
-    ) -> Result<ShardMeta, CorpusError> {
+    /// Read and validate the header at the front of `r`. The header is not
+    /// covered by the payload CRC, so a `count` the payload cannot hold
+    /// (every record is at least 8 bytes) is refused here, before any
+    /// reader sizes a buffer from it.
+    fn read(path: &Path, r: &mut impl Read) -> Result<ShardMeta, CorpusError> {
+        let mut h = [0u8; SHARD_HEADER_LEN];
+        r.read_exact(&mut h).map_err(|e| {
+            if e.kind() == io::ErrorKind::UnexpectedEof {
+                CorpusError::Truncated {
+                    path: path.to_path_buf(),
+                }
+            } else {
+                CorpusError::Io(e)
+            }
+        })?;
         let mut magic = [0u8; 8];
         magic.copy_from_slice(&h[0..8]);
         if magic != SHARD_MAGIC {
@@ -432,12 +443,22 @@ impl ShardMeta {
                 found: version,
             });
         }
-        Ok(ShardMeta {
+        let meta = ShardMeta {
             index: le_u32(12..16),
             count: le_u64(16..24),
             payload_len: le_u64(24..32),
             crc: le_u32(32..36),
-        })
+        };
+        if meta.count > meta.payload_len / 8 {
+            return Err(CorpusError::FormatViolation {
+                path: path.to_path_buf(),
+                detail: format!(
+                    "header claims {} moduli in a {}-byte payload",
+                    meta.count, meta.payload_len
+                ),
+            });
+        }
+        Ok(meta)
     }
 }
 
@@ -464,9 +485,13 @@ impl ShardStore {
     /// Partially written output is removed if any write fails, so an
     /// aborted export never leaves a half-valid store behind.
     ///
+    /// # Errors
+    /// [`CorpusError::FormatViolation`] for a zero modulus (every batch-GCD
+    /// algorithm in this crate rejects zero moduli); filesystem errors as
+    /// [`CorpusError::Io`].
+    ///
     /// # Panics
-    /// Panics if `capacity` is zero or any modulus is zero (zero moduli are
-    /// rejected by every batch-GCD algorithm in this crate).
+    /// Panics if `capacity` is zero.
     pub fn create<'a, I>(dir: &Path, capacity: usize, moduli: I) -> Result<ShardStore, CorpusError>
     where
         I: IntoIterator<Item = &'a Natural>,
@@ -495,14 +520,14 @@ impl ShardStore {
     /// # Errors
     /// [`CorpusError::CapacityMismatch`] if `capacity` differs from the
     /// store's existing shard capacity (a store that still has zero shards
-    /// accepts any nonzero capacity and adopts it); filesystem errors as
+    /// accepts any nonzero capacity and adopts it); a zero modulus as
+    /// [`CorpusError::FormatViolation`]; filesystem errors as
     /// [`CorpusError::Io`]. A failed append removes the shards it wrote, so
     /// the store is never left half-extended. Version skew in existing
     /// shards surfaces earlier, from [`ShardStore::open`].
     ///
     /// # Panics
-    /// Panics if `capacity` is zero or any modulus is zero, matching
-    /// [`ShardStore::create`].
+    /// Panics if `capacity` is zero, matching [`ShardStore::create`].
     pub fn append<'a, I>(
         &mut self,
         capacity: usize,
@@ -551,16 +576,8 @@ impl ShardStore {
         indexed.sort();
         let mut shards = Vec::with_capacity(indexed.len());
         for (position, (index, path)) in indexed.iter().enumerate() {
-            let mut header = [0u8; SHARD_HEADER_LEN];
             let mut file = File::open(path)?;
-            file.read_exact(&mut header).map_err(|e| {
-                if e.kind() == io::ErrorKind::UnexpectedEof {
-                    CorpusError::Truncated { path: path.clone() }
-                } else {
-                    CorpusError::Io(e)
-                }
-            })?;
-            let meta = ShardMeta::from_header_bytes(path, &header)?;
+            let meta = ShardMeta::read(path, &mut file)?;
             if meta.index != *index || *index != position as u32 {
                 return Err(CorpusError::FormatViolation {
                     path: path.clone(),
@@ -642,14 +659,10 @@ impl ShardStore {
         ShardReader::open(&self.shard_path(index))
     }
 
-    /// Read all of shard `index` into memory, verifying the checksum.
+    /// Read all of shard `index` into memory, verifying the checksum. The
+    /// vector grows as records decode; nothing is sized from the header.
     pub fn read_shard(&self, index: u32) -> Result<Vec<Natural>, CorpusError> {
-        let reader = self.reader(index)?;
-        let mut out = Vec::with_capacity(reader.meta().count as usize);
-        for modulus in reader {
-            out.push(modulus?);
-        }
-        Ok(out)
+        self.reader(index)?.collect()
     }
 
     /// Delete the shard files (and the directory, if then empty). The
@@ -725,7 +738,12 @@ where
     };
 
     for m in moduli {
-        assert!(!m.is_zero(), "zero modulus in corpus export");
+        if m.is_zero() {
+            return Err(CorpusError::FormatViolation {
+                path: dir.join(shard_file_name(start_index + shards.len() as u32)),
+                detail: "zero modulus in corpus export".to_string(),
+            });
+        }
         encode_natural(&mut payload, m)?;
         pending += 1;
         if pending == capacity {
@@ -773,19 +791,8 @@ impl fmt::Debug for ShardReader {
 impl ShardReader {
     /// Open `path` and validate its header.
     pub fn open(path: &Path) -> Result<ShardReader, CorpusError> {
-        let file = File::open(path)?;
-        let mut reader = BufReader::new(file);
-        let mut header = [0u8; SHARD_HEADER_LEN];
-        reader.read_exact(&mut header).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                CorpusError::Truncated {
-                    path: path.to_path_buf(),
-                }
-            } else {
-                CorpusError::Io(e)
-            }
-        })?;
-        let meta = ShardMeta::from_header_bytes(path, &header)?;
+        let mut reader = BufReader::new(File::open(path)?);
+        let meta = ShardMeta::read(path, &mut reader)?;
         Ok(ShardReader {
             path: path.to_path_buf(),
             reader,
@@ -833,6 +840,15 @@ impl ShardReader {
             }
             Err(e) => return Err(self.fail(CorpusError::Io(e))),
         };
+        // A record with limb count 0 decodes to zero, so a checksum-valid
+        // shard can still hold one; no batch-GCD path accepts it.
+        if n.is_zero() {
+            let path = self.path.clone();
+            return Err(self.fail(CorpusError::FormatViolation {
+                path,
+                detail: "zero modulus in shard payload".to_string(),
+            }));
+        }
         self.crc.update(&self.scratch);
         self.consumed += bytes;
         self.yielded += 1;
@@ -869,42 +885,6 @@ impl Iterator for ShardReader {
 }
 
 // ---------------------------------------------------------------------------
-// Shard-level run metrics
-// ---------------------------------------------------------------------------
-
-/// Shard-level I/O and scheduling metrics for one batch-GCD run, surfaced
-/// on [`BatchStats`] and
-/// [`ClusterReport`](crate::distributed::ClusterReport). In-memory runs
-/// leave it all-zero (the `Default`).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardMetrics {
-    /// Shards persisted in the store feeding the run.
-    pub shards_written: u64,
-    /// Shard-file reads performed ([`sharded_batch_gcd`] streams each shard
-    /// twice: once for partial products, once for the leaf remainders).
-    pub shards_read: u64,
-    /// Bytes spilled to disk across the feeding store's shards.
-    pub bytes_written: u64,
-    /// Bytes read back from shard files during the run.
-    pub bytes_read: u64,
-    /// Busy (wall) time spent inside each shard's claimed tasks, indexed by
-    /// shard.
-    pub shard_busy: Vec<Duration>,
-}
-
-impl ShardMetrics {
-    /// Summed per-shard busy time.
-    pub fn total_busy(&self) -> Duration {
-        self.shard_busy.iter().sum()
-    }
-
-    /// True when no shard I/O happened (an in-memory run).
-    pub fn is_empty(&self) -> bool {
-        self.shards_read == 0 && self.shards_written == 0
-    }
-}
-
-// ---------------------------------------------------------------------------
 // sharded_batch_gcd
 // ---------------------------------------------------------------------------
 
@@ -915,8 +895,9 @@ impl ShardMetrics {
 /// in memory:
 ///
 /// 1. **Shard products** — workers claim shards from the pool's deques;
-///    each claim streams the shard from disk, builds its product tree, and
-///    keeps only the shard product (one [`Natural`] per shard).
+///    each claim runs [`shard_subtree_root`]: stream the shard from disk,
+///    build its product tree, keep only the shard product (one [`Natural`]
+///    per shard).
 /// 2. **Top tree** — an in-memory product tree over the shard products
 ///    yields the global product `P`.
 /// 3. **Leaf remainders** — a cofactor descent over the top tree gives the
@@ -937,58 +918,61 @@ impl ShardMetrics {
 /// `gcd_time` reports the gcd tasks' summed busy time from the executor.
 ///
 /// # Errors
-/// Any shard that fails to read back (truncation, checksum, version skew)
-/// aborts the run with the corresponding [`CorpusError`].
+/// Any shard that fails to read back (truncation, checksum, version skew,
+/// a zero modulus) aborts the run with the corresponding [`CorpusError`].
 pub fn sharded_batch_gcd(
     store: &ShardStore,
     threads: usize,
 ) -> Result<BatchGcdResult, CorpusError> {
-    Ok(sharded_impl(store, threads, false)?.0)
+    Ok(run_sharded(store, None, threads, false)?.result)
 }
 
-/// Like [`sharded_batch_gcd`], but additionally returns the per-shard
-/// products and the top product — the raw material for a persisted
-/// [`TreeCache`](crate::incremental::TreeCache). Keeping them costs one
-/// extra corpus-sized set of naturals over the streaming run's footprint,
-/// which is why the public entry point drops them. An empty store yields
-/// `(empty result, [], 1)`.
-pub(crate) fn sharded_batch_gcd_keeping_tree(
-    store: &ShardStore,
-    threads: usize,
-) -> Result<(BatchGcdResult, Vec<Natural>, Natural), CorpusError> {
-    sharded_impl(store, threads, true)
-}
-
-/// Build one shard's local product tree and return its root — the unit of
-/// work a cluster node performs per claimed shard. This streams exactly the
-/// same bytes and builds exactly the same tree as phase 1 of
-/// [`sharded_batch_gcd`] on the claiming worker, so a root computed on any
-/// process is bit-identical to the one the single-process run would have
-/// produced for that shard.
+/// Build one shard's local product tree and return its root: phase 1 of
+/// [`sharded_batch_gcd`], which calls this once per shard, and the unit of
+/// work a cluster node performs per claimed shard. A root computed on any
+/// process is therefore bit-identical to the one the single-process run
+/// produces for that shard.
 ///
 /// # Errors
 /// Propagates the shard's read-back failure ([`CorpusError`]) or a
-/// structurally empty/zero shard as [`CorpusError::FormatViolation`].
+/// structurally empty shard as [`CorpusError::FormatViolation`].
 pub fn shard_subtree_root(store: &ShardStore, index: u32) -> Result<Natural, CorpusError> {
+    let (moduli, tree) = read_shard_tree(store, index)?;
+    let root = tree.root().clone();
+    // Worker-local recycling: the next shard this worker claims rebuilds a
+    // same-shaped tree straight from the arena.
+    tree.recycle();
+    for m in moduli {
+        wk_bigint::arena::recycle(m);
+    }
+    Ok(root)
+}
+
+/// Read shard `index` and build its product tree on the calling thread:
+/// shards are the parallel unit, and at shard scale the pair multiplies are
+/// far smaller than the pool dispatch they would otherwise schedule.
+fn read_shard_tree(
+    store: &ShardStore,
+    index: u32,
+) -> Result<(Vec<Natural>, ProductTree), CorpusError> {
     let moduli = store.read_shard(index)?;
     let tree = ProductTree::build_local(&moduli).map_err(|e| CorpusError::FormatViolation {
         path: store.shard_path(index),
         detail: e.to_string(),
     })?;
-    Ok(tree.root().clone())
+    Ok((moduli, tree))
 }
 
-/// Output of [`assemble_from_shard_roots`]: the batch result plus the tree
-/// material a caller needs to persist a
-/// [`TreeCache`](crate::incremental::TreeCache) without recomputing
+/// A sharded run's result plus the tree material a caller needs to persist
+/// a [`TreeCache`](crate::incremental::TreeCache) without recomputing
 /// anything (see [`TreeCache::from_parts`](crate::incremental::TreeCache::from_parts)).
+/// Returned by [`assemble_from_shard_roots`].
 #[derive(Debug)]
 pub struct ShardAssembly {
     /// Divisors and statuses, byte-identical to [`sharded_batch_gcd`] over
     /// the same store.
     pub result: BatchGcdResult,
-    /// The per-shard products that were passed in, returned unchanged and
-    /// in shard order.
+    /// The per-shard products, in shard order.
     pub shard_products: Vec<Natural>,
     /// The top product `P` (product of every shard product; `1` when the
     /// store is empty).
@@ -1030,180 +1014,81 @@ pub fn assemble_from_shard_roots(
             detail: "shard root is zero; no well-formed shard produces a zero product".to_string(),
         });
     }
+    run_sharded(store, Some(shard_products), threads, true)
+}
+
+/// The one sharded driver, behind [`sharded_batch_gcd`],
+/// [`assemble_from_shard_roots`] and
+/// [`TreeCache::build`](crate::incremental::TreeCache::build). Phase 1 runs
+/// [`shard_subtree_root`] per shard unless `roots` already holds the shard
+/// products; phases 2–3 build the top tree, descend it to per-shard seeds,
+/// and run the per-shard leaf work. With `keep_tree` the assembly carries
+/// the shard products and the top product; without it both are released
+/// before the leaf phase (the bounded-memory mode) and come back as `[]`
+/// and `1`.
+pub(crate) fn run_sharded(
+    store: &ShardStore,
+    roots: Option<Vec<Natural>>,
+    threads: usize,
+    keep_tree: bool,
+) -> Result<ShardAssembly, CorpusError> {
     if store.shard_count() == 0 {
         return Ok(ShardAssembly {
-            result: BatchGcdResult {
-                raw_divisors: Vec::new(),
-                statuses: Vec::new(),
-                stats: BatchStats::default(),
-            },
+            result: BatchGcdResult::default(),
             shard_products: Vec::new(),
             top_product: Natural::one(),
         });
     }
+    let total = store.total_moduli() as usize;
     let pool = WorkerPool::new(threads);
     let build_domain = pool.domain();
-    let pre = PhaseOne {
-        start: Instant::now(),
-        max_shard_tree_bytes: 0,
-        shard_busy: vec![Duration::ZERO; store.shard_count()],
-        shards_read: 0,
-        bytes_read: 0,
-    };
-    let (result, shard_products, top_product) =
-        assemble_impl(store, shard_products, &pool, build_domain, true, pre)?;
-    Ok(ShardAssembly {
-        result,
-        shard_products,
-        top_product,
-    })
-}
-
-/// Phase-1 accounting carried into [`assemble_impl`] so the streamed
-/// single-process path and the cluster assembly path share one
-/// implementation of phases 2–3: where the shard products came from (and
-/// what reading them cost) differs, but everything after them must not.
-struct PhaseOne {
-    /// When the run's product phase began; `product_tree_time` spans from
-    /// here through the top-tree build.
-    start: Instant,
-    /// Largest shard tree seen so far (bytes).
-    max_shard_tree_bytes: usize,
-    /// Per-shard busy time accumulated so far, index-aligned.
-    shard_busy: Vec<Duration>,
-    /// Shard reads already performed on this store.
-    shards_read: u64,
-    /// Bytes already read from this store.
-    bytes_read: u64,
-}
-
-fn sharded_impl(
-    store: &ShardStore,
-    threads: usize,
-    keep_tree: bool,
-) -> Result<(BatchGcdResult, Vec<Natural>, Natural), CorpusError> {
-    let shard_count = store.shard_count();
-    if shard_count == 0 {
-        return Ok((
-            BatchGcdResult {
-                raw_divisors: Vec::new(),
-                statuses: Vec::new(),
-                stats: BatchStats::default(),
-            },
-            Vec::new(),
-            Natural::one(),
-        ));
-    }
-
-    let pool = WorkerPool::new(threads);
-    let build_domain = pool.domain();
+    let remainder_domain = pool.domain();
+    let gcd_domain = pool.domain();
 
     // Phase 1: one pool task per shard; the deques deal and steal them, so
     // a free worker always claims the next unprocessed shard.
     let t0 = Instant::now();
-    let product_tasks: Vec<_> = (0..shard_count as u32)
-        .map(|index| {
-            move || -> Result<(Natural, usize, Duration), CorpusError> {
-                let start = Instant::now();
-                let moduli = store.read_shard(index)?;
-                // The shard's own tree is built on the claiming worker: at
-                // shard scale the pair multiplies are far smaller than the
-                // dispatch they'd otherwise schedule.
-                let tree = ProductTree::build_local(&moduli).map_err(|e| {
-                    CorpusError::FormatViolation {
-                        path: store.shard_path(index),
-                        detail: e.to_string(),
-                    }
-                })?;
-                let root = tree.root().clone();
-                let tree_bytes = tree.total_bytes();
-                // Worker-local recycling: the next shard this worker claims
-                // rebuilds a same-shaped tree straight from the arena.
-                tree.recycle();
-                for m in moduli {
-                    wk_bigint::arena::recycle(m);
-                }
-                Ok((root, tree_bytes, start.elapsed()))
-            }
-        })
-        .collect();
-    let mut shard_products = Vec::with_capacity(shard_count);
-    let mut max_shard_tree_bytes = 0usize;
-    let mut shard_busy = vec![Duration::ZERO; shard_count];
-    for (i, outcome) in pool
-        .exec_in(&build_domain)
-        .run_tasks(product_tasks)
-        .into_iter()
-        .enumerate()
-    {
-        let (root, tree_bytes, busy) = outcome?;
-        shard_products.push(root);
-        max_shard_tree_bytes = max_shard_tree_bytes.max(tree_bytes);
-        shard_busy[i] += busy;
-    }
-
-    let pre = PhaseOne {
-        start: t0,
-        max_shard_tree_bytes,
-        shard_busy,
-        shards_read: shard_count as u64,
-        bytes_read: store.bytes_on_disk(),
+    let shard_products = match roots {
+        Some(roots) => roots,
+        None => pool
+            .exec_in(&build_domain)
+            .run_tasks(
+                (0..store.shard_count() as u32)
+                    .map(|index| move || shard_subtree_root(store, index))
+                    .collect(),
+            )
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?,
     };
-    assemble_impl(store, shard_products, &pool, build_domain, keep_tree, pre)
-}
-
-/// Phases 2–3, shared between [`sharded_impl`] and
-/// [`assemble_from_shard_roots`]: top tree over the shard products,
-/// cofactor descent to per-shard seeds, then per-shard leaf work.
-fn assemble_impl(
-    store: &ShardStore,
-    shard_products: Vec<Natural>,
-    pool: &WorkerPool,
-    build_domain: ExecDomain,
-    keep_tree: bool,
-    pre: PhaseOne,
-) -> Result<(BatchGcdResult, Vec<Natural>, Natural), CorpusError> {
-    let total = store.total_moduli() as usize;
-    let shard_count = store.shard_count();
-    let remainder_domain = pool.domain();
-    let gcd_domain = pool.domain();
-    let mut max_shard_tree_bytes = pre.max_shard_tree_bytes;
-    let mut shard_busy = pre.shard_busy;
 
     // Phase 2: the top tree over shard products fits in memory by
     // construction (one node per shard).
     let top = ProductTree::build(&shard_products, pool.exec_in(&build_domain))
         // lint:allow(no-panic-in-lib) invariant: shard_count > 0 and every shard product is a product of nonzero moduli
         .expect("shard products are nonempty and nonzero");
-    let product_tree_time = pre.start.elapsed();
+    let product_tree_time = t0.elapsed();
     // No reciprocal caches for the top descent: each node's `mu` would be
     // used exactly twice (the two reductions of its own cofactor step), and
     // a Newton build costs ~2 node-sized multiplies while Burnikel-Ziegler
     // division matches a Barrett step almost exactly — so single-use
     // reciprocals are pure overhead here. Barrett pays only where `mu` is
     // reused across runs (the persisted shard reciprocals of the
-    // incremental sweep, built by `TreeCache::build`).
+    // incremental sweep, built by `TreeCache::from_parts`).
     let top_bytes = top.total_bytes() + top.cache_bytes();
-    let kept_products = if keep_tree {
-        shard_products
+    let (shard_products, top_product) = if keep_tree {
+        let top_product = top.root().clone();
+        (shard_products, top_product)
     } else {
         // Streamed mode: release the corpus-sized product list before the
         // leaf phase, preserving the bounded-memory property.
         drop(shard_products);
-        Vec::new()
+        (Vec::new(), Natural::one())
     };
 
     // Phase 3: descend P in cofactor form to per-shard seeds
-    // (P/R_s) mod R_s — half the width of the squared residues this
-    // handoff used to move — then per-shard leaf work.
+    // (P/R_s) mod R_s, then per-shard leaf work.
     let t1 = Instant::now();
-    let shard_residues =
-        top.remainder_tree_cofactor(&Natural::one(), pool.exec_in(&remainder_domain));
-    let kept_top = if keep_tree {
-        top.root().clone()
-    } else {
-        Natural::one()
-    };
+    let seeds = top.remainder_tree_cofactor(&Natural::one(), pool.exec_in(&remainder_domain));
     drop(top);
 
     struct ShardLeaves {
@@ -1211,38 +1096,24 @@ fn assemble_impl(
         /// (index within shard, modulus) for each nontrivial divisor.
         hits: Vec<(usize, Natural)>,
         tree_bytes: usize,
-        busy: Duration,
     }
 
-    let leaf_tasks: Vec<_> = shard_residues
+    let leaf_tasks: Vec<_> = seeds
         .into_iter()
         .enumerate()
-        .map(|(index, residue)| {
+        .map(|(index, seed)| {
             let pool = &pool;
             let gcd_domain = &gcd_domain;
             move || -> Result<ShardLeaves, CorpusError> {
-                let start = Instant::now();
-                let moduli = store.read_shard(index as u32)?;
-                // Shard tree and descent stay on the claiming worker
-                // (shards are the parallel unit; their node sizes are
-                // too small to pay per-node dispatch), division path —
-                // single-use reciprocals cost more than they save at
-                // shard scale.
-                let tree = ProductTree::build_local(&moduli).map_err(|e| {
-                    CorpusError::FormatViolation {
-                        path: store.shard_path(index as u32),
-                        detail: e.to_string(),
-                    }
-                })?;
+                let (moduli, tree) = read_shard_tree(store, index as u32)?;
                 let tree_bytes = tree.total_bytes();
-                // The residue is (P/root) mod root from the top
-                // descent — exactly this tree's cofactor seed. The
-                // scratch-based descent reuses arena buffers level to
-                // level; the seed and the tree recycle after it.
-                let mut scratch = DescentScratch::default();
-                let mut rems = Vec::new();
-                tree.remainder_tree_cofactor_local_into(&residue, &mut scratch, &mut rems);
-                wk_bigint::arena::recycle(residue);
+                // The seed is (P/root) mod root from the top descent —
+                // exactly this tree's cofactor seed. The descent stays on
+                // the claiming worker and takes the division path:
+                // single-use reciprocals cost more than they save at shard
+                // scale. The seed and the tree recycle after it.
+                let rems = tree.remainder_tree_cofactor_local(&seed);
+                wk_bigint::arena::recycle(seed);
                 tree.recycle();
                 // One metered task (the single-closure fast path runs it
                 // inline) keeps the gcd work attributed to its domain.
@@ -1254,16 +1125,9 @@ fn assemble_impl(
                             .iter()
                             .zip(rems)
                             .map(|(n, zn)| {
-                                // Same leaf value as the classic pass:
-                                // the cofactor descent delivers
-                                // (P/N) mod N directly.
-                                let g = n.gcd(&zn);
+                                let g = leaf_gcd(n, &zn);
                                 wk_bigint::arena::recycle(zn);
-                                if g.is_one() {
-                                    None
-                                } else {
-                                    Some(g)
-                                }
+                                g
                             })
                             .collect::<Vec<_>>()
                     }])
@@ -1282,7 +1146,6 @@ fn assemble_impl(
                     divisors,
                     hits,
                     tree_bytes,
-                    busy: start.elapsed(),
                 })
             }
         })
@@ -1290,26 +1153,20 @@ fn assemble_impl(
 
     let mut raw_divisors: Vec<Option<Natural>> = Vec::with_capacity(total);
     let mut hits: Vec<(usize, Natural)> = Vec::new();
-    let mut base = 0usize;
-    for (i, outcome) in pool
-        .exec_in(&remainder_domain)
-        .run_tasks(leaf_tasks)
-        .into_iter()
-        .enumerate()
-    {
+    let mut max_shard_tree_bytes = 0usize;
+    for outcome in pool.exec_in(&remainder_domain).run_tasks(leaf_tasks) {
         let leaves = outcome?;
+        let base = raw_divisors.len();
         hits.extend(leaves.hits.into_iter().map(|(local, n)| (base + local, n)));
-        base += leaves.divisors.len();
         raw_divisors.extend(leaves.divisors);
         max_shard_tree_bytes = max_shard_tree_bytes.max(leaves.tree_bytes);
-        shard_busy[i] += leaves.busy;
     }
     let remainder_tree_time = t1.elapsed();
 
     let statuses = resolve_with_hits(total, &hits, &raw_divisors);
     let gcd_exec = gcd_domain.phase();
-    Ok((
-        BatchGcdResult {
+    Ok(ShardAssembly {
+        result: BatchGcdResult {
             raw_divisors,
             statuses,
             stats: BatchStats {
@@ -1321,19 +1178,12 @@ fn assemble_impl(
                 product_tree_exec: build_domain.phase(),
                 remainder_tree_exec: remainder_domain.phase(),
                 gcd_exec,
-                shard: ShardMetrics {
-                    shards_written: shard_count as u64,
-                    shards_read: pre.shards_read + shard_count as u64,
-                    bytes_written: store.bytes_on_disk(),
-                    bytes_read: pre.bytes_read + store.bytes_on_disk(),
-                    shard_busy,
-                },
                 ..BatchStats::default()
             },
         },
-        kept_products,
-        kept_top,
-    ))
+        shard_products,
+        top_product,
+    })
 }
 
 #[cfg(test)]
@@ -1542,25 +1392,6 @@ mod tests {
         let par = sharded_batch_gcd(&store, 4).unwrap();
         assert_eq!(seq.raw_divisors, par.raw_divisors);
         assert_eq!(seq.statuses, par.statuses);
-        store.remove().unwrap();
-    }
-
-    #[test]
-    fn shard_metrics_populated() {
-        let moduli = vec![nat(33), nat(39), nat(323), nat(437)];
-        let dir = scratch_dir("corpus-metrics");
-        let store = ShardStore::create(&dir, 2, &moduli).unwrap();
-        let result = sharded_batch_gcd(&store, 1).unwrap();
-        let shard = &result.stats.shard;
-        assert_eq!(shard.shards_written, 2);
-        assert_eq!(shard.shards_read, 4); // two passes over two shards
-        assert_eq!(shard.bytes_written, store.bytes_on_disk());
-        assert_eq!(shard.bytes_read, 2 * store.bytes_on_disk());
-        assert_eq!(shard.shard_busy.len(), 2);
-        assert!(shard.total_busy() > Duration::ZERO);
-        assert!(!shard.is_empty());
-        // Classic runs leave the metrics empty.
-        assert!(batch_gcd(&moduli, 1).stats.shard.is_empty());
         store.remove().unwrap();
     }
 

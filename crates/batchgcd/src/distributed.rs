@@ -20,7 +20,8 @@
 //! `P_j` shares no leaf, so it runs the plain descent and each leaf takes
 //! `gcd(N, P_j mod N)`, which is the correct pair-coverage quantity.
 
-use crate::corpus::{CorpusError, ShardMetrics, ShardStore};
+use crate::classic::leaf_gcd;
+use crate::corpus::{CorpusError, ShardStore};
 use crate::pool::{ExecDomain, PhaseExec, WorkerPool};
 use crate::resolve::{resolve, KeyStatus};
 use crate::tree::ProductTree;
@@ -72,7 +73,8 @@ pub struct NodeReport {
     pub gcd_time: Duration,
     /// Bytes held by the node's own product tree (paper: 70-100 GB/node).
     pub tree_bytes: usize,
-    /// Bytes of the largest foreign subset product held during descent.
+    /// Bytes of the largest *foreign* subset product (any `P_j`, `j` not
+    /// this node) held during descent; 0 when `k = 1`.
     pub largest_foreign_product_bytes: usize,
     /// Executor metrics for the pool tasks this node's work submitted
     /// (tree-level multiplies and remainder reductions; slots are shared
@@ -87,8 +89,9 @@ impl NodeReport {
     }
 }
 
-/// Whole-run accounting.
-#[derive(Clone, Debug)]
+/// Whole-run accounting. The `Default` is the report of a run over no
+/// moduli.
+#[derive(Clone, Debug, Default)]
 pub struct ClusterReport {
     /// Per-node detail.
     pub nodes: Vec<NodeReport>,
@@ -100,9 +103,6 @@ pub struct ClusterReport {
     pub build_exec: PhaseExec,
     /// Executor metrics for phase 2 (all descents + gcd sweeps).
     pub descent_exec: PhaseExec,
-    /// Shard-store I/O metrics; all-zero [`Default`] for in-memory runs,
-    /// populated by [`distributed_batch_gcd_sharded`].
-    pub shard: ShardMetrics,
 }
 
 impl ClusterReport {
@@ -137,8 +137,8 @@ impl ClusterReport {
     }
 }
 
-/// Result of a distributed batch-GCD run.
-#[derive(Clone, Debug)]
+/// Result of a distributed batch-GCD run. The `Default` is the empty run.
+#[derive(Clone, Debug, Default)]
 pub struct DistributedResult {
     /// Raw divisor per modulus, identical semantics (and values) to
     /// [`crate::classic::batch_gcd`].
@@ -171,22 +171,6 @@ fn partition_ranges(total: usize, k: usize) -> Vec<std::ops::Range<usize>> {
     ranges
 }
 
-/// The result of a run over no moduli, shared by both entry points.
-fn empty_result(wall_start: Instant) -> DistributedResult {
-    DistributedResult {
-        raw_divisors: Vec::new(),
-        statuses: Vec::new(),
-        report: ClusterReport {
-            nodes: Vec::new(),
-            wall_time: wall_start.elapsed(),
-            k: 0,
-            build_exec: PhaseExec::default(),
-            descent_exec: PhaseExec::default(),
-            shard: ShardMetrics::default(),
-        },
-    }
-}
-
 /// Run the k-subset distributed batch GCD. An empty input yields an empty
 /// result.
 ///
@@ -194,9 +178,8 @@ fn empty_result(wall_start: Instant) -> DistributedResult {
 /// Panics if any modulus is zero or `config.subsets == 0`.
 pub fn distributed_batch_gcd(moduli: &[Natural], config: ClusterConfig) -> DistributedResult {
     assert!(config.subsets > 0, "need at least one subset");
-    let wall_start = Instant::now();
     if moduli.is_empty() {
-        return empty_result(wall_start);
+        return DistributedResult::default();
     }
     assert!(
         moduli.iter().all(|m| !m.is_zero()),
@@ -207,7 +190,7 @@ pub fn distributed_batch_gcd(moduli: &[Natural], config: ClusterConfig) -> Distr
         .into_iter()
         .map(|r| &moduli[r])
         .collect();
-    let (raw_divisors, report) = run_cluster(&subsets, config, wall_start, ShardMetrics::default());
+    let (raw_divisors, report) = run_cluster(&subsets, config);
     let statuses = resolve(moduli, &raw_divisors);
     DistributedResult {
         raw_divisors,
@@ -216,22 +199,21 @@ pub fn distributed_batch_gcd(moduli: &[Natural], config: ClusterConfig) -> Distr
     }
 }
 
-/// Run the k-subset distributed batch GCD over a disk-resident corpus.
-///
-/// Node subsets are streamed out of `store` shard by shard (the same
-/// contiguous near-equal partition [`distributed_batch_gcd`] uses, so raw
-/// divisors and statuses are byte-identical to the in-memory run — and,
-/// by the pair-coverage argument, to [`batch_gcd`]). The k-subset
-/// algorithm itself keeps every node's subset and tree resident for the
-/// all-pairs descent phase; the bounded-memory streaming entry point is
-/// [`sharded_batch_gcd`](crate::corpus::sharded_batch_gcd). Shard I/O is
-/// reported in [`ClusterReport::shard`]. An empty store yields an empty
-/// result.
+/// Run the k-subset distributed batch GCD over a disk-resident corpus:
+/// read every shard in order, then run [`distributed_batch_gcd`] on the
+/// moduli read. Raw divisors and statuses are byte-identical to the
+/// in-memory run — and, by the pair-coverage argument, to [`batch_gcd`].
+/// The k-subset algorithm keeps every node's subset and tree resident for
+/// the all-pairs descent; the bounded-memory streaming entry point is
+/// [`sharded_batch_gcd`](crate::corpus::sharded_batch_gcd). The report's
+/// `wall_time` covers the cluster run only, not the shard reads. An empty
+/// store yields an empty result.
 ///
 /// [`batch_gcd`]: crate::classic::batch_gcd
 ///
 /// # Errors
-/// Fails with a [`CorpusError`] if any shard cannot be read back intact.
+/// Fails with a [`CorpusError`] if any shard cannot be read back intact
+/// (including a shard that holds a zero modulus).
 ///
 /// # Panics
 /// Panics if `config.subsets == 0`.
@@ -239,62 +221,20 @@ pub fn distributed_batch_gcd_sharded(
     store: &ShardStore,
     config: ClusterConfig,
 ) -> Result<DistributedResult, CorpusError> {
-    assert!(config.subsets > 0, "need at least one subset");
-    let total = store.total_moduli() as usize;
-    let wall_start = Instant::now();
-    if total == 0 {
-        return Ok(empty_result(wall_start));
-    }
-    let k = config.subsets.min(total);
-
-    // Stream the corpus in shard order; per-shard read time is the busy
-    // metric for this entry point.
-    let mut moduli = Vec::with_capacity(total);
-    let mut shard_busy = Vec::with_capacity(store.shard_count());
+    let mut moduli = Vec::new();
     for index in 0..store.shard_count() as u32 {
-        let t0 = Instant::now();
-        let shard_moduli = store.read_shard(index)?;
-        // A checksum-valid shard can still encode a zero (stores are plain
-        // files); reject it here so the tree build below cannot fail.
-        if shard_moduli.iter().any(Natural::is_zero) {
-            return Err(CorpusError::FormatViolation {
-                path: store.shard_path(index),
-                detail: "zero modulus in shard payload".to_string(),
-            });
-        }
-        moduli.extend(shard_moduli);
-        shard_busy.push(t0.elapsed());
+        moduli.extend(store.read_shard(index)?);
     }
-    let shard = ShardMetrics {
-        shards_written: store.shard_count() as u64,
-        shards_read: store.shard_count() as u64,
-        bytes_written: store.bytes_on_disk(),
-        bytes_read: store.bytes_on_disk(),
-        shard_busy,
-    };
-
-    let subsets: Vec<&[Natural]> = partition_ranges(total, k)
-        .into_iter()
-        .map(|r| &moduli[r])
-        .collect();
-    let (raw_divisors, report) = run_cluster(&subsets, config, wall_start, shard);
-    let statuses = resolve(&moduli, &raw_divisors);
-    Ok(DistributedResult {
-        raw_divisors,
-        statuses,
-        report,
-    })
+    Ok(distributed_batch_gcd(&moduli, config))
 }
 
-/// The cluster simulation core shared by the in-memory and sharded entry
-/// points: phase 1 builds per-node trees, phase 2 descends every subset
-/// product through every tree. `shard` is threaded into the report.
+/// The cluster simulation core: phase 1 builds per-node trees, phase 2
+/// descends every subset product through every tree.
 fn run_cluster(
     subsets: &[&[Natural]],
     config: ClusterConfig,
-    wall_start: Instant,
-    shard: ShardMetrics,
 ) -> (Vec<Option<Natural>>, ClusterReport) {
+    let wall_start = Instant::now();
     let k = subsets.len();
 
     // One work-stealing pool for the whole cluster run: node tasks and the
@@ -316,7 +256,7 @@ fn run_cluster(
             move || {
                 let t0 = Instant::now();
                 let tree = ProductTree::build(subset, pool.exec_in(domain))
-                    // lint:allow(no-panic-in-lib) invariant: both entry points reject empty/zero inputs before partitioning
+                    // lint:allow(no-panic-in-lib) invariant: distributed_batch_gcd rejects empty/zero inputs before partitioning
                     .expect("validated cluster subset");
                 (tree, t0.elapsed())
             }
@@ -326,7 +266,6 @@ fn run_cluster(
 
     // Broadcast: collect the k subset products.
     let products: Vec<Natural> = trees.iter().map(|(t, _)| t.root().clone()).collect();
-    let foreign_max_bytes = products.iter().map(|p| p.limb_len() * 8).max().unwrap_or(0);
 
     // Phase 2: every node descends every product through its own tree.
     let node_tasks: Vec<_> = trees
@@ -357,13 +296,19 @@ fn run_cluster(
 
                     let t1 = Instant::now();
                     for (idx, (leaf, z)) in subset.iter().zip(rems).enumerate() {
-                        let candidate = leaf.gcd(&z);
-                        if !candidate.is_one() {
+                        if let Some(candidate) = leaf_gcd(leaf, &z) {
                             merge_divisor(&mut divisors[idx], leaf, candidate);
                         }
                     }
                     gcd_time += t1.elapsed();
                 }
+                let largest_foreign_product_bytes = products
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, _)| j != i)
+                    .map(|(_, p)| p.limb_len() * 8)
+                    .max()
+                    .unwrap_or(0);
                 let mut exec = build_domain.phase();
                 exec.merge(&descent_domain.phase());
                 let report = NodeReport {
@@ -373,7 +318,7 @@ fn run_cluster(
                     remainder_time,
                     gcd_time,
                     tree_bytes: tree.total_bytes(),
-                    largest_foreign_product_bytes: foreign_max_bytes,
+                    largest_foreign_product_bytes,
                     exec,
                 };
                 (divisors, report)
@@ -408,7 +353,6 @@ fn run_cluster(
             k,
             build_exec,
             descent_exec,
-            shard,
         },
     )
 }
@@ -524,12 +468,31 @@ mod tests {
             let disk = distributed_batch_gcd_sharded(&store, ClusterConfig::sequential(k)).unwrap();
             assert_eq!(disk.raw_divisors, mem.raw_divisors, "k={k}");
             assert_eq!(disk.statuses, mem.statuses, "k={k}");
-            assert_eq!(disk.report.shard.shards_read, store.shard_count() as u64);
-            assert_eq!(disk.report.shard.bytes_read, store.bytes_on_disk());
-            // In-memory runs report no shard I/O.
-            assert!(mem.report.shard.is_empty());
         }
         store.remove().unwrap();
+    }
+
+    #[test]
+    fn single_node_holds_no_foreign_product() {
+        let dist = distributed_batch_gcd(&mixed_moduli(), ClusterConfig::sequential(1));
+        let node = &dist.report.nodes[0];
+        assert_eq!(node.largest_foreign_product_bytes, 0);
+        assert_eq!(dist.report.peak_node_bytes(), node.tree_bytes);
+    }
+
+    #[test]
+    fn foreign_product_is_the_other_nodes() {
+        // k = 2 over three moduli splits [a, b] | [c]: node 0 multiplies
+        // two 128-bit moduli, node 1 holds the one-limb 35.
+        let big = Natural::from(u64::MAX - 58) * Natural::from(u64::MAX - 82);
+        let moduli = vec![big.clone(), big + Natural::from(2u64), nat(35)];
+        let dist = distributed_batch_gcd(&moduli, ClusterConfig::sequential(2));
+        let bytes =
+            |subset: &[Natural]| subset.iter().fold(nat(1), |acc, m| &acc * m).limb_len() * 8;
+        let (own0, own1) = (bytes(&moduli[..2]), bytes(&moduli[2..]));
+        assert!(own0 > own1);
+        assert_eq!(dist.report.nodes[0].largest_foreign_product_bytes, own1);
+        assert_eq!(dist.report.nodes[1].largest_foreign_product_bytes, own0);
     }
 
     #[test]

@@ -47,10 +47,10 @@
 //! store.remove().unwrap();
 //! ```
 
-use crate::classic::{BatchGcdResult, BatchStats};
+use crate::classic::{leaf_gcd, BatchGcdResult, BatchStats};
 use crate::corpus::{
-    crc32, decode_natural, encode_natural, sharded_batch_gcd_keeping_tree, CorpusError, Crc32,
-    ShardMetrics, ShardStore,
+    crc32, decode_natural, encode_natural, run_sharded, CorpusError, Crc32, ShardAssembly,
+    ShardStore,
 };
 use crate::pool::{PhaseExec, WorkerPool};
 use crate::resolve::resolve_with_hits;
@@ -327,6 +327,16 @@ pub fn read_section(path: &Path, section: u32) -> Result<(u64, Vec<u8>), Increme
     Ok((count, payload))
 }
 
+/// Pre-allocation for `count` records claimed by a section header. The
+/// header is outside the payload CRC, so the claim is capped by what the
+/// payload can hold (every record is at least 8 bytes); a count beyond that
+/// fails record by record as [`IncrementalError::CacheCorrupt`].
+fn capacity_for(count: u64, payload: &[u8]) -> usize {
+    usize::try_from(count)
+        .unwrap_or(usize::MAX)
+        .min(payload.len() / 8)
+}
+
 /// Consume a little-endian `u64` from the front of `rest`; `None` when
 /// fewer than eight bytes remain. Public alongside [`read_section`] so
 /// exchange-payload parsers consume fields exactly as the cache reader
@@ -393,35 +403,54 @@ fn shard_recips_for(dir: &Path, products: &[Natural]) -> Result<Vec<Reciprocal>,
         .collect()
 }
 
+/// `(global index, raw divisor)` for every modulus with a divisor — the
+/// cache's hit list for a result's raw divisors.
+fn hits_of(raw_divisors: &[Option<Natural>]) -> Vec<(u64, Natural)> {
+    raw_divisors
+        .iter()
+        .enumerate()
+        .filter_map(|(i, g)| g.as_ref().map(|g| (i as u64, g.clone())))
+        .collect()
+}
+
+/// Global index of each shard's first modulus, in shard order.
+fn shard_bases(store: &ShardStore) -> Vec<u64> {
+    store
+        .shards()
+        .iter()
+        .scan(0u64, |next, meta| {
+            let base = *next;
+            *next += meta.count;
+            Some(base)
+        })
+        .collect()
+}
+
+/// `(shard, index within the shard)` of global modulus `index`, given
+/// [`shard_bases`]; an index past the end lands in the last shard.
+fn locate(bases: &[u64], index: u64) -> (usize, u64) {
+    let s = bases.partition_point(|&b| b <= index).saturating_sub(1);
+    (s, index - bases.get(s).copied().unwrap_or(0))
+}
+
 impl TreeCache {
-    /// Run a full from-scratch sharded batch GCD over `store`, capture its
-    /// tree state, persist it under `dir` (created if absent), and return
-    /// the cache together with the run's result. This is the rebuild path —
-    /// the baseline the `ablation_incremental` bench compares the delta
-    /// path against. An empty store yields an empty cache (`P_old = 1`).
+    /// Run a full from-scratch sharded batch GCD over `store`, keep its
+    /// tree state, persist it under `dir` (created if absent) through
+    /// [`TreeCache::from_parts`], and return the cache together with the
+    /// run's result. This is the rebuild path — the baseline the
+    /// `ablation_incremental` bench compares the delta path against. An
+    /// empty store yields an empty cache (`P_old = 1`).
     pub fn build(
         dir: &Path,
         store: &ShardStore,
         threads: usize,
     ) -> Result<(TreeCache, BatchGcdResult), IncrementalError> {
-        let (result, shard_products, top_product) = sharded_batch_gcd_keeping_tree(store, threads)?;
-        let shard_recips = shard_recips_for(dir, &shard_products)?;
-        let hits = result
-            .raw_divisors
-            .iter()
-            .enumerate()
-            .filter_map(|(i, g)| g.as_ref().map(|g| (i as u64, g.clone())))
-            .collect();
-        let cache = TreeCache {
-            dir: dir.to_path_buf(),
+        let ShardAssembly {
+            result,
             shard_products,
-            shard_recips,
-            source_crcs: store.shards().iter().map(|m| m.crc).collect(),
             top_product,
-            hits,
-            total_moduli: store.total_moduli(),
-        };
-        cache.persist()?;
+        } = run_sharded(store, None, threads, true)?;
+        let cache = TreeCache::from_parts(dir, store, shard_products, top_product, &result)?;
         Ok((cache, result))
     }
 
@@ -430,10 +459,9 @@ impl TreeCache {
     /// [`assemble_from_shard_roots`](crate::corpus::assemble_from_shard_roots)
     /// holds the per-shard products, the top product, and the result, so
     /// rebuilding the cache must not redo the batch GCD the way
-    /// [`TreeCache::build`] does. The persisted sections are identical to
-    /// what `build` would have written for the same store (same codec, same
-    /// state tags), so a cache written here opens, validates, and
-    /// delta-updates exactly like a locally built one.
+    /// [`TreeCache::build`] does. `build` itself ends here, so a cache
+    /// written from a cluster assembly opens, validates, and delta-updates
+    /// exactly like a locally built one.
     ///
     /// # Errors
     /// [`IncrementalError::CacheCorrupt`] when the parts do not fit the
@@ -467,20 +495,13 @@ impl TreeCache {
                 ),
             ));
         }
-        let shard_recips = shard_recips_for(dir, &shard_products)?;
-        let hits = result
-            .raw_divisors
-            .iter()
-            .enumerate()
-            .filter_map(|(i, g)| g.as_ref().map(|g| (i as u64, g.clone())))
-            .collect();
         let cache = TreeCache {
             dir: dir.to_path_buf(),
+            shard_recips: shard_recips_for(dir, &shard_products)?,
             shard_products,
-            shard_recips,
             source_crcs: store.shards().iter().map(|m| m.crc).collect(),
             top_product,
-            hits,
+            hits: hits_of(&result.raw_divisors),
             total_moduli: store.total_moduli(),
         };
         cache.persist()?;
@@ -513,8 +534,8 @@ impl TreeCache {
             .ok_or_else(|| corrupt(&roots_path, "roots payload shorter than its state tag"))?;
         let total_moduli = take_u64(&mut rest)
             .ok_or_else(|| corrupt(&roots_path, "roots payload missing total-modulus count"))?;
-        let mut source_crcs = Vec::with_capacity(shard_count as usize);
-        let mut shard_products = Vec::with_capacity(shard_count as usize);
+        let mut source_crcs = Vec::with_capacity(capacity_for(shard_count, &roots_payload));
+        let mut shard_products = Vec::with_capacity(capacity_for(shard_count, &roots_payload));
         for i in 0..shard_count {
             let crc = take_u64(&mut rest)
                 .ok_or_else(|| corrupt(&roots_path, format!("roots entry {i} missing its CRC")))?;
@@ -561,7 +582,7 @@ impl TreeCache {
         let mut rest: &[u8] = &hits_payload;
         let hits_tag = take_u64(&mut rest)
             .ok_or_else(|| corrupt(&hits_path, "hits payload shorter than its state tag"))?;
-        let mut hits = Vec::with_capacity(hit_count as usize);
+        let mut hits = Vec::with_capacity(capacity_for(hit_count, &hits_payload));
         let mut last_index = None;
         for i in 0..hit_count {
             let index = take_u64(&mut rest)
@@ -617,7 +638,7 @@ impl TreeCache {
                     format!("{recip_count} reciprocals for {shard_count} shard roots"),
                 ));
             }
-            let mut recips = Vec::with_capacity(recip_count as usize);
+            let mut recips = Vec::with_capacity(capacity_for(recip_count, &recips_payload));
             for (i, product) in shard_products.iter().enumerate() {
                 let cap = take_u64(&mut rest).ok_or_else(|| {
                     corrupt(&recips_path, format!("reciprocal {i} missing its capacity"))
@@ -828,7 +849,6 @@ struct SweepOut {
     fresh: Vec<(u64, Natural, Natural)>,
     /// `(global index, modulus)` for every cached-hit index in this shard.
     cached: Vec<(u64, Natural)>,
-    busy: Duration,
 }
 
 /// Resolve the union of `store`'s cached corpus and the `delta` moduli,
@@ -890,7 +910,6 @@ pub fn incremental_batch_gcd(
 
     let old_total = cache.total_moduli as usize;
     let old_shards = cache.shard_products.len();
-    let old_bytes_on_disk = store.bytes_on_disk();
     let total = old_total + delta.len();
 
     let pool = WorkerPool::new(threads);
@@ -911,35 +930,18 @@ pub fn incremental_batch_gcd(
     let rems = t_new.remainder_tree_cofactor(&Natural::one(), pool.exec_in(&tree_domain));
     let delta_raw: Vec<Option<Natural>> = pool.exec_in(&tree_domain).map(
         delta.iter().zip(rems).collect(),
-        |(n, zn): (&Natural, Natural)| {
-            // zn = (P_new/N) mod N straight off the cofactor descent.
-            let g = n.gcd(&zn);
-            if g.is_one() {
-                None
-            } else {
-                Some(g)
-            }
-        },
+        // zn = (P_new/N) mod N straight off the cofactor descent.
+        |(n, zn): (&Natural, Natural)| leaf_gcd(n, &zn),
     );
     let delta_tree_time = t0.elapsed();
 
     // Per-shard base offsets and cached-hit locals for the sweep.
-    let mut bases = Vec::with_capacity(old_shards);
-    let mut acc = 0u64;
-    for meta in store.shards() {
-        bases.push(acc);
-        acc += meta.count;
-    }
+    let bases = shard_bases(store);
     let mut hit_locals: Vec<Vec<u64>> = vec![Vec::new(); old_shards];
-    {
-        let mut s = 0usize;
-        for (index, _) in &cache.hits {
-            while s + 1 < old_shards && *index >= bases[s + 1] {
-                s += 1;
-            }
-            if let Some(slot) = hit_locals.get_mut(s) {
-                slot.push(index - bases[s]);
-            }
+    for (index, _) in &cache.hits {
+        let (s, local) = locate(&bases, *index);
+        if let Some(slot) = hit_locals.get_mut(s) {
+            slot.push(local);
         }
     }
 
@@ -961,21 +963,15 @@ pub fn incremental_batch_gcd(
             let locals = std::mem::take(&mut hit_locals[s]);
             let store = &*store;
             move || -> Result<SweepOut, CorpusError> {
-                let start = Instant::now();
                 let moduli = store.read_shard(s as u32)?;
                 let reduced = p_new
                     .barrett_rem(&shard_products[s], &shard_recips[s])
                     .unwrap_or_else(|_| p_new % &shard_products[s]);
-                let ds: Vec<Option<Natural>> =
-                    pool.exec_in(sweep_domain)
-                        .map(moduli.iter().collect(), |n: &Natural| {
-                            let d = n.gcd(&(&reduced % n));
-                            if d.is_one() {
-                                None
-                            } else {
-                                Some(d)
-                            }
-                        });
+                let ds: Vec<Option<Natural>> = pool
+                    .exec_in(sweep_domain)
+                    .map(moduli.iter().collect(), |n: &Natural| {
+                        leaf_gcd(n, &(&reduced % n))
+                    });
                 let fresh = ds
                     .into_iter()
                     .enumerate()
@@ -987,21 +983,15 @@ pub fn incremental_batch_gcd(
                     .iter()
                     .map(|&local| (base + local, moduli[local as usize].clone()))
                     .collect();
-                Ok(SweepOut {
-                    fresh,
-                    cached,
-                    busy: start.elapsed(),
-                })
+                Ok(SweepOut { fresh, cached })
             }
         })
         .collect();
-    let mut shard_busy = vec![Duration::ZERO; old_shards];
-    let mut sweep_outs = Vec::with_capacity(old_shards);
-    for (s, outcome) in pool.exec().run_tasks(sweep_tasks).into_iter().enumerate() {
-        let out = outcome?;
-        shard_busy[s] = out.busy;
-        sweep_outs.push(out);
-    }
+    let sweep_outs = pool
+        .exec()
+        .run_tasks(sweep_tasks)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
     let delta_sweep_time = t1.elapsed();
 
     // Phase 3: resolve the delta against the cached old product. The plain
@@ -1106,17 +1096,12 @@ pub fn incremental_batch_gcd(
     );
     cache.top_product = &cache.top_product * &p_new;
     cache.total_moduli = total as u64;
-    cache.hits = raw_divisors
-        .iter()
-        .enumerate()
-        .filter_map(|(i, g)| g.as_ref().map(|g| (i as u64, g.clone())))
-        .collect();
+    cache.hits = hits_of(&raw_divisors);
     cache.persist()?;
     let delta_cache_update_time = t3.elapsed();
 
     let mut remainder_exec = sweep_domain.phase();
     remainder_exec.merge(&cross_domain.phase());
-    let new_shards = (appended.end - appended.start) as u64;
     Ok(BatchGcdResult {
         raw_divisors,
         statuses,
@@ -1129,13 +1114,6 @@ pub fn incremental_batch_gcd(
             product_tree_exec: tree_domain.phase(),
             remainder_tree_exec: remainder_exec,
             gcd_exec: PhaseExec::default(),
-            shard: ShardMetrics {
-                shards_written: new_shards,
-                shards_read: old_shards as u64,
-                bytes_written: store.bytes_on_disk().saturating_sub(old_bytes_on_disk),
-                bytes_read: old_bytes_on_disk,
-                shard_busy,
-            },
             delta: DeltaMetrics {
                 delta_count: delta.len() as u64,
                 cached_count: old_total as u64,
@@ -1158,26 +1136,17 @@ fn reconstruct_cached(
     let mut raw_divisors: Vec<Option<Natural>> = vec![None; total];
     let mut resolve_hits: Vec<(usize, Natural)> = Vec::with_capacity(cache.hits.len());
 
-    let mut bases = Vec::with_capacity(store.shard_count());
-    let mut acc = 0u64;
-    for meta in store.shards() {
-        bases.push(acc);
-        acc += meta.count;
-    }
+    let bases = shard_bases(store);
     let mut shard: Option<(usize, Vec<Natural>)> = None;
-    let mut s = 0usize;
     for (index, g) in &cache.hits {
-        while s + 1 < bases.len() && *index >= bases[s + 1] {
-            s += 1;
-        }
+        let (s, local) = locate(&bases, *index);
         let resident = matches!(&shard, Some((held, _)) if *held == s);
         if !resident {
             shard = Some((s, store.read_shard(s as u32)?));
         }
-        let local = (index - bases[s]) as usize;
         let n = shard
             .as_ref()
-            .and_then(|(_, moduli)| moduli.get(local))
+            .and_then(|(_, moduli)| moduli.get(local as usize))
             .ok_or_else(|| IncrementalError::Stale {
                 path: cache.dir.clone(),
                 detail: format!("cached hit index {index} outside shard {s}"),
@@ -1371,7 +1340,6 @@ mod tests {
         // Delta tree on the product side; sweep and cross on the remainder side.
         assert!(res.stats.product_tree_exec.tasks() > 0);
         assert!(res.stats.remainder_tree_exec.tasks() > 0);
-        assert_eq!(res.stats.shard.shards_read, 2); // both old shards swept
 
         // The store and cache both advanced to the union.
         assert_eq!(store.total_moduli(), 6);

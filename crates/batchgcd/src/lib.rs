@@ -67,8 +67,8 @@ pub mod tree;
 pub use classic::{batch_gcd, BatchGcdResult, BatchStats};
 pub use corpus::{
     assemble_from_shard_roots, crc32, decode_natural, encode_natural, fsync_dir, scratch_dir,
-    shard_subtree_root, sharded_batch_gcd, CorpusError, ShardAssembly, ShardMeta, ShardMetrics,
-    ShardReader, ShardStore,
+    shard_subtree_root, sharded_batch_gcd, CorpusError, ShardAssembly, ShardMeta, ShardReader,
+    ShardStore,
 };
 pub use distributed::{
     distributed_batch_gcd, distributed_batch_gcd_sharded, ClusterConfig, ClusterReport,

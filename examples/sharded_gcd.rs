@@ -59,11 +59,11 @@ fn main() {
     // moduli = one shard per worker, not the corpus.
     let result = sharded_batch_gcd(&reopened, 2).expect("sharded batch GCD");
     println!(
-        "sharded run: {} of {} keys factorable; {} shard reads, {} bytes streamed",
+        "sharded run: {} of {} keys factorable; {} shards of {} bytes, each streamed twice",
         result.vulnerable_count(),
         reopened.total_moduli(),
-        result.stats.shard.shards_read,
-        result.stats.shard.bytes_read,
+        reopened.shard_count(),
+        reopened.bytes_on_disk(),
     );
 
     for (idx, status) in result.statuses.iter().enumerate() {

@@ -305,3 +305,20 @@ fn recovery_is_idempotent() {
     drop(daemon);
     assert_eq!(dir_bytes(&crash), first);
 }
+
+#[test]
+fn inflated_cache_count_rebuilds_cache() {
+    // A section header's record count sits outside the payload CRC. A
+    // count no payload can hold must read as a corrupt cache, which the
+    // daemon rebuilds from the committed store, not as a panic.
+    let b = boundary("inflated-count", 2);
+    let crash = splice("inflated-count", &b.old, &b.old, &b.old);
+    let hits = crash.join("cache").join("hits.wkc");
+    let mut bytes = fs::read(&hits).unwrap();
+    bytes[16..24].copy_from_slice(&(1u64 << 58).to_le_bytes());
+    fs::write(&hits, bytes).unwrap();
+    let daemon = AuditDaemon::open(config(&crash)).unwrap();
+    assert_eq!(daemon.recovery(), wk_service::Recovery::RebuiltCache);
+    drop(daemon);
+    assert_eq!(assert_recovers(&crash, &b), "old");
+}
