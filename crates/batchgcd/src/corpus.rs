@@ -387,9 +387,11 @@ pub struct ShardMeta {
 }
 
 impl ShardMeta {
-    /// Total on-disk size of the shard file (header + payload).
+    /// Total on-disk size of the shard file (header + payload). Saturates,
+    /// so a header claiming a payload near `u64::MAX` never reads as a
+    /// short file.
     pub fn file_len(&self) -> u64 {
-        SHARD_HEADER_LEN as u64 + self.payload_len
+        (SHARD_HEADER_LEN as u64).saturating_add(self.payload_len)
     }
 
     fn to_header_bytes(self) -> [u8; SHARD_HEADER_LEN] {
@@ -789,10 +791,19 @@ impl fmt::Debug for ShardReader {
 }
 
 impl ShardReader {
-    /// Open `path` and validate its header.
+    /// Open `path` and validate its header, including that the file holds
+    /// the payload the header promises: the shard may have been rewritten
+    /// since its store was opened, and reads size buffers from the header.
     pub fn open(path: &Path) -> Result<ShardReader, CorpusError> {
-        let mut reader = BufReader::new(File::open(path)?);
+        let file = File::open(path)?;
+        let actual_len = file.metadata()?.len();
+        let mut reader = BufReader::new(file);
         let meta = ShardMeta::read(path, &mut reader)?;
+        if actual_len < meta.file_len() {
+            return Err(CorpusError::Truncated {
+                path: path.to_path_buf(),
+            });
+        }
         Ok(ShardReader {
             path: path.to_path_buf(),
             reader,
@@ -1426,10 +1437,8 @@ mod tests {
         let (dir, path) = one_shard();
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-        let reader = ShardReader::open(&path).unwrap();
-        let err = reader
-            .collect::<Result<Vec<_>, _>>()
-            .expect_err("truncated shard must fail");
+        // The header promises more payload than the file holds.
+        let err = ShardReader::open(&path).expect_err("truncated shard must fail");
         assert!(matches!(err, CorpusError::Truncated { .. }), "{err}");
         // Header-level truncation (file shorter than the header) also
         // surfaces as Truncated, from open() and from ShardStore::open().
@@ -1442,6 +1451,34 @@ mod tests {
             ShardStore::open(&dir),
             Err(CorpusError::Truncated { .. })
         ));
+        cleanup(&dir);
+    }
+
+    #[test]
+    fn shard_inflated_under_open_store_is_typed_error() {
+        let (dir, path) = one_shard();
+        let store = ShardStore::open(&dir).unwrap();
+        // Rewrite the header after the store checked it: `count` and
+        // `payload_len` far past what the file holds.
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[16..24].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        bytes[24..32].copy_from_slice(&(1u64 << 50).to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        let err = store.reader(0).expect_err("inflated header must fail");
+        assert!(matches!(err, CorpusError::Truncated { .. }), "{err}");
+        assert!(matches!(
+            sharded_batch_gcd(&store, 1),
+            Err(CorpusError::Truncated { .. })
+        ));
+        // A `payload_len` whose header-plus-payload sum overflows `u64`,
+        // with a `count` the header check accepts.
+        bytes[16..24].copy_from_slice(&0u64.to_le_bytes());
+        bytes[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        let err = store.reader(0).expect_err("overflowing header must fail");
+        assert!(matches!(err, CorpusError::Truncated { .. }), "{err}");
+        let err = ShardStore::open(&dir).expect_err("overflowing header must fail");
+        assert!(matches!(err, CorpusError::Truncated { .. }), "{err}");
         cleanup(&dir);
     }
 

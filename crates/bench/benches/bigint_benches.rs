@@ -17,9 +17,10 @@ fn random_natural(limbs: usize, seed: u64) -> Natural {
 fn ablation_mul_algorithms(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_mul_algorithms");
     group.sample_size(10);
-    // Sizes straddle the Karatsuba (32 limbs), Toom-3 (144), and NTT (2048)
-    // thresholds.
-    for limbs in [16usize, 64, 256, 1024, 4096] {
+    // Sizes straddle the Karatsuba (64 limbs) and NTT (320) thresholds and
+    // reach the top of a 1,024-modulus 1024-bit product tree (8,192).
+    // `toom3` is the transform-free reference (`mul_toom3` never uses NTT).
+    for limbs in [16usize, 64, 256, 320, 1024, 4096, 8192] {
         let a = random_natural(limbs, 1);
         let b = random_natural(limbs, 2);
         group.bench_with_input(BenchmarkId::new("dispatched", limbs), &limbs, |bch, _| {
@@ -31,6 +32,9 @@ fn ablation_mul_algorithms(c: &mut Criterion) {
             });
         }
         if limbs >= 256 {
+            group.bench_with_input(BenchmarkId::new("toom3", limbs), &limbs, |bch, _| {
+                bch.iter(|| black_box(&a).mul_toom3(black_box(&b)))
+            });
             group.bench_with_input(BenchmarkId::new("ntt", limbs), &limbs, |bch, _| {
                 bch.iter(|| wk_bigint::mul_ntt(black_box(&a), black_box(&b)))
             });

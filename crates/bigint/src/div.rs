@@ -10,10 +10,11 @@
 use crate::integer::Integer;
 use crate::limb;
 use crate::natural::Natural;
+use crate::ntt::{Prepared, NTT_THRESHOLD};
 use core::ops::{Div, Rem};
 
 /// Divisor size (limbs) at or below which Knuth Algorithm D is used directly.
-pub const BZ_THRESHOLD: usize = 48;
+pub const BZ_THRESHOLD: usize = 128;
 
 impl Natural {
     /// Divide by a single limb: returns `(quotient, remainder)`.
@@ -215,6 +216,7 @@ fn bz_div_rem(a: &Natural, b: &Natural) -> (Natural, Natural) {
     let bn = b << sigma;
     let an = a << sigma;
     debug_assert_eq!(bn.limb_len(), n);
+    let pieces = DivisorPieces::new(&bn, n);
 
     let blocks = blocks_of(&an, n);
     let t = blocks.len();
@@ -229,24 +231,59 @@ fn bz_div_rem(a: &Natural, b: &Natural) -> (Natural, Natural) {
     let mut q = q_top;
     for i in (0..t - 1).rev() {
         let combined = &shl_limbs(&r, n) + &blocks[i];
-        let (qi, ri) = bz_div_2n_1n(&combined, &bn, n);
+        let (qi, ri) = bz_div_2n_1n(&combined, &bn, n, &pieces);
         q = &shl_limbs(&q, n) + &qi;
         r = ri;
     }
     (q, &r >> sigma)
 }
 
+/// The forward transforms of one division's fixed divisor pieces. At every
+/// recursion size `2h`, `bz_div_3h_2h` multiplies a quotient of up to `h`
+/// limbs by the same piece — the low half of the divisor's top `2h` limbs —
+/// on every block and every recursive call. Pieces the dispatcher would
+/// multiply by NTT are transformed once per division, except the top one:
+/// it is as large as all the others together and used only twice per
+/// dividend block, so holding it would save a sixth of the top level's
+/// multiply work for that much memory.
+struct DivisorPieces(Vec<(usize, Prepared)>);
+
+impl DivisorPieces {
+    /// Transform the pieces of the `n`-limb normalized divisor `bn`.
+    fn new(bn: &Natural, n: usize) -> DivisorPieces {
+        // The recursion sizes, as bz_div_2n_1n tests them.
+        let sizes = core::iter::successors(Some(n), |&size| Some(size / 2))
+            .take_while(|&size| size % 2 == 0 && size > BZ_THRESHOLD && size / 2 >= NTT_THRESHOLD)
+            .skip(1);
+        let pieces = sizes.filter_map(|size| {
+            let h = size / 2;
+            let piece = bn.limbs().get(n - size..n - h)?;
+            Some((h, Prepared::new(piece, h)?))
+        });
+        DivisorPieces(pieces.collect())
+    }
+
+    /// `q * b0` for the piece `b0` of recursion size `2h`.
+    fn mul(&self, h: usize, q: &Natural, b0: &Natural) -> Natural {
+        self.0
+            .iter()
+            .find(|(size, _)| *size == h)
+            .and_then(|(_, prepared)| prepared.mul(q))
+            .unwrap_or_else(|| q * b0)
+    }
+}
+
 /// Divide a (up to) `2n`-limb value `a < b * beta^n` by the `n`-limb
 /// normalized divisor `b`. Recurses via two 3h/2h divisions.
-fn bz_div_2n_1n(a: &Natural, b: &Natural, n: usize) -> (Natural, Natural) {
+fn bz_div_2n_1n(a: &Natural, b: &Natural, n: usize, pieces: &DivisorPieces) -> (Natural, Natural) {
     if n % 2 == 1 || n <= BZ_THRESHOLD {
         return a.div_rem(b); // falls through to Knuth / short division
     }
     let h = n / 2;
     let a_lo = low_limbs(a, h);
     let a_hi = high_limbs(a, h); // up to 3h limbs
-    let (q1, r1) = bz_div_3h_2h(&a_hi, b, h);
-    let (q0, r) = bz_div_3h_2h(&(&shl_limbs(&r1, h) + &a_lo), b, h);
+    let (q1, r1) = bz_div_3h_2h(&a_hi, b, h, pieces);
+    let (q0, r) = bz_div_3h_2h(&(&shl_limbs(&r1, h) + &a_lo), b, h, pieces);
     (&shl_limbs(&q1, h) + &q0, r)
 }
 
@@ -254,7 +291,7 @@ fn bz_div_2n_1n(a: &Natural, b: &Natural, n: usize) -> (Natural, Natural) {
 /// normalized divisor `b`. One recursive 2h/h division plus one full
 /// `h x h` multiplication — this multiplication is where sub-quadratic
 /// multiplication pays off.
-fn bz_div_3h_2h(a: &Natural, b: &Natural, h: usize) -> (Natural, Natural) {
+fn bz_div_3h_2h(a: &Natural, b: &Natural, h: usize, pieces: &DivisorPieces) -> (Natural, Natural) {
     let b1 = high_limbs(b, h); // top h limbs, top bit set
     let b0 = low_limbs(b, h);
     let a12 = high_limbs(a, h); // top 2h limbs
@@ -262,14 +299,14 @@ fn bz_div_3h_2h(a: &Natural, b: &Natural, h: usize) -> (Natural, Natural) {
     let a2 = high_limbs(a, 2 * h); // top h limbs
 
     let (mut q, r1) = if a2 < b1 {
-        bz_div_2n_1n(&a12, &b1, h)
+        bz_div_2n_1n(&a12, &b1, h, pieces)
     } else {
         // q = beta^h - 1; r1 = a12 - q*b1 = a12 - b1*beta^h + b1 (>= 0 here).
         let q = &shl_limbs(&Natural::one(), h) - &Natural::one();
         let r1 = &(&a12 - &shl_limbs(&b1, h)) + &b1;
         (q, r1)
     };
-    let d = &q * &b0;
+    let d = pieces.mul(h, &q, &b0);
     let lhs = Integer::from_natural(&shl_limbs(&r1, h) + &a0);
     let mut r = &lhs - &Integer::from_natural(d);
     // q may be up to 2 too large (standard BZ bound).
@@ -399,6 +436,8 @@ mod tests {
             (256, 96, 3),
             (300, 97, 4), // odd-ish divisor length forces padding
             (512, 200, 5),
+            (1500, 700, 6),
+            (3000, 1400, 7), // a divisor piece past NTT_THRESHOLD is prepared
         ] {
             let a = pseudo(la, seed);
             let b = pseudo(lb, seed + 99);

@@ -6,10 +6,11 @@
 //! feasibility argument assumes sub-quadratic multiplication and division,
 //! which this crate provides:
 //!
-//! * [`Natural`] — unsigned big integers: schoolbook / Karatsuba / Toom-3
-//!   multiplication, short / Knuth-D / Burnikel-Ziegler division, binary and
-//!   Lehmer GCD, extended GCD, Montgomery modular exponentiation,
-//!   Miller-Rabin primality, random generation over any [`rand::RngCore`].
+//! * [`Natural`] — unsigned big integers: schoolbook / Karatsuba / Toom-3 /
+//!   three-prime NTT multiplication, short / Knuth-D / Burnikel-Ziegler
+//!   division, binary and Lehmer GCD, extended GCD, Montgomery modular
+//!   exponentiation, Miller-Rabin primality, random generation over any
+//!   [`rand::RngCore`].
 //! * [`Integer`] — sign-magnitude signed integers for algorithms with
 //!   negative intermediates (Toom-3 interpolation, extended Euclid,
 //!   Burnikel-Ziegler corrections).

@@ -1,10 +1,16 @@
-//! Multiplication: schoolbook, Karatsuba, and Toom-3 with size-based dispatch.
+//! Multiplication: schoolbook, Karatsuba, Toom-3 and NTT with size-based
+//! dispatch.
 //!
 //! Sub-quadratic multiplication is load-bearing for the reproduction: the
 //! batch-GCD product tree multiplies pairs of multi-megabit integers, and the
 //! quasilinear feasibility argument of the paper (§3.2) assumes
-//! `M(n) = n^(1+o(1))`. Karatsuba gives `n^1.585`, Toom-3 `n^1.465`, which is
-//! sufficient at the scales the simulator and benches run at.
+//! `M(n) = n^(1+o(1))`. The dispatcher runs schoolbook below
+//! [`KARATSUBA_THRESHOLD`], Karatsuba (`n^1.585`) up to
+//! [`NTT_THRESHOLD`](crate::NTT_THRESHOLD), and the three-prime NTT
+//! (`O(n log n)`, [`crate::ntt`]) from there. Toom-3 (`n^1.465`) loses to the
+//! NTT at every size it would take over from Karatsuba, so the dispatcher
+//! only falls back to it for products longer than the transform reaches;
+//! [`Natural::mul_toom3`] keeps it as a transform-free reference.
 
 use crate::integer::Integer;
 use crate::natural::Natural;
@@ -15,7 +21,8 @@ use core::ops::{Mul, MulAssign};
 pub const KARATSUBA_THRESHOLD: usize = 64;
 
 /// Operand size (in limbs, of the smaller operand) at which Toom-3 takes over
-/// from Karatsuba.
+/// from Karatsuba where the NTT is not in play: inside
+/// [`Natural::mul_toom3`] and beyond the transform's reach.
 pub const TOOM3_THRESHOLD: usize = 352;
 
 /// Schoolbook `O(n*m)` multiplication on limb slices.
@@ -81,10 +88,17 @@ fn add_slices_into(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
 /// entry points funnel through; a warmed arena runs the schoolbook,
 /// Karatsuba, and unbalanced-block paths without heap allocation. The
 /// Toom-3 and NTT tiers (operands of hundreds to thousands of limbs, a
-/// handful of nodes near a tree root) still build their evaluation
-/// polynomials on the heap: their signed interpolation works over
-/// [`Integer`]s, and at those sizes the multiply dwarfs its allocations.
+/// handful of nodes near a tree root) work on the heap: Toom-3's signed
+/// interpolation works over [`Integer`]s, the transform over buffers of
+/// its own length, and at those sizes the multiply dwarfs its allocations.
+/// A square (equal operands) takes one forward transform.
 pub(crate) fn mul_slices_into(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
+    dispatch(a, b, out, true);
+}
+
+/// The dispatcher behind [`mul_slices_into`]; with `ntt` off it skips the
+/// NTT tier, leaving Karatsuba and, from [`TOOM3_THRESHOLD`], Toom-3.
+fn dispatch(a: &[u64], b: &[u64], out: &mut Vec<u64>, ntt: bool) {
     let a = trim(a);
     let b = trim(b);
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
@@ -104,46 +118,48 @@ pub(crate) fn mul_slices_into(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
         let mut part = crate::arena::take(2 * sn);
         let mut offset = 0usize;
         for chunk in large.chunks(sn) {
-            mul_slices_into(small, chunk, &mut part);
+            dispatch(small, chunk, &mut part, ntt);
             add_at(out, offset, trim(&part));
             offset += sn;
         }
         crate::arena::put(part);
         return;
     }
-    if sn < TOOM3_THRESHOLD {
-        return karatsuba_into(a, b, out);
+    if ntt && sn >= crate::ntt::NTT_THRESHOLD && crate::ntt::mul_into(small, large, out) {
+        return;
     }
-    let an = Natural::from_limb_slice(a);
-    let bn = Natural::from_limb_slice(b);
-    let r = if sn < crate::ntt::NTT_THRESHOLD {
-        toom3(&an, &bn)
-    } else {
-        crate::ntt::mul_ntt(&an, &bn)
-    };
+    if sn < TOOM3_THRESHOLD {
+        return karatsuba_into(a, b, out, ntt);
+    }
+    let r = toom3(
+        &Natural::from_limb_slice(a),
+        &Natural::from_limb_slice(b),
+        ntt,
+    );
     let old = core::mem::replace(out, r.into_limbs());
     crate::arena::put(old);
 }
 
-/// Karatsuba over slices: 3 recursive multiplications of half-size operands,
-/// all scratch from the arena.
-fn karatsuba_into(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
+/// Karatsuba over slices: 3 recursive multiplications of half-size operands
+/// through [`dispatch`] with the same `ntt` switch, all scratch from the
+/// arena.
+fn karatsuba_into(a: &[u64], b: &[u64], out: &mut Vec<u64>, ntt: bool) {
     let m = a.len().max(b.len()).div_ceil(2);
     let (a0, a1) = a.split_at(m.min(a.len()));
     let (b0, b1) = b.split_at(m.min(b.len()));
     let (a0, a1, b0, b1) = (trim(a0), trim(a1), trim(b0), trim(b1));
 
     let mut z0 = crate::arena::take(a0.len() + b0.len());
-    mul_slices_into(a0, b0, &mut z0);
+    dispatch(a0, b0, &mut z0, ntt);
     let mut z2 = crate::arena::take(a1.len() + b1.len());
-    mul_slices_into(a1, b1, &mut z2);
+    dispatch(a1, b1, &mut z2, ntt);
 
     let mut sa = crate::arena::take(m + 1);
     add_slices_into(a0, a1, &mut sa);
     let mut sb = crate::arena::take(m + 1);
     add_slices_into(b0, b1, &mut sb);
     let mut z1 = crate::arena::take(sa.len() + sb.len());
-    mul_slices_into(trim(&sa), trim(&sb), &mut z1);
+    dispatch(&sa, &sb, &mut z1, ntt);
     crate::arena::put(sa);
     crate::arena::put(sb);
     // z1 = sa*sb - z0 - z2 >= 0 always.
@@ -187,10 +203,20 @@ fn shl_limbs(n: &Natural, limbs: usize) -> Natural {
     Natural::from_limbs(v)
 }
 
+/// `x · y` for signed Toom-3 operands, through [`dispatch`].
+fn signed_product(x: &Integer, y: &Integer, ntt: bool) -> Integer {
+    let negative = x.is_negative() != y.is_negative();
+    let (x, y) = (x.magnitude(), y.magnitude());
+    let mut out = crate::arena::take(x.limb_len() + y.limb_len());
+    dispatch(x.limbs(), y.limbs(), &mut out, ntt);
+    Integer::from_sign_magnitude(negative, Natural::from_limbs(out))
+}
+
 /// Toom-3 with evaluation points {0, 1, -1, 2, inf} and Bodrato's
 /// interpolation sequence. Intermediates at -1 can be negative, so the
-/// evaluation/interpolation runs over signed [`Integer`]s.
-fn toom3(a: &Natural, b: &Natural) -> Natural {
+/// evaluation/interpolation runs over signed [`Integer`]s. The pointwise
+/// products recurse through [`dispatch`] with the same `ntt` switch.
+fn toom3(a: &Natural, b: &Natural, ntt: bool) -> Natural {
     let m = a.limb_len().max(b.limb_len()).div_ceil(3);
     let (a0, rest) = split(a, m);
     let (a1, a2) = split(&rest, m);
@@ -216,11 +242,11 @@ fn toom3(a: &Natural, b: &Natural) -> Natural {
     let vb2 = &(&(&(&b2 << 1u64) + &b1) << 1u64) + &b0;
 
     // Pointwise products (recurse into Natural multiplication).
-    let w0 = &a0 * &b0; // c(0)
-    let w1 = &va1 * &vb1; // c(1)
-    let wm1 = &vam1 * &vbm1; // c(-1)
-    let w2 = &va2 * &vb2; // c(2)
-    let winf = &a2 * &b2; // c(inf)
+    let w0 = signed_product(&a0, &b0, ntt); // c(0)
+    let w1 = signed_product(&va1, &vb1, ntt); // c(1)
+    let wm1 = signed_product(&vam1, &vbm1, ntt); // c(-1)
+    let w2 = signed_product(&va2, &vb2, ntt); // c(2)
+    let winf = signed_product(&a2, &b2, ntt); // c(inf)
 
     // Interpolation (Bodrato): recover coefficients c0..c4 of the product
     // polynomial c(x) = c4 x^4 + ... + c0.
@@ -264,15 +290,6 @@ impl Natural {
         Natural::from_limbs(schoolbook(self.limbs(), rhs.limbs()))
     }
 
-    /// Karatsuba at the top level regardless of [`KARATSUBA_THRESHOLD`]
-    /// (recursive calls still dispatch normally) — the threshold-tuning
-    /// probe for bench example `mul_tuning`.
-    pub fn mul_karatsuba(&self, rhs: &Natural) -> Natural {
-        let mut out = crate::arena::take(self.limb_len() + rhs.limb_len());
-        karatsuba_into(self.limbs(), rhs.limbs(), &mut out);
-        Natural::from_limbs(out)
-    }
-
     /// Multiply into a caller-provided value, reusing its backing storage
     /// (and the thread arena for scratch). Semantically identical to
     /// `out = self * rhs`; the allocating operators are thin wrappers over
@@ -282,11 +299,13 @@ impl Natural {
         out.normalize();
     }
 
-    /// Toom-3 at the top level regardless of [`TOOM3_THRESHOLD`]
-    /// (recursive calls still dispatch normally) — the threshold-tuning
-    /// probe for bench example `mul_tuning`.
+    /// Toom-3 at the top level regardless of size, with no NTT below it:
+    /// the recursive products run schoolbook, Karatsuba and, from
+    /// [`TOOM3_THRESHOLD`], Toom-3. This is the transform-free reference
+    /// the benchmark ladder checks the NTT tier against, and the Toom-3 arm
+    /// of bench `ablation_mul_algorithms`.
     pub fn mul_toom3(&self, rhs: &Natural) -> Natural {
-        toom3(self, rhs)
+        toom3(self, rhs, false)
     }
 
     /// Multiply by a single limb.
@@ -389,10 +408,20 @@ mod tests {
         for (la, lb, seed) in [(150, 150, 1), (160, 200, 2), (300, 150, 3)] {
             let a = pseudo(la, seed);
             let b = pseudo(lb, seed + 7);
-            let fast = toom3(&a, &b);
+            let fast = toom3(&a, &b, true);
             let slow = Natural::from_limbs(schoolbook(a.limbs(), b.limbs()));
             assert_eq!(fast, slow, "la={la} lb={lb}");
         }
+    }
+
+    /// The transform-free path on unbalanced operands, whose Karatsuba
+    /// halves cross `NTT_THRESHOLD` (667×340 thirds, then 334-limb halves).
+    #[test]
+    fn transform_free_toom3_matches_schoolbook() {
+        let a = pseudo(2000, 5);
+        let b = pseudo(340, 6);
+        let slow = Natural::from_limbs(schoolbook(a.limbs(), b.limbs()));
+        assert_eq!(a.mul_toom3(&b), slow);
     }
 
     #[test]

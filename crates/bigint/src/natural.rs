@@ -208,9 +208,9 @@ impl Natural {
         }
     }
 
-    /// `self^2` — delegates to multiplication (a dedicated squaring path is
-    /// a possible optimization; products dominate in the remainder tree where
-    /// operands differ anyway).
+    /// `self^2`. Multiplication sees the same operand on both sides: from
+    /// [`NTT_THRESHOLD`](crate::NTT_THRESHOLD) limbs the transform takes one
+    /// forward transform per prime instead of two.
     pub fn square(&self) -> Natural {
         self * self
     }

@@ -1,207 +1,610 @@
-//! Number-theoretic-transform multiplication over the Goldilocks prime.
+//! Number-theoretic-transform multiplication on whole 64-bit limbs.
 //!
 //! Karatsuba/Toom-3 give `n^1.58` / `n^1.46`; the batch-GCD feasibility
-//! argument (§3.2) ultimately rests on `M(n) = n^(1+o(1))`, which requires
-//! FFT-style multiplication. This module implements it the modern way:
-//! an iterative radix-2 NTT over `p = 2^64 - 2^32 + 1` ("Goldilocks"),
-//! whose multiplicative group contains `2^32`-th roots of unity and whose
-//! special form reduces 128-bit products with shifts and adds.
+//! argument (§3.2) rests on `M(n) = n^(1+o(1))`, which needs FFT-class
+//! multiplication. The product of two limb vectors is their convolution
+//! followed by carry propagation; this module computes the convolution
+//! exactly, modulo three word primes `p < 2^62`, and recombines each
+//! coefficient by Garner's CRT (Pollard, "The fast Fourier transform in a
+//! finite field", 1971). A coefficient is at most
+//! `min(la, lb)·(2^64 − 1)^2 < 2^186 ≈ p0·p1·p2` for any length the roots
+//! below admit, so the CRT value is the coefficient itself.
 //!
-//! Inputs are split into 16-bit digits, so convolution coefficients are
-//! bounded by `len * (2^16 - 1)^2 < 2^32 * 2^32 = 2^64 > ...` — precisely:
-//! with `len <= 2^26` digits the coefficient bound `len * (2^16-1)^2 <
-//! 2^58` stays far below `p`, so a single prime suffices for operands up to
-//! ~128 MiB. The dispatcher turns NTT on above [`NTT_THRESHOLD`] limbs.
+//! * **Lengths.** Every `p − 1` is divisible by `3·2^40`. A transform has
+//!   `leaf·2^k` points (`leaf` 1 or 3, `k ≤ 40`), the smallest such length
+//!   that holds the `la + lb − 1` coefficients, so padding never doubles a
+//!   transform. The radix-2 levels split `x^len − 1` down to the factors
+//!   `x^leaf − ζ`; for `leaf = 3` the pointwise step multiplies the residue
+//!   pairs as polynomials modulo `x^3 − ζ`. Longer products fall back to
+//!   Toom-3.
+//! * **Butterflies.** Forward levels are Cooley–Tukey, inverse levels are
+//!   Gentleman–Sande, two levels per pass, with one twiddle per block in
+//!   bit-reversed order and Shoup (precomputed-quotient) multiplies. Values
+//!   stay lazily in `[0, 4p)` / `[0, 2p)` (Harvey's bounds) and every
+//!   conditional subtraction is branch-free. Pointwise products use
+//!   Montgomery reduction. Its `2^-64` factor, the inverse's missing `2^-k`
+//!   and the CRT's constant for the prime make one scale per prime, applied
+//!   as the left operand is loaded (for a square, in the pointwise step).
+//! * **Memory.** The primes run one at a time: the working set is the
+//!   output, one saved residue vector, two transform buffers and one table
+//!   of `2^(k−1)` twiddle pairs. Twiddles are built per call and freed with
+//!   it; nothing is cached across calls.
+//! * **Squaring and fixed operands.** Squaring transforms its operand once.
+//!   [`Prepared`] keeps a fixed operand's forward transforms for many
+//!   multiplies (Burnikel–Ziegler's divisor pieces).
+//!
+//! The dispatcher turns NTT on at [`NTT_THRESHOLD`] limbs.
 
 use crate::natural::Natural;
 
-/// The Goldilocks prime `2^64 - 2^32 + 1`.
-pub const P: u64 = 0xFFFF_FFFF_0000_0001;
-
 /// Operand size (limbs, smaller operand) at which NTT takes over from
-/// Toom-3 in the multiplication dispatcher.
-pub const NTT_THRESHOLD: usize = 16384;
+/// Karatsuba in the multiplication dispatcher.
+pub const NTT_THRESHOLD: usize = 320;
 
-/// Reduce a 128-bit value modulo `P` using `2^64 ≡ 2^32 - 1` and
-/// `2^96 ≡ -1 (mod P)`.
-#[inline]
-fn reduce128(x: u128) -> u64 {
-    let lo = x as u64; // bits 0..64
-    let mid = ((x >> 64) as u64) & 0xFFFF_FFFF; // bits 64..96
-    let hi = (x >> 96) as u64; // bits 96..128
-                               // x ≡ lo + mid*(2^32 - 1) - hi (mod P)
-    let mid_term = (mid << 32) - mid; // mid * (2^32-1) < 2^64: fits
-    let (mut r, carry) = lo.overflowing_add(mid_term);
-    if carry {
-        // Adding 2^64 ≡ 2^32 - 1.
-        r = r.wrapping_add(0xFFFF_FFFF);
-    }
-    // Subtract hi (hi < 2^32 <= P).
-    let (mut r2, borrow) = r.overflowing_sub(hi);
-    if borrow {
-        r2 = r2.wrapping_sub(0xFFFF_FFFF); // subtracting 2^64 ≡ subtract 2^32-1
-    }
-    if r2 >= P {
-        r2 -= P;
-    }
-    r2
+/// Every prime has `2^MAX_LOG | p − 1`, so radix-2 levels go up to `2^40`.
+const MAX_LOG: u32 = 40;
+
+/// One word prime and its precomputed constants.
+struct Prime {
+    p: u64,
+    /// `p^-1 mod 2^64`, for Montgomery reduction.
+    p_inv: u64,
+    /// `⌊2^126 / p⌋ − 2^64`, for Shoup quotients.
+    barrett: u64,
+    /// `roots[j]` is a primitive `2^j`-th root of unity.
+    roots: [u64; MAX_LOG as usize + 1],
 }
 
-#[inline]
-fn mul_mod(a: u64, b: u64) -> u64 {
-    reduce128(a as u128 * b as u128)
+const fn mul_mod_const(a: u64, b: u64, p: u64) -> u64 {
+    ((a as u128 * b as u128) % p as u128) as u64
 }
 
-#[inline]
-fn add_mod(a: u64, b: u64) -> u64 {
-    let (s, c) = a.overflowing_add(b);
-    let mut s = if c { s.wrapping_add(0xFFFF_FFFF) } else { s };
-    if s >= P {
-        s -= P;
-    }
-    s
-}
-
-#[inline]
-fn sub_mod(a: u64, b: u64) -> u64 {
-    let (d, borrow) = a.overflowing_sub(b);
-    if borrow {
-        d.wrapping_add(P)
-    } else {
-        d
-    }
-}
-
-fn pow_mod(mut base: u64, mut exp: u64) -> u64 {
-    let mut acc = 1u64;
+const fn pow_mod_const(mut base: u64, mut exp: u64, p: u64) -> u64 {
+    let mut acc = 1;
     while exp > 0 {
         if exp & 1 == 1 {
-            acc = mul_mod(acc, base);
+            acc = mul_mod_const(acc, base, p);
         }
-        base = mul_mod(base, base);
+        base = mul_mod_const(base, base, p);
         exp >>= 1;
     }
     acc
 }
 
-/// Primitive `n`-th root of unity (`n` a power of two dividing `2^32`),
-/// derived from the generator 7 of the Goldilocks multiplicative group.
-fn root_of_unity(n: u64) -> u64 {
-    debug_assert!(n.is_power_of_two() && n <= 1 << 32);
-    // ord(7) = P - 1 = 2^32 * (2^32 - 1).
-    pow_mod(7, (P - 1) / n)
+const fn inv_mod_const(a: u64, p: u64) -> u64 {
+    pow_mod_const(a % p, p - 2, p)
 }
 
-/// In-place iterative radix-2 Cooley-Tukey NTT. `values.len()` must be a
-/// power of two ≤ 2^32; `invert` runs the inverse transform (including the
-/// 1/n scaling).
-fn ntt(values: &mut [u64], invert: bool) {
-    let n = values.len();
-    debug_assert!(n.is_power_of_two());
-    // Bit-reversal permutation.
-    let mut j = 0usize;
-    for i in 1..n {
-        let mut bit = n >> 1;
-        while j & bit != 0 {
-            j ^= bit;
-            bit >>= 1;
+impl Prime {
+    const fn new(p: u64) -> Prime {
+        assert!(p < 1 << 62 && (p - 1).is_multiple_of(3 << MAX_LOG));
+        let mut p_inv = p; // correct to 3 bits for odd p
+        let mut i = 0;
+        while i < 5 {
+            p_inv = p_inv.wrapping_mul(2u64.wrapping_sub(p.wrapping_mul(p_inv)));
+            i += 1;
         }
-        j |= bit;
-        if i < j {
-            values.swap(i, j);
+        // The smallest quadratic non-residue generates the 2-Sylow subgroup.
+        let mut g = 2;
+        while pow_mod_const(g, (p - 1) / 2, p) != p - 1 {
+            g += 1;
+        }
+        let mut roots = [0; MAX_LOG as usize + 1];
+        roots[MAX_LOG as usize] = pow_mod_const(g, (p - 1) >> MAX_LOG, p);
+        let mut j = MAX_LOG as usize;
+        while j > 0 {
+            roots[j - 1] = mul_mod_const(roots[j], roots[j], p);
+            j -= 1;
+        }
+        Prime {
+            p,
+            p_inv,
+            barrett: ((1u128 << 126) / p as u128 - (1u128 << 64)) as u64,
+            roots,
         }
     }
-    let mut len = 2;
-    while len <= n {
-        let mut w_len = root_of_unity(len as u64);
-        if invert {
-            w_len = pow_mod(w_len, P - 2); // inverse root
+}
+
+// Ascending, so a value reduced modulo an earlier prime is below every
+// later one (the CRT bounds below rely on it).
+const P0: Prime = Prime::new(0x3fff_3900_0000_0001);
+const P1: Prime = Prime::new(0x3fff_4500_0000_0001);
+const P2: Prime = Prime::new(0x3fff_8100_0000_0001);
+const PRIMES: [&Prime; 3] = [&P0, &P1, &P2];
+
+/// Garner constants: `p0^-1 mod p1`, `(p0·p1)^-1 mod p2`,
+/// and `p0·p1` split into limbs.
+const INV_P0_MOD_P1: u64 = inv_mod_const(P0.p, P1.p);
+const INV_P0P1_MOD_P2: u64 = inv_mod_const(mul_mod_const(P0.p, P1.p, P2.p), P2.p);
+const P0P1: u128 = P0.p as u128 * P1.p as u128;
+
+/// `x mod m` for `x < 2m`, branch-free.
+#[inline(always)]
+fn reduce(x: u64, m: u64) -> u64 {
+    x.min(x.wrapping_sub(m))
+}
+
+/// Shoup quotient `⌊w·2^64 / p⌋` of a twiddle `w < p`.
+fn shoup_quotient(w: u64, pr: &Prime) -> u64 {
+    // (2^64 + barrett) ≤ 2^126/p, so the estimate is at most 2 short.
+    let q = ((w as u128 * ((1u128 << 64) + pr.barrett as u128)) >> 62) as u64;
+    let rem = ((w as u128) << 64) - q as u128 * pr.p as u128;
+    // rem < 3p < 2^64: two branch-free corrections.
+    let (rem, p) = (rem as u64, pr.p);
+    q + (rem >= p) as u64 + (rem >= 2 * p) as u64
+}
+
+/// `x·w mod p` in `[0, 2p)` for any `x < 2^64`, given `wq = ⌊w·2^64/p⌋`.
+#[inline(always)]
+fn mul_shoup(x: u64, w: u64, wq: u64, p: u64) -> u64 {
+    let q = ((x as u128 * wq as u128) >> 64) as u64;
+    x.wrapping_mul(w).wrapping_sub(q.wrapping_mul(p))
+}
+
+/// Montgomery reduction `x·2^-64 mod p`, in `(0, hi + p)` where
+/// `hi = x >> 64`.
+#[inline(always)]
+fn redc(x: u128, pr: &Prime) -> u64 {
+    let m = (x as u64).wrapping_mul(pr.p_inv);
+    let mh = ((m as u128 * pr.p as u128) >> 64) as u64;
+    ((x >> 64) as u64).wrapping_sub(mh).wrapping_add(pr.p)
+}
+
+#[inline(always)]
+fn wide(a: u64, b: u64) -> u128 {
+    a as u128 * b as u128
+}
+
+/// A transform length `leaf · 2^log`.
+#[derive(Clone, Copy)]
+struct Shape {
+    leaf: usize,
+    log: u32,
+}
+
+impl Shape {
+    /// The shortest transform holding `count` coefficients, if the primes'
+    /// roots reach it.
+    fn for_coefficients(count: usize) -> Option<Shape> {
+        let two = count.checked_next_power_of_two()?;
+        let three = count.div_ceil(3).next_power_of_two();
+        let (leaf, blocks) = if 3 * three < two {
+            (3, three)
+        } else {
+            (1, two)
+        };
+        let log = blocks.trailing_zeros();
+        (log <= MAX_LOG).then_some(Shape { leaf, log })
+    }
+
+    fn len(self) -> usize {
+        self.leaf << self.log
+    }
+}
+
+/// The `2^(log−1)` twiddle pairs `(w, ⌊w·2^64/p⌋)` in bit-reversed order:
+/// `tw[0] = 1` and `tw[2^d + j] = tw[j]·ω_(2^(d+2))`. Every level of the
+/// forward transform gives its block `j` the twiddle `tw[j]`, and the table
+/// of a shorter transform is a prefix of a longer one's.
+fn twiddles(pr: &Prime, log: u32, tw: &mut Vec<(u64, u64)>) {
+    tw.clear();
+    let count = (1usize << log) / 2;
+    if count == 0 {
+        return;
+    }
+    tw.reserve(count);
+    tw.push((1, shoup_quotient(1, pr)));
+    let mut step = 2;
+    while tw.len() < count {
+        let w = pr.roots.get(step).copied().unwrap_or(1);
+        let wq = shoup_quotient(w, pr);
+        for j in 0..tw.len() {
+            let v = reduce(mul_shoup(tw[j].0, w, wq, pr.p), pr.p);
+            tw.push((v, shoup_quotient(v, pr)));
         }
-        for start in (0..n).step_by(len) {
-            let mut w = 1u64;
-            for k in 0..len / 2 {
-                let u = values[start + k];
-                let v = mul_mod(values[start + k + len / 2], w);
-                values[start + k] = add_mod(u, v);
-                values[start + k + len / 2] = sub_mod(u, v);
-                w = mul_mod(w, w_len);
+        step += 1;
+    }
+}
+
+/// The twiddle `-w`: `(p − w, ⌊(p − w)·2^64/p⌋ = !wq)` for `w ≠ 0`.
+#[inline(always)]
+fn negate((w, wq): (u64, u64), p: u64) -> (u64, u64) {
+    (p - w, !wq)
+}
+
+/// Turn a forward table into the inverse one in place: `tw[0] = 1` stays,
+/// and within each octave `2^e ≤ j < 2^(e+1)` the inverse of `tw[j]` is
+/// `−tw[3·2^e − 1 − j]`, so an octave reverses and negates.
+fn invert_twiddles(tw: &mut [(u64, u64)], p: u64) {
+    let mut start = 1;
+    while let Some(octave) = tw.get_mut(start..2 * start) {
+        octave.reverse();
+        octave.iter_mut().for_each(|t| *t = negate(*t, p));
+        start *= 2;
+    }
+}
+
+/// Cooley–Tukey butterfly `(x + w·y, x − w·y)`: inputs and outputs in
+/// `[0, 4p)`.
+#[inline(always)]
+fn ct(x: u64, y: u64, (w, wq): (u64, u64), p: u64) -> (u64, u64) {
+    let u = reduce(x, 2 * p);
+    let t = mul_shoup(y, w, wq, p);
+    (u + t, u + 2 * p - t)
+}
+
+/// Gentleman–Sande butterfly `(x + y, (x − y)·w)`: inputs and outputs in
+/// `[0, 2p)`.
+#[inline(always)]
+fn gs(x: u64, y: u64, (w, wq): (u64, u64), p: u64) -> (u64, u64) {
+    (reduce(x + y, 2 * p), mul_shoup(x + 2 * p - y, w, wq, p))
+}
+
+/// Two forward levels on the quarters `[a, b, c, d]` of a block whose
+/// twiddle is `w` and whose halves' twiddles are `w0`, `w1`.
+#[inline(always)]
+fn ct_quad([a, b, c, d]: [u64; 4], w: (u64, u64), [w0, w1]: [(u64, u64); 2], p: u64) -> [u64; 4] {
+    let (a, c) = ct(a, c, w, p);
+    let (b, d) = ct(b, d, w, p);
+    let (a, b) = ct(a, b, w0, p);
+    let (c, d) = ct(c, d, w1, p);
+    [a, b, c, d]
+}
+
+/// The inverse of [`ct_quad`] up to a factor 4, given inverse twiddles.
+#[inline(always)]
+fn gs_quad([a, b, c, d]: [u64; 4], w: (u64, u64), [w0, w1]: [(u64, u64); 2], p: u64) -> [u64; 4] {
+    let (a, b) = gs(a, b, w0, p);
+    let (c, d) = gs(c, d, w1, p);
+    let (a, c) = gs(a, c, w, p);
+    let (b, d) = gs(b, d, w, p);
+    [a, b, c, d]
+}
+
+/// Run `quad` over every block of `size` points: block `j` takes the
+/// twiddle `tw[j]` and its halves `tw[2j]`, `tw[2j + 1]`.
+#[inline(always)]
+fn quad_pass(
+    buf: &mut [u64],
+    size: usize,
+    tw: &[(u64, u64)],
+    quad: impl Fn([u64; 4], (u64, u64), [(u64, u64); 2]) -> [u64; 4],
+) {
+    let pairs = tw.as_chunks::<2>().0;
+    if size == 4 {
+        let (quads, _) = buf.as_chunks_mut::<4>();
+        for ((q, &w), &halves) in quads.iter_mut().zip(tw).zip(pairs) {
+            *q = quad(*q, w, halves);
+        }
+        return;
+    }
+    let quarter = size / 4;
+    for ((block, &w), &halves) in buf.chunks_exact_mut(size).zip(tw).zip(pairs) {
+        let (q0, rest) = block.split_at_mut(quarter);
+        let (q1, rest) = rest.split_at_mut(quarter);
+        let (q2, q3) = rest.split_at_mut(quarter);
+        for (((a, b), c), d) in q0.iter_mut().zip(q1).zip(q2).zip(q3) {
+            [*a, *b, *c, *d] = quad([*a, *b, *c, *d], w, halves);
+        }
+    }
+}
+
+/// Run `pair` over the halves of every block of `size` points, block `j`
+/// taking the twiddle `tw[j]`.
+#[inline(always)]
+fn pair_pass(
+    buf: &mut [u64],
+    size: usize,
+    tw: &[(u64, u64)],
+    pair: impl Fn(u64, u64, (u64, u64)) -> (u64, u64),
+) {
+    for (block, &w) in buf.chunks_exact_mut(size).zip(tw) {
+        let (lo, hi) = block.split_at_mut(size / 2);
+        for (x, y) in lo.iter_mut().zip(hi) {
+            (*x, *y) = pair(*x, *y, w);
+        }
+    }
+}
+
+/// Load `limbs` zero-padded to `shape.len()` points, each multiplied by
+/// `scale` when given, and run the forward transform: natural order in,
+/// bit-reversed blocks of `leaf` out, values in `[0, 4p)`.
+fn forward(
+    buf: &mut Vec<u64>,
+    limbs: &[u64],
+    shape: Shape,
+    tw: &[(u64, u64)],
+    scale: Option<(u64, u64)>,
+    pr: &Prime,
+) {
+    let p = pr.p;
+    buf.clear();
+    match scale {
+        Some((s, sq)) => buf.extend(limbs.iter().map(|&x| mul_shoup(x, s, sq, p))),
+        // A limb below 2^64 < 6p lands in [0, 4p) after one subtraction of 2p.
+        None => buf.extend(limbs.iter().map(|&x| reduce(x, 2 * p))),
+    }
+    buf.resize(shape.len(), 0);
+    let mut size = buf.len();
+    while size >= 4 * shape.leaf {
+        quad_pass(buf, size, tw, |x, w, halves| ct_quad(x, w, halves, p));
+        size /= 4;
+    }
+    if size > shape.leaf {
+        pair_pass(buf, size, tw, |x, y, w| ct(x, y, w, p));
+    }
+}
+
+/// Inverse transform without the `2^-log` normalization, given the
+/// inverted table: bit-reversed blocks in `[0, 2p)`, natural order out,
+/// values in `[0, 2p)`.
+fn inverse(buf: &mut [u64], shape: Shape, itw: &[(u64, u64)], pr: &Prime) {
+    let p = pr.p;
+    // `done`: the block size whose levels are already undone.
+    let mut done = shape.leaf;
+    if shape.log % 2 == 1 {
+        done *= 2;
+        pair_pass(buf, done, itw, |x, y, w| gs(x, y, w, p));
+    }
+    while done < buf.len() {
+        done *= 4;
+        quad_pass(buf, done, itw, |x, w, halves| gs_quad(x, w, halves, p));
+    }
+}
+
+/// `x·y mod (t^3 − ζ)` for two leaf blocks, inputs in `[0, 4p)`, outputs
+/// in `[0, 2p)` carrying the Montgomery factor `2^-64`.
+#[inline(always)]
+fn leaf3(x: [u64; 3], y: [u64; 3], (z, zq): (u64, u64), pr: &Prime) -> [u64; 3] {
+    let (p, two_p) = (pr.p, 2 * pr.p);
+    let [x0, x1, x2] = x.map(|v| reduce(v, two_p));
+    let [y0, y1, y2] = y.map(|v| reduce(v, two_p));
+    // Each product is below 4p², so a sum of k of them reduces to
+    // (0, (k + 1)·p).
+    let wrap0 = reduce(redc(wide(x1, y2) + wide(x2, y1), pr), two_p);
+    let wrap1 = redc(wide(x2, y2), pr);
+    let c0 = redc(wide(x0, y0), pr) + mul_shoup(wrap0, z, zq, p);
+    let c1 = reduce(redc(wide(x0, y1) + wide(x1, y0), pr), two_p) + mul_shoup(wrap1, z, zq, p);
+    let c2 = redc(wide(x0, y2) + wide(x1, y1) + wide(x2, y0), pr);
+    [c0, c1, c2].map(|c| reduce(c, two_p))
+}
+
+/// The other factor of a pointwise product.
+#[derive(Clone, Copy)]
+enum Factor<'a> {
+    /// Another forward transform.
+    Transform(&'a [u64]),
+    /// The same transform, multiplied by this scale on the way.
+    Square((u64, u64)),
+}
+
+/// Pointwise products of two forward transforms into `buf`, inputs in
+/// `[0, 4p)`, outputs in `[0, 2p)`. Uses the forward table.
+fn pointwise(buf: &mut [u64], other: Factor<'_>, shape: Shape, tw: &[(u64, u64)], pr: &Prime) {
+    let (p, two_p) = (pr.p, 2 * pr.p);
+    let scaled = |x: u64, (s, sq): (u64, u64)| mul_shoup(x, s, sq, p);
+    if shape.leaf == 1 {
+        let product = |x: u64, y: u64| redc(wide(reduce(x, two_p), reduce(y, two_p)), pr);
+        match other {
+            Factor::Transform(ys) => buf
+                .iter_mut()
+                .zip(ys)
+                .for_each(|(x, &y)| *x = product(*x, y)),
+            Factor::Square(s) => buf.iter_mut().for_each(|x| *x = product(*x, scaled(*x, s))),
+        }
+        return;
+    }
+    // Leaf block j reduces modulo t^3 − ζ_j with ζ_(2i) = tw[i] and
+    // ζ_(2i+1) = −tw[i]; a transform without radix-2 levels has ζ = 1.
+    let untransformed = (shape.log == 0).then(|| (1, shoup_quotient(1, pr)));
+    let zetas = untransformed
+        .into_iter()
+        .chain(tw.iter().flat_map(|&t| [t, negate(t, p)]));
+    let (xs, _) = buf.as_chunks_mut::<3>();
+    match other {
+        Factor::Transform(ys) => {
+            let (ys, _) = ys.as_chunks::<3>();
+            for ((x, y), z) in xs.iter_mut().zip(ys).zip(zetas) {
+                *x = leaf3(*x, *y, z, pr);
             }
         }
-        len <<= 1;
-    }
-    if invert {
-        let n_inv = pow_mod(n as u64, P - 2);
-        for v in values.iter_mut() {
-            *v = mul_mod(*v, n_inv);
+        Factor::Square(s) => {
+            for (x, z) in xs.iter_mut().zip(zetas) {
+                *x = leaf3(*x, x.map(|v| scaled(v, s)), z, pr);
+            }
         }
     }
 }
 
-/// Split a Natural into little-endian 16-bit digits.
-fn to_digits(n: &Natural) -> Vec<u64> {
-    let mut digits = Vec::with_capacity(n.limb_len() * 4);
-    for &limb in n.limbs() {
-        digits.push(limb & 0xFFFF);
-        digits.push((limb >> 16) & 0xFFFF);
-        digits.push((limb >> 32) & 0xFFFF);
-        digits.push((limb >> 48) & 0xFFFF);
-    }
-    digits
+/// The right-hand operand of one transform multiply.
+enum Rhs<'a> {
+    /// Square the left operand.
+    Same,
+    /// Transform these limbs.
+    Limbs(&'a [u64]),
+    /// Use these forward transforms, one per prime.
+    Prepared(&'a Prepared),
 }
 
-/// Rebuild a Natural from 16-bit-digit convolution coefficients
-/// (each < 2^58), propagating carries in 128-bit arithmetic.
-fn from_coefficients(coeffs: &[u64]) -> Natural {
-    let mut limbs = vec![0u64; coeffs.len() / 4 + 2];
-    let mut carry: u128 = 0;
-    for (i, chunk) in coeffs.chunks(4).enumerate() {
-        // Assemble one 64-bit limb from four 16-bit positions plus carry.
-        let mut acc: u128 = carry;
-        for (k, &c) in chunk.iter().enumerate() {
-            acc += (c as u128) << (16 * k);
+/// `out = a · rhs` over `shape`, which must hold the `a.len() + b_len − 1`
+/// coefficients. `a` and the right operand are trimmed and nonempty.
+fn multiply(a: &[u64], rhs: Rhs<'_>, b_len: usize, shape: Shape, out: &mut Vec<u64>) {
+    let count = a.len() + b_len - 1;
+    debug_assert!(count <= shape.len());
+    out.clear();
+    out.resize(count + 1, 0);
+    let mut buf = Vec::with_capacity(shape.len());
+    let mut other = Vec::new();
+    let mut saved = Vec::with_capacity(count);
+    let mut tw = Vec::new();
+    for (i, (pr, scale)) in PRIMES.into_iter().zip(scales(shape.log)).enumerate() {
+        twiddles(pr, shape.log, &mut tw);
+        let factor = match rhs {
+            Rhs::Same => {
+                forward(&mut buf, a, shape, &tw, None, pr);
+                Factor::Square(scale)
+            }
+            Rhs::Limbs(b) => {
+                forward(&mut buf, a, shape, &tw, Some(scale), pr);
+                forward(&mut other, b, shape, &tw, None, pr);
+                Factor::Transform(&other)
+            }
+            Rhs::Prepared(prepared) => {
+                forward(&mut buf, a, shape, &tw, Some(scale), pr);
+                let len = shape.len();
+                Factor::Transform(
+                    prepared
+                        .transforms
+                        .get(i * len..(i + 1) * len)
+                        .unwrap_or_default(),
+                )
+            }
+        };
+        pointwise(&mut buf, factor, shape, &tw, pr);
+        invert_twiddles(&mut tw, pr.p);
+        inverse(&mut buf, shape, &tw, pr);
+        buf.truncate(count);
+        match i {
+            0 => out.iter_mut().zip(&buf).for_each(|(o, &r)| *o = r),
+            1 => saved.extend_from_slice(&buf),
+            _ => {}
         }
-        limbs[i] = acc as u64;
-        carry = acc >> 64;
     }
-    let tail = coeffs.chunks(4).count();
-    let mut i = tail;
-    while carry > 0 {
-        limbs[i] = carry as u64;
-        carry >>= 64;
-        i += 1;
-    }
-    Natural::from_limbs(limbs)
+    garner(out, &saved, &buf);
 }
 
-/// NTT multiplication. Exposed for the ablation bench; the dispatcher in
-/// `crate::mul` calls it automatically above [`NTT_THRESHOLD`].
-///
-/// # Panics
-/// Panics if the required transform size exceeds `2^32` (operands beyond
-/// ~8 GiB) — far past anything this workspace constructs.
+/// Per-prime scales with Shoup quotients: `2^64 · 2^-log` undoes the
+/// pointwise Montgomery factor and the inverse's missing `2^-log`, times
+/// the Garner constant `1`, `p0^-1` or `(p0·p1)^-1` of the prime.
+fn scales(log: u32) -> [(u64, u64); 3] {
+    [(&P0, 1), (&P1, INV_P0_MOD_P1), (&P2, INV_P0P1_MOD_P2)].map(|(pr, garner)| {
+        let p = pr.p;
+        let montgomery = ((1u128 << 64) % p as u128) as u64;
+        let halves = pow_mod_const(p.div_ceil(2), log as u64, p);
+        let s = mul_mod_const(mul_mod_const(montgomery, halves, p), garner, p);
+        (s, shoup_quotient(s, pr))
+    })
+}
+
+/// Recombine the residues of each coefficient (`out[i]` for `p0`, `r1[i]`
+/// for `p1`, `r2[i]` for `p2`, in `[0, 2p)` and scaled by [`scales`]) and
+/// propagate carries, writing the product limbs over `out`.
+fn garner(out: &mut [u64], r1: &[u64], r2: &[u64]) {
+    let shoup = |w: u64, pr: &Prime| (w, shoup_quotient(w, pr));
+    let (inv01, inv012) = (shoup(INV_P0_MOD_P1, &P1), shoup(INV_P0P1_MOD_P2, &P2));
+    let p0_inv012 = shoup(mul_mod_const(P0.p, INV_P0P1_MOD_P2, P2.p), &P2);
+    let mul = |x: u64, (w, wq): (u64, u64), p: u64| reduce(mul_shoup(x, w, wq, p), p);
+    let (p0p1_lo, p0p1_hi) = (P0P1 as u64, (P0P1 >> 64) as u64);
+    // Pending limbs of the running sum at positions i, i + 1, i + 2; the
+    // sum never needs a fourth, as coefficients stay below 2^186.
+    let (mut c0, mut c1, mut c2) = (0u64, 0u64, 0u64);
+    let (head, last) = out.split_at_mut(out.len() - 1);
+    for (o, (&y1, &y2)) in head.iter_mut().zip(r1.iter().zip(r2)) {
+        // x0 = c mod p0; y1 = c·p0^-1 mod p1; y2 = c·(p0·p1)^-1 mod p2.
+        let x0 = reduce(*o, P0.p);
+        // v1 = (c − x0)·p0^-1 mod p1, in [0, p1).
+        let v1 = reduce(y1, P1.p) + P1.p - mul(x0, inv01, P1.p);
+        let v1 = reduce(v1, P1.p);
+        // v2 = (c − x0 − v1·p0)·(p0·p1)^-1 mod p2, in [0, p2).
+        let v2 = reduce(y2, P2.p) + 2 * P2.p - mul(x0, inv012, P2.p) - mul(v1, p0_inv012, P2.p);
+        let v2 = reduce(reduce(v2, 2 * P2.p), P2.p);
+        // c = x0 + v1·p0 + v2·p0·p1 < p0·p1·p2, as three limbs.
+        let t = wide(v2, p0p1_lo) + wide(v1, P0.p) + x0 as u128;
+        let u = (t >> 64) + wide(v2, p0p1_hi);
+        let s = c0 as u128 + t as u64 as u128;
+        *o = s as u64;
+        let s = (s >> 64) + c1 as u128 + u as u64 as u128;
+        c0 = s as u64;
+        let s = (s >> 64) + c2 as u128 + (u >> 64);
+        c1 = s as u64;
+        c2 = (s >> 64) as u64;
+    }
+    if let Some(o) = last.first_mut() {
+        *o = c0;
+    }
+    debug_assert_eq!((c1, c2), (0, 0), "product overflowed its limbs");
+}
+
+/// A fixed operand's forward transforms, for multiplying it by many
+/// others: each multiply then runs two transforms per prime, not three.
+pub(crate) struct Prepared {
+    limbs: usize,
+    max_other: usize,
+    shape: Shape,
+    transforms: Vec<u64>,
+}
+
+impl Prepared {
+    /// Transform `b` for multiplies by operands of up to `max_other` limbs.
+    /// `None` when `b` is zero or the product is beyond the transform.
+    pub(crate) fn new(b: &[u64], max_other: usize) -> Option<Prepared> {
+        let b = crate::mul::trim(b);
+        if b.is_empty() || max_other == 0 {
+            return None;
+        }
+        let shape = Shape::for_coefficients(b.len() + max_other - 1)?;
+        let mut transforms = Vec::with_capacity(3 * shape.len());
+        let (mut buf, mut tw) = (Vec::new(), Vec::new());
+        for pr in PRIMES {
+            twiddles(pr, shape.log, &mut tw);
+            forward(&mut buf, b, shape, &tw, None, pr);
+            transforms.extend_from_slice(&buf);
+        }
+        Some(Prepared {
+            limbs: b.len(),
+            max_other,
+            shape,
+            transforms,
+        })
+    }
+
+    /// `a · b`, or `None` when `a` is longer than the operands `b` was
+    /// prepared for.
+    pub(crate) fn mul(&self, a: &Natural) -> Option<Natural> {
+        if a.limb_len() > self.max_other {
+            return None;
+        }
+        if a.is_zero() {
+            return Some(Natural::zero());
+        }
+        let mut out = crate::arena::take(a.limb_len() + self.limbs);
+        multiply(
+            a.limbs(),
+            Rhs::Prepared(self),
+            self.limbs,
+            self.shape,
+            &mut out,
+        );
+        Some(Natural::from_limbs(out))
+    }
+}
+
+/// `out = a · b` by transform; `a` and `b` trimmed and nonempty. Equal
+/// operands are squared. Returns `false`, leaving `out` alone, when the
+/// product is longer than the primes' roots reach.
+pub(crate) fn mul_into(a: &[u64], b: &[u64], out: &mut Vec<u64>) -> bool {
+    let Some(shape) = Shape::for_coefficients(a.len() + b.len() - 1) else {
+        return false;
+    };
+    let rhs = if a == b { Rhs::Same } else { Rhs::Limbs(b) };
+    multiply(a, rhs, b.len(), shape, out);
+    true
+}
+
+/// NTT multiplication regardless of size. Exposed for the ablation bench
+/// and the benchmark ladder; the dispatcher in `crate::mul` calls it
+/// automatically from [`NTT_THRESHOLD`] limbs.
 pub fn mul_ntt(a: &Natural, b: &Natural) -> Natural {
     if a.is_zero() || b.is_zero() {
         return Natural::zero();
     }
-    let da = to_digits(a);
-    let db = to_digits(b);
-    let result_len = da.len() + db.len();
-    let n = result_len.next_power_of_two();
-    assert!(
-        n as u64 <= 1 << 32,
-        "operand too large for single-prime NTT"
-    );
-    let mut fa = da;
-    fa.resize(n, 0);
-    let mut fb = db;
-    fb.resize(n, 0);
-    ntt(&mut fa, false);
-    ntt(&mut fb, false);
-    for (x, y) in fa.iter_mut().zip(fb.iter()) {
-        *x = mul_mod(*x, *y);
+    let mut out = crate::arena::take(a.limb_len() + b.limb_len());
+    if mul_into(a.limbs(), b.limbs(), &mut out) {
+        Natural::from_limbs(out)
+    } else {
+        crate::arena::put(out);
+        a.mul_toom3(b)
     }
-    ntt(&mut fa, true);
-    from_coefficients(&fa)
 }
 
 #[cfg(test)]
@@ -222,58 +625,109 @@ mod tests {
     }
 
     #[test]
-    fn reduce128_matches_u128_remainder() {
-        for x in [
-            0u128,
-            1,
-            P as u128,
-            P as u128 + 1,
-            u64::MAX as u128,
-            u128::MAX,
-            (P as u128) * (P as u128) - 1,
-            0xdead_beef_cafe_f00d_1234_5678_9abc_def0,
-        ] {
-            assert_eq!(reduce128(x) as u128, x % P as u128, "x={x:#x}");
+    fn primes_are_prime_and_cover_every_coefficient() {
+        for pr in PRIMES {
+            assert!(crate::is_prime_u64(pr.p), "{:#x}", pr.p);
+            assert_eq!(pr.p.wrapping_mul(pr.p_inv), 1);
         }
+        let product = P0P1 as f64 * P2.p as f64;
+        assert!(product > 2f64.powi(185), "CRT range too small");
     }
 
     #[test]
+    fn roots_have_exact_order() {
+        for pr in PRIMES {
+            for log in [1u32, 2, 13, MAX_LOG] {
+                let w = pr.roots[log as usize];
+                assert_eq!(pow_mod_const(w, 1 << log, pr.p), 1, "w^(2^{log})");
+                assert_ne!(pow_mod_const(w, 1 << (log - 1), pr.p), 1, "2^{log}");
+            }
+        }
+    }
+
+    /// Montgomery reduction of 128-bit products against `u128` remainders.
+    #[test]
+    fn reduce128_matches_u128_remainder() {
+        for pr in PRIMES {
+            let p = pr.p as u128;
+            let r_inv = inv_mod_const(((1u128 << 64) % p) as u64, pr.p) as u128;
+            for (a, b) in [(2 * pr.p - 1, 2 * pr.p - 1), (1, 1), (pr.p, 7), (0, 9)] {
+                let r = redc(wide(a, b), pr);
+                assert!(r < 2 * pr.p);
+                assert_eq!(r as u128 % p, a as u128 * b as u128 % p * r_inv % p);
+            }
+        }
+    }
+
+    /// Shoup quotients and multiplies against `u128` arithmetic.
+    #[test]
     fn modular_ops_match_u128() {
-        for a in [0u64, 1, P - 1, 0x1234_5678_9abc_def0] {
-            for b in [0u64, 1, P - 1, 0xfeed_face_dead_beef % P] {
-                assert_eq!(add_mod(a, b) as u128, (a as u128 + b as u128) % P as u128);
-                assert_eq!(
-                    sub_mod(a, b) as u128,
-                    (a as u128 + P as u128 - b as u128) % P as u128
-                );
-                assert_eq!(mul_mod(a, b) as u128, (a as u128 * b as u128) % P as u128);
+        for pr in PRIMES {
+            let p = pr.p as u128;
+            for w in [1, 2, pr.p - 1, pr.p / 2, pr.roots[20], 0x1234_5678_9abc] {
+                let exact = (((w as u128) << 64) / p) as u64;
+                assert_eq!(shoup_quotient(w, pr), exact, "w={w:#x}");
+                assert_eq!(negate((w, exact), pr.p).1, shoup_quotient(pr.p - w, pr));
+                for x in [u64::MAX, 0, 4 * pr.p - 1, 12345] {
+                    let r = mul_shoup(x, w, exact, pr.p);
+                    assert!(r < 2 * pr.p);
+                    assert_eq!(r as u128 % p, x as u128 * w as u128 % p);
+                }
+            }
+        }
+    }
+
+    /// Forward then inverse gives back `2^log` times the input, at every
+    /// shape of both leaf sizes.
+    #[test]
+    fn ntt_round_trips() {
+        for pr in PRIMES {
+            for (leaf, log) in (0..7).flat_map(|log| [(1, log), (3, log)]) {
+                let shape = Shape { leaf, log };
+                let values: Vec<u64> = (0..shape.len() as u64).map(|i| i * i + 7).collect();
+                let (mut tw, mut buf) = (Vec::new(), Vec::new());
+                twiddles(pr, log, &mut tw);
+                forward(&mut buf, &values, shape, &tw, None, pr);
+                buf.iter_mut().for_each(|x| *x %= pr.p);
+                invert_twiddles(&mut tw, pr.p);
+                inverse(&mut buf, shape, &tw, pr);
+                let back: Vec<u64> = buf.iter().map(|x| x % pr.p).collect();
+                let expect: Vec<u64> = values.iter().map(|x| (x << log) % pr.p).collect();
+                assert_eq!(back, expect, "leaf={leaf} log={log}");
             }
         }
     }
 
     #[test]
-    fn roots_have_exact_order() {
-        for log_n in [1u32, 2, 8, 16] {
-            let n = 1u64 << log_n;
-            let w = root_of_unity(n);
-            assert_eq!(pow_mod(w, n), 1, "w^n must be 1 (n=2^{log_n})");
-            assert_ne!(pow_mod(w, n / 2), 1, "w must be primitive (n=2^{log_n})");
+    fn shapes_are_the_shortest_admissible() {
+        let shape = |count| Shape::for_coefficients(count).map(Shape::len);
+        assert_eq!(shape(1), Some(1));
+        assert_eq!(shape(2), Some(2));
+        assert_eq!(shape(3), Some(3));
+        assert_eq!(shape(5), Some(6));
+        assert_eq!(shape(7), Some(8));
+        assert_eq!(shape(4097), Some(6144));
+        assert_eq!(shape(6145), Some(8192));
+        assert_eq!(shape(3 << 40), Some(3 << 40));
+        assert_eq!(shape((3 << 40) + 1), None);
+    }
+
+    #[test]
+    fn twiddle_tables_nest() {
+        let (mut short, mut long) = (Vec::new(), Vec::new());
+        twiddles(&P1, 5, &mut short);
+        twiddles(&P1, 9, &mut long);
+        assert_eq!(short.len(), 16);
+        assert_eq!(long[..16], short[..]);
+        // tw[2j]² = tw[j] along the bit-reversed order.
+        for j in 1..long.len() / 2 {
+            assert_eq!(mul_mod_const(long[2 * j].0, long[2 * j].0, P1.p), long[j].0);
         }
     }
 
     #[test]
-    fn ntt_round_trips() {
-        let mut values: Vec<u64> = (0..64u64).map(|i| i * i + 7).collect();
-        let original = values.clone();
-        ntt(&mut values, false);
-        assert_ne!(values, original);
-        ntt(&mut values, true);
-        assert_eq!(values, original);
-    }
-
-    #[test]
     fn small_products_match_schoolbook() {
-        for (la, lb, seed) in [(1, 1, 1), (2, 3, 2), (8, 8, 3), (20, 5, 4)] {
+        for (la, lb, seed) in [(1, 1, 1), (2, 3, 2), (8, 8, 3), (20, 5, 4), (3, 3, 5)] {
             let a = pseudo(la, seed);
             let b = pseudo(lb, seed + 50);
             assert_eq!(mul_ntt(&a, &b), a.mul_schoolbook(&b), "la={la} lb={lb}");
@@ -298,7 +752,22 @@ mod tests {
 
     #[test]
     fn square_via_ntt() {
-        let a = pseudo(600, 6);
-        assert_eq!(mul_ntt(&a, &a), a.square());
+        for len in [600, 683] {
+            let a = pseudo(len, 6);
+            assert_eq!(mul_ntt(&a, &a), a.mul_schoolbook(&a), "len={len}");
+        }
+    }
+
+    #[test]
+    fn prepared_operand_matches_schoolbook() {
+        let b = pseudo(300, 7);
+        let prepared = Prepared::new(b.limbs(), 300).expect("in range");
+        for (len, seed) in [(300, 1), (299, 2), (1, 3), (150, 4)] {
+            let a = pseudo(len, seed);
+            assert_eq!(prepared.mul(&a), Some(a.mul_schoolbook(&b)), "len={len}");
+        }
+        assert_eq!(prepared.mul(&Natural::zero()), Some(Natural::zero()));
+        assert_eq!(prepared.mul(&pseudo(301, 5)), None);
+        assert!(Prepared::new(&[0, 0], 10).is_none());
     }
 }

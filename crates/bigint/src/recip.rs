@@ -631,8 +631,9 @@ mod tests {
             (20, 10, 2),
             (64, 32, 3),
             (100, 60, 4),
-            (120, 49, 5), // divisor just above BZ_THRESHOLD
+            (120, 49, 5),
             (200, 100, 6),
+            (300, 129, 7), // divisor just above BZ_THRESHOLD
         ] {
             let x = pseudo(xl, seed);
             let n = pseudo(nl, seed + 50);

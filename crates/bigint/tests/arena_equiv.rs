@@ -3,8 +3,8 @@
 //!
 //! The `*_into` variants and the thread-arena buffer pool behind them
 //! (`wk_bigint::arena`) must be *invisible*: for every operand shape —
-//! including sizes straddling the Karatsuba (64-limb) and Toom-3
-//! (352-limb) dispatch thresholds — the results must be byte-identical to
+//! including sizes straddling the Karatsuba (64-limb), NTT (320-limb) and
+//! Toom-3 (352-limb) thresholds — the results must be byte-identical to
 //! the plain operators, even when the arena has been deliberately warmed
 //! with dirty buffers full of stale limbs.
 
@@ -113,13 +113,14 @@ proptest! {
 }
 
 /// The multiply dispatch thresholds, crossed limb-by-limb: schoolbook /
-/// Karatsuba at 63..=65 limbs, Karatsuba / Toom-3 at 351..=353. The split
-/// paths share arena scratch; an off-by-one in a split is a value error
-/// here long before any bench notices.
+/// Karatsuba at 63..=65 limbs, Karatsuba / NTT around `NTT_THRESHOLD`, and
+/// Toom-3's 351..=353. The split paths share arena scratch; an off-by-one
+/// in a split is a value error here long before any bench notices.
 #[test]
 fn mul_into_across_dispatch_thresholds() {
     dirty_arena();
-    for &limbs in &[63usize, 64, 65, 351, 352, 353] {
+    let ntt = wk_bigint::NTT_THRESHOLD;
+    for &limbs in &[63usize, 64, 65, ntt - 1, ntt, ntt + 1, 351, 352, 353] {
         let a = pseudo(limbs, limbs as u64);
         let b = pseudo(limbs, limbs as u64 + 1);
         let mut out = Natural::from_limbs(arena::take(1));

@@ -16,8 +16,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// NTT multiplication agrees with the dispatched algorithms at every
-    /// size (the dispatcher itself only uses NTT above 2048 limbs, so this
-    /// cross-checks the independent code path).
+    /// size (the dispatcher itself only uses NTT from `NTT_THRESHOLD`
+    /// limbs, so this cross-checks the independent code path).
     #[test]
     fn ntt_matches_dispatched(a in natural(80), b in natural(80)) {
         prop_assert_eq!(wk_bigint::mul_ntt(&a, &b), &a * &b);
@@ -61,7 +61,7 @@ proptest! {
     }
 
     /// The dispatched product crosses the NTT threshold consistently:
-    /// build operands just below/above 2048 limbs deterministically from a
+    /// build operands of 2100 limbs deterministically from a
     /// seed and compare against schoolbook on a truncated check — instead,
     /// verify the ring identity (a+1)*b == a*b + b at large sizes, which
     /// any dispatch inconsistency would break.

@@ -102,10 +102,16 @@ proptest! {
         prop_assert_eq!(&(&q * &b) + &r, a);
     }
 
-    // Forces the Burnikel-Ziegler path (divisor > 48 limbs).
+    // Forces the Burnikel-Ziegler path: divisors of BZ_THRESHOLD + 13 to
+    // 2·BZ_THRESHOLD + 64 limbs, with random top limbs and shifts and even
+    // recursion sizes, against dividends spanning several blocks.
     #[test]
-    fn division_identity_bz(a in natural(200), b in nonzero_natural(120)) {
-        let b = &b + &(&Natural::one() << (64 * 60)); // ensure > threshold limbs
+    fn division_identity_bz(
+        a in natural(800),
+        b in nonzero_natural(2 * wk_bigint::BZ_THRESHOLD + 64),
+    ) {
+        let bits = 64 * (wk_bigint::BZ_THRESHOLD as u64 + 12);
+        let b = &b + &(&Natural::one() << bits); // ensure > threshold limbs
         let (q, r) = a.div_rem(&b);
         prop_assert!(r < b);
         prop_assert_eq!(&(&q * &b) + &r, a);
