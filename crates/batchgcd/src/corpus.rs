@@ -42,6 +42,7 @@
 //! ```
 
 use crate::classic::{leaf_gcd, BatchGcdResult, BatchStats};
+use crate::durable::{self, Frame, FrameError, FrameHeader, FRAME_HEADER_LEN};
 use crate::pool::WorkerPool;
 use crate::resolve::resolve_with_hits;
 use crate::tree::ProductTree;
@@ -58,26 +59,19 @@ pub const SHARD_MAGIC: [u8; 8] = *b"WKSHARD1";
 /// On-disk format version this build reads and writes.
 pub const SHARD_FORMAT_VERSION: u32 = 1;
 
-/// Size of the fixed shard header in bytes (see DESIGN.md §7 for the
-/// field-by-field layout).
-pub const SHARD_HEADER_LEN: usize = 36;
+/// Size of the fixed shard header in bytes: the shared framed header
+/// (DESIGN.md §8.2), with the shard index as its id.
+pub const SHARD_HEADER_LEN: usize = FRAME_HEADER_LEN;
+
+/// The shard format's frame: [`SHARD_MAGIC`] at [`SHARD_FORMAT_VERSION`].
+const SHARD_FRAME: Frame = Frame {
+    magic: SHARD_MAGIC,
+    version: SHARD_FORMAT_VERSION,
+};
 
 /// File name of shard `index` inside a store directory.
 fn shard_file_name(index: u32) -> String {
     format!("shard-{index:06}.wks")
-}
-
-/// Fsync a directory, making previously renamed/created entries durable.
-///
-/// `File::sync_all` on a freshly written file persists its *contents*, but
-/// the directory entry created by the `rename` that published it lives in
-/// the directory's own metadata — on a power loss the file can simply not
-/// be there after reboot unless the directory is fsynced too. Every
-/// tmp-write/rename commit in this workspace (shard files, tree-cache
-/// sections, the service watermark) follows the rename with a call to this
-/// function; DESIGN.md §8.2 states the resulting guarantee.
-pub fn fsync_dir(dir: &Path) -> io::Result<()> {
-    File::open(dir)?.sync_all()
 }
 
 /// A unique scratch directory under the system temp dir (no external
@@ -394,66 +388,33 @@ impl ShardMeta {
         (SHARD_HEADER_LEN as u64).saturating_add(self.payload_len)
     }
 
-    fn to_header_bytes(self) -> [u8; SHARD_HEADER_LEN] {
-        let mut h = [0u8; SHARD_HEADER_LEN];
-        h[0..8].copy_from_slice(&SHARD_MAGIC);
-        h[8..12].copy_from_slice(&SHARD_FORMAT_VERSION.to_le_bytes());
-        h[12..16].copy_from_slice(&self.index.to_le_bytes());
-        h[16..24].copy_from_slice(&self.count.to_le_bytes());
-        h[24..32].copy_from_slice(&self.payload_len.to_le_bytes());
-        h[32..36].copy_from_slice(&self.crc.to_le_bytes());
-        h
-    }
-
-    /// Read and validate the header at the front of `r`. The header is not
-    /// covered by the payload CRC, so a `count` the payload cannot hold
-    /// (every record is at least 8 bytes) is refused here, before any
-    /// reader sizes a buffer from it.
-    fn read(path: &Path, r: &mut impl Read) -> Result<ShardMeta, CorpusError> {
-        let mut h = [0u8; SHARD_HEADER_LEN];
-        r.read_exact(&mut h).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                CorpusError::Truncated {
-                    path: path.to_path_buf(),
-                }
-            } else {
-                CorpusError::Io(e)
-            }
-        })?;
-        let mut magic = [0u8; 8];
-        magic.copy_from_slice(&h[0..8]);
-        if magic != SHARD_MAGIC {
-            return Err(CorpusError::BadMagic {
-                path: path.to_path_buf(),
-                found: magic,
-            });
+    /// Read and validate the header at the front of `r`, a shard file
+    /// `file_len` bytes long. The header is not covered by the payload CRC,
+    /// so it is checked against the file before any reader sizes a buffer
+    /// from it: the file must hold the payload the header promises, and
+    /// `count` must fit in it (every record is at least 8 bytes) and be
+    /// nonzero — the writer never emits an empty shard, and a zero count
+    /// would read as one without the payload or its CRC being checked.
+    fn read(path: &Path, r: &mut impl Read, file_len: u64) -> Result<ShardMeta, CorpusError> {
+        let path = path.to_path_buf();
+        let meta = ShardMeta::from(SHARD_FRAME.read(r).map_err(|e| match e {
+            FrameError::Truncated => CorpusError::Truncated { path: path.clone() },
+            FrameError::BadMagic(found) => CorpusError::BadMagic {
+                path: path.clone(),
+                found,
+            },
+            FrameError::VersionSkew(found) => CorpusError::VersionSkew {
+                path: path.clone(),
+                found,
+            },
+            FrameError::Io(e) => CorpusError::Io(e),
+        })?);
+        if file_len < meta.file_len() {
+            return Err(CorpusError::Truncated { path });
         }
-        let le_u32 = |range: std::ops::Range<usize>| {
-            let mut b = [0u8; 4];
-            b.copy_from_slice(&h[range]);
-            u32::from_le_bytes(b)
-        };
-        let le_u64 = |range: std::ops::Range<usize>| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&h[range]);
-            u64::from_le_bytes(b)
-        };
-        let version = le_u32(8..12);
-        if version != SHARD_FORMAT_VERSION {
-            return Err(CorpusError::VersionSkew {
-                path: path.to_path_buf(),
-                found: version,
-            });
-        }
-        let meta = ShardMeta {
-            index: le_u32(12..16),
-            count: le_u64(16..24),
-            payload_len: le_u64(24..32),
-            crc: le_u32(32..36),
-        };
-        if meta.count > meta.payload_len / 8 {
+        if meta.count == 0 || meta.count > meta.payload_len / 8 {
             return Err(CorpusError::FormatViolation {
-                path: path.to_path_buf(),
+                path,
                 detail: format!(
                     "header claims {} moduli in a {}-byte payload",
                     meta.count, meta.payload_len
@@ -461,6 +422,17 @@ impl ShardMeta {
             });
         }
         Ok(meta)
+    }
+}
+
+impl From<FrameHeader> for ShardMeta {
+    fn from(h: FrameHeader) -> ShardMeta {
+        ShardMeta {
+            index: h.id,
+            count: h.count,
+            payload_len: h.payload_len,
+            crc: h.crc,
+        }
     }
 }
 
@@ -579,7 +551,8 @@ impl ShardStore {
         let mut shards = Vec::with_capacity(indexed.len());
         for (position, (index, path)) in indexed.iter().enumerate() {
             let mut file = File::open(path)?;
-            let meta = ShardMeta::read(path, &mut file)?;
+            let file_len = file.metadata()?.len();
+            let meta = ShardMeta::read(path, &mut file, file_len)?;
             if meta.index != *index || *index != position as u32 {
                 return Err(CorpusError::FormatViolation {
                     path: path.clone(),
@@ -588,10 +561,6 @@ impl ShardStore {
                         meta.index
                     ),
                 });
-            }
-            let actual_len = file.metadata()?.len();
-            if actual_len < meta.file_len() {
-                return Err(CorpusError::Truncated { path: path.clone() });
             }
             shards.push(meta);
         }
@@ -670,17 +639,8 @@ impl ShardStore {
     /// Delete the shard files (and the directory, if then empty). The
     /// explicit destructor: dropping a store leaves its files in place.
     pub fn remove(self) -> io::Result<()> {
-        for meta in &self.shards {
-            let name = shard_file_name(meta.index);
-            match fs::remove_file(self.dir.join(&name)) {
-                Ok(()) => {}
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
-            }
-            let _ = fs::remove_file(self.dir.join(format!("{name}.tmp")));
-        }
-        let _ = fs::remove_dir(&self.dir);
-        Ok(())
+        let names = self.shards.iter().map(|meta| shard_file_name(meta.index));
+        durable::remove_published(&self.dir, names)
     }
 }
 
@@ -701,58 +661,30 @@ where
     let mut shards = Vec::new();
     let mut payload: Vec<u8> = Vec::new();
     let mut pending: u64 = 0;
-
-    let flush = |payload: &mut Vec<u8>,
-                 pending: &mut u64,
-                 shards: &mut Vec<ShardMeta>,
-                 guard: &mut PartialGuard|
-     -> Result<(), CorpusError> {
-        if *pending == 0 {
-            return Ok(());
-        }
+    let mut moduli = moduli.into_iter().peekable();
+    while let Some(m) = moduli.next() {
         let index = start_index + shards.len() as u32;
-        let meta = ShardMeta {
-            index,
-            count: *pending,
-            payload_len: payload.len() as u64,
-            crc: crc32(payload),
-        };
-        // Tmp-write, rename, then fsync the directory: a crash at any point
-        // leaves either no `shard-NNNNNN.wks` entry or a complete durable
-        // one — `ShardStore::open` ignores `.tmp` leftovers by name, so a
-        // torn write can never be mistaken for a shard.
-        let path = dir.join(shard_file_name(index));
-        let tmp = dir.join(format!("{}.tmp", shard_file_name(index)));
-        guard.track(tmp.clone());
-        guard.track(path.clone());
-        {
-            let mut file = File::create(&tmp)?;
-            file.write_all(&meta.to_header_bytes())?;
-            file.write_all(payload)?;
-            file.sync_all()?;
-        }
-        fs::rename(&tmp, &path)?;
-        fsync_dir(dir)?;
-        shards.push(meta);
-        payload.clear();
-        *pending = 0;
-        Ok(())
-    };
-
-    for m in moduli {
         if m.is_zero() {
             return Err(CorpusError::FormatViolation {
-                path: dir.join(shard_file_name(start_index + shards.len() as u32)),
+                path: dir.join(shard_file_name(index)),
                 detail: "zero modulus in corpus export".to_string(),
             });
         }
         encode_natural(&mut payload, m)?;
         pending += 1;
-        if pending == capacity {
-            flush(&mut payload, &mut pending, &mut shards, &mut guard)?;
+        if pending == capacity || moduli.peek().is_none() {
+            // `ShardStore::open` ignores `.tmp` leftovers by name, so a
+            // crash mid-publish can never leave something read as a shard.
+            let header = FrameHeader::new(index, pending, &payload);
+            let path = dir.join(shard_file_name(index));
+            guard.track(durable::tmp_path(&path));
+            guard.track(path.clone());
+            durable::write_atomic(&path, &[&SHARD_FRAME.encode(&header), &payload])?;
+            shards.push(ShardMeta::from(header));
+            payload.clear();
+            pending = 0;
         }
     }
-    flush(&mut payload, &mut pending, &mut shards, &mut guard)?;
     guard.defuse();
     Ok(shards)
 }
@@ -796,14 +728,9 @@ impl ShardReader {
     /// since its store was opened, and reads size buffers from the header.
     pub fn open(path: &Path) -> Result<ShardReader, CorpusError> {
         let file = File::open(path)?;
-        let actual_len = file.metadata()?.len();
+        let file_len = file.metadata()?.len();
         let mut reader = BufReader::new(file);
-        let meta = ShardMeta::read(path, &mut reader)?;
-        if actual_len < meta.file_len() {
-            return Err(CorpusError::Truncated {
-                path: path.to_path_buf(),
-            });
-        }
+        let meta = ShardMeta::read(path, &mut reader, file_len)?;
         Ok(ShardReader {
             path: path.to_path_buf(),
             reader,

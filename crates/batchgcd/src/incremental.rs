@@ -52,13 +52,14 @@ use crate::corpus::{
     crc32, decode_natural, encode_natural, run_sharded, CorpusError, Crc32, ShardAssembly,
     ShardStore,
 };
+use crate::durable::{self, take_u64, Frame, FrameError, FrameHeader, FRAME_HEADER_LEN};
 use crate::pool::{PhaseExec, WorkerPool};
 use crate::resolve::resolve_with_hits;
 use crate::tree::{multiply_pair, pair_level, ProductTree, TreeError};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{self, File};
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 use wk_bigint::{Natural, Reciprocal};
@@ -69,10 +70,16 @@ pub const CACHE_MAGIC: [u8; 8] = *b"WKTREEC1";
 /// On-disk tree-cache format version this build reads and writes.
 pub const CACHE_FORMAT_VERSION: u32 = 1;
 
-/// Size of the fixed section header in bytes — the same 36-byte shape as
-/// the shard header (DESIGN.md §7), with the shard-index slot reinterpreted
-/// as a section id.
-pub const CACHE_HEADER_LEN: usize = 36;
+/// Size of the fixed section header in bytes: the shared framed header
+/// (DESIGN.md §8.2), with a section id as its id.
+pub const CACHE_HEADER_LEN: usize = FRAME_HEADER_LEN;
+
+/// The tree-cache format's frame: [`CACHE_MAGIC`] at
+/// [`CACHE_FORMAT_VERSION`]. Cluster exchange roots use it too.
+pub const CACHE_FRAME: Frame = Frame {
+    magic: CACHE_MAGIC,
+    version: CACHE_FORMAT_VERSION,
+};
 
 const SECTION_ROOTS: u32 = 1;
 const SECTION_TOP: u32 = 2;
@@ -207,20 +214,18 @@ impl DeltaMetrics {
 // Section I/O
 // ---------------------------------------------------------------------------
 
-/// Write one section file atomically: header + payload to `<name>.tmp`,
-/// fsync, rename over `<name>`, fsync the directory (the rename itself is
-/// a directory-metadata update — without the final
-/// [`fsync_dir`](crate::corpus::fsync_dir), a power loss can revert a
-/// "committed" section to its previous bytes, or to nothing). A crash
-/// mid-update leaves the previous section in place; mixed old/new sections
-/// are caught by the per-section state tag at open time.
+/// Write one section file atomically: the framed header and payload,
+/// replace-published by [`durable::write_atomic`] (tmp, fsync, rename,
+/// fsync of the directory). A crash mid-update leaves the previous section
+/// in place; mixed old/new sections are caught by the per-section state tag
+/// at open time.
 ///
 /// Public because the `WKTREEC1` section format is also the cluster
 /// exchange format (DESIGN.md §12): out-of-crate writers produce section
-/// files this crate's [`read_section`] validates. Note the rename makes
-/// this last-writer-wins; publishers that need first-wins semantics (the
-/// cluster exchange) build the same header/payload bytes but link the tmp
-/// file into place instead.
+/// files this crate's [`read_section`] validates. The rename makes this
+/// last-writer-wins; the cluster exchange frames its roots with
+/// [`CACHE_FRAME`] and publishes them first-wins instead
+/// ([`durable::publish_once`]).
 pub fn write_section(
     dir: &Path,
     name: &str,
@@ -228,22 +233,8 @@ pub fn write_section(
     count: u64,
     payload: &[u8],
 ) -> io::Result<()> {
-    let mut h = [0u8; CACHE_HEADER_LEN];
-    h[0..8].copy_from_slice(&CACHE_MAGIC);
-    h[8..12].copy_from_slice(&CACHE_FORMAT_VERSION.to_le_bytes());
-    h[12..16].copy_from_slice(&section.to_le_bytes());
-    h[16..24].copy_from_slice(&count.to_le_bytes());
-    h[24..32].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-    h[32..36].copy_from_slice(&crc32(payload).to_le_bytes());
-    let tmp = dir.join(format!("{name}.tmp"));
-    {
-        let mut file = File::create(&tmp)?;
-        file.write_all(&h)?;
-        file.write_all(payload)?;
-        file.sync_all()?;
-    }
-    fs::rename(&tmp, dir.join(name))?;
-    crate::corpus::fsync_dir(dir)
+    let header = CACHE_FRAME.encode(&FrameHeader::new(section, count, payload));
+    durable::write_atomic(&dir.join(name), &[&header, payload])
 }
 
 fn corrupt(path: &Path, detail: impl Into<String>) -> IncrementalError {
@@ -266,65 +257,54 @@ pub fn read_section(path: &Path, section: u32) -> Result<(u64, Vec<u8>), Increme
             IncrementalError::Corpus(CorpusError::Io(e))
         }
     })?;
-    let mut h = [0u8; CACHE_HEADER_LEN];
-    file.read_exact(&mut h).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            corrupt(path, "truncated section header")
-        } else {
-            IncrementalError::Corpus(CorpusError::Io(e))
-        }
-    })?;
-    if h[0..8] != CACHE_MAGIC {
-        return Err(corrupt(path, format!("bad magic {:02x?}", &h[0..8])));
-    }
-    let le_u32 = |range: std::ops::Range<usize>| {
-        let mut b = [0u8; 4];
-        b.copy_from_slice(&h[range]);
-        u32::from_le_bytes(b)
-    };
-    let le_u64 = |range: std::ops::Range<usize>| {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&h[range]);
-        u64::from_le_bytes(b)
-    };
-    let version = le_u32(8..12);
-    if version != CACHE_FORMAT_VERSION {
-        return Err(corrupt(
+    let h = CACHE_FRAME.read(&mut file).map_err(|e| match e {
+        FrameError::Truncated => corrupt(path, "truncated section header"),
+        FrameError::BadMagic(found) => corrupt(path, format!("bad magic {found:02x?}")),
+        FrameError::VersionSkew(version) => corrupt(
             path,
             format!("format version {version} (this build supports {CACHE_FORMAT_VERSION})"),
-        ));
-    }
-    let found_section = le_u32(12..16);
-    if found_section != section {
+        ),
+        FrameError::Io(e) => IncrementalError::Corpus(CorpusError::Io(e)),
+    })?;
+    if h.id != section {
         return Err(corrupt(
             path,
-            format!("section id {found_section}, expected {section}"),
+            format!("section id {}, expected {section}", h.id),
         ));
     }
-    let count = le_u64(16..24);
-    let payload_len = le_u64(24..32);
-    let expected_crc = le_u32(32..36);
     let mut payload = Vec::new();
     file.read_to_end(&mut payload)
         .map_err(CorpusError::Io)
         .map_err(IncrementalError::Corpus)?;
-    if payload.len() as u64 != payload_len {
+    if payload.len() as u64 != h.payload_len {
         return Err(corrupt(
             path,
             format!(
-                "payload is {} bytes but header says {payload_len}",
-                payload.len()
+                "payload is {} bytes but header says {}",
+                payload.len(),
+                h.payload_len
             ),
         ));
     }
     let actual = crc32(&payload);
-    if actual != expected_crc {
+    if actual != h.crc {
         return Err(corrupt(
             path,
-            format!("payload CRC {actual:08x} != header CRC {expected_crc:08x}"),
+            format!("payload CRC {actual:08x} != header CRC {:08x}", h.crc),
         ));
     }
-    Ok((count, payload))
+    Ok((h.count, payload))
+}
+
+/// `CacheCorrupt` unless a section payload was consumed exactly.
+fn expect_end(path: &Path, rest: &[u8], after: &str) -> Result<(), IncrementalError> {
+    if rest.is_empty() {
+        return Ok(());
+    }
+    Err(corrupt(
+        path,
+        format!("{} trailing bytes after {after}", rest.len()),
+    ))
 }
 
 /// Pre-allocation for `count` records claimed by a section header. The
@@ -335,21 +315,6 @@ fn capacity_for(count: u64, payload: &[u8]) -> usize {
     usize::try_from(count)
         .unwrap_or(usize::MAX)
         .min(payload.len() / 8)
-}
-
-/// Consume a little-endian `u64` from the front of `rest`; `None` when
-/// fewer than eight bytes remain. Public alongside [`read_section`] so
-/// exchange-payload parsers consume fields exactly as the cache reader
-/// does.
-pub fn take_u64(rest: &mut &[u8]) -> Option<u64> {
-    if rest.len() < 8 {
-        return None;
-    }
-    let (head, tail) = rest.split_at(8);
-    *rest = tail;
-    let mut b = [0u8; 8];
-    b.copy_from_slice(head);
-    Some(u64::from_le_bytes(b))
 }
 
 /// Consume one natural record (the shared limb codec,
@@ -550,12 +515,7 @@ impl TreeCache {
             source_crcs.push(crc as u32);
             shard_products.push(product);
         }
-        if !rest.is_empty() {
-            return Err(corrupt(
-                &roots_path,
-                format!("{} trailing bytes after the last root", rest.len()),
-            ));
-        }
+        expect_end(&roots_path, rest, "the last root")?;
 
         let top_path = dir.join(TOP_FILE);
         let (top_count, top_payload) = read_section(&top_path, SECTION_TOP)?;
@@ -570,12 +530,7 @@ impl TreeCache {
             .ok_or_else(|| corrupt(&top_path, "top payload shorter than its state tag"))?;
         let top_product = take_natural(&mut rest, &mut scratch)
             .map_err(|e| corrupt(&top_path, format!("top product: {e}")))?;
-        if !rest.is_empty() {
-            return Err(corrupt(
-                &top_path,
-                format!("{} trailing bytes after the top product", rest.len()),
-            ));
-        }
+        expect_end(&top_path, rest, "the top product")?;
 
         let hits_path = dir.join(HITS_FILE);
         let (hit_count, hits_payload) = read_section(&hits_path, SECTION_HITS)?;
@@ -598,12 +553,7 @@ impl TreeCache {
                 .map_err(|e| corrupt(&hits_path, format!("hit {i}: {e}")))?;
             hits.push((index, divisor));
         }
-        if !rest.is_empty() {
-            return Err(corrupt(
-                &hits_path,
-                format!("{} trailing bytes after the last hit", rest.len()),
-            ));
-        }
+        expect_end(&hits_path, rest, "the last hit")?;
 
         if roots_tag != top_tag || roots_tag != hits_tag {
             return Err(IncrementalError::Stale {
@@ -655,12 +605,7 @@ impl TreeCache {
                     .map_err(|e| corrupt(&recips_path, format!("reciprocal {i}: {e}")))?;
                 recips.push(recip);
             }
-            if !rest.is_empty() {
-                return Err(corrupt(
-                    &recips_path,
-                    format!("{} trailing bytes after the last reciprocal", rest.len()),
-                ));
-            }
+            expect_end(&recips_path, rest, "the last reciprocal")?;
             recips
         } else {
             shard_recips_for(dir, &shard_products)?
@@ -754,16 +699,7 @@ impl TreeCache {
     /// Like [`ShardStore::remove`], the explicit destructor: dropping a
     /// cache leaves its files in place.
     pub fn remove(self) -> io::Result<()> {
-        for name in [ROOTS_FILE, TOP_FILE, HITS_FILE, RECIPS_FILE] {
-            match fs::remove_file(self.dir.join(name)) {
-                Ok(()) => {}
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
-            }
-            let _ = fs::remove_file(self.dir.join(format!("{name}.tmp")));
-        }
-        let _ = fs::remove_dir(&self.dir);
-        Ok(())
+        durable::remove_published(&self.dir, [ROOTS_FILE, TOP_FILE, HITS_FILE, RECIPS_FILE])
     }
 
     /// The tag binding every section to one corpus state: a CRC over the

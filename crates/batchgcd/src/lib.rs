@@ -28,6 +28,8 @@
 //!   §7), and [`corpus::sharded_batch_gcd`] runs the classic algorithm with
 //!   workers pulling shards on demand, holding one shard per worker
 //!   resident instead of the whole corpus;
+//! * [`durable`] — how every artifact reaches disk (replace and first-wins
+//!   publish, the temp sweep) and the one framed header (DESIGN.md §8.2);
 //! * [`incremental`] — the delta-update path for new scan months: a
 //!   persisted [`incremental::TreeCache`] (per-shard roots, cached top
 //!   product, previous hits; format in DESIGN.md §8) lets
@@ -58,6 +60,7 @@
 pub mod classic;
 pub mod corpus;
 pub mod distributed;
+pub mod durable;
 pub mod incremental;
 pub mod naive;
 pub mod pool;
@@ -66,7 +69,7 @@ pub mod tree;
 
 pub use classic::{batch_gcd, BatchGcdResult, BatchStats};
 pub use corpus::{
-    assemble_from_shard_roots, crc32, decode_natural, encode_natural, fsync_dir, scratch_dir,
+    assemble_from_shard_roots, crc32, decode_natural, encode_natural, scratch_dir,
     shard_subtree_root, sharded_batch_gcd, CorpusError, ShardAssembly, ShardMeta, ShardReader,
     ShardStore,
 };
@@ -74,9 +77,10 @@ pub use distributed::{
     distributed_batch_gcd, distributed_batch_gcd_sharded, ClusterConfig, ClusterReport,
     DistributedResult, NodeReport,
 };
+pub use durable::{fsync_dir, take_u64};
 pub use incremental::{
-    incremental_batch_gcd, read_section, take_natural, take_u64, write_section, DeltaMetrics,
-    IncrementalError, TreeCache, CACHE_FORMAT_VERSION, CACHE_HEADER_LEN, CACHE_MAGIC,
+    incremental_batch_gcd, read_section, take_natural, write_section, DeltaMetrics,
+    IncrementalError, TreeCache, CACHE_FORMAT_VERSION, CACHE_FRAME, CACHE_HEADER_LEN, CACHE_MAGIC,
 };
 pub use naive::{naive_pairwise_gcd, NaiveResult};
 pub use pool::{Exec, ExecDomain, PhaseExec, WorkerPool};

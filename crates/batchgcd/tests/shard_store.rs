@@ -1,10 +1,13 @@
 //! Crate-level tests for the shard-store entry points that share the one
 //! sharded driver: the cluster assembly, the tree-cache build, the k-subset
 //! run over a store and the incremental sweep. Also the untrusted-header
-//! cases: a shard or cache-section `count` the payload cannot hold, and a
-//! checksum-valid shard that holds a zero modulus.
+//! cases: a shard or cache-section `count` the payload cannot hold, a
+//! zeroed shard `count`, a checksum-valid shard that holds a zero modulus,
+//! and a sweep damaging every byte of every framed file a store and its
+//! cache write.
 
 use std::fs;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use wk_batchgcd::corpus::{SHARD_FORMAT_VERSION, SHARD_HEADER_LEN, SHARD_MAGIC};
 use wk_batchgcd::{
@@ -68,6 +71,38 @@ fn set_count(path: &Path, count: u64) {
     let mut bytes = fs::read(path).unwrap();
     bytes[16..24].copy_from_slice(&count.to_le_bytes());
     fs::write(path, bytes).unwrap();
+}
+
+/// Every damaged copy of `bytes`: at each offset, the byte flipped in its
+/// low and high bit, zeroed and set to `0xFF`, then the file truncated
+/// there.
+fn damaged_variants(bytes: &[u8]) -> Vec<Vec<u8>> {
+    let mut out = Vec::with_capacity(bytes.len() * 5);
+    for at in 0..bytes.len() {
+        for mutate in [|b: u8| b ^ 0x01, |b| b ^ 0x80, |_| 0x00, |_| 0xFF] {
+            let mut v = bytes.to_vec();
+            v[at] = mutate(v[at]);
+            out.push(v);
+        }
+        out.push(bytes[..at].to_vec());
+    }
+    out
+}
+
+/// Overwrite each file of `dir` with every damaged variant in turn, run
+/// `check` on each, and restore the file. Returns the number of cases.
+fn sweep_files(dir: &Path, mut check: impl FnMut(&str)) -> usize {
+    let mut cases = 0;
+    for (name, original) in files(dir) {
+        let path = dir.join(&name);
+        for damaged in damaged_variants(&original) {
+            fs::write(&path, &damaged).unwrap();
+            check(&name);
+            cases += 1;
+        }
+        fs::write(&path, &original).unwrap();
+    }
+    cases
 }
 
 fn is_format_violation(e: &CorpusError) -> bool {
@@ -232,5 +267,90 @@ fn inflated_cache_section_count_is_cache_corrupt() {
         );
         cache.remove().unwrap();
     }
+    store.remove().unwrap();
+}
+
+#[test]
+fn zeroed_shard_count_is_a_typed_error() {
+    let dir = scratch_dir("shard-count-zero");
+    let store = ShardStore::create(&dir, 4, &mixed_moduli()).unwrap();
+    set_count(&store.shard_path(0), 0);
+    let err = ShardStore::open(&dir).unwrap_err();
+    assert!(is_format_violation(&err), "{err}");
+    // A store opened before the damage must not read the shard as empty.
+    let err = store.read_shard(0).unwrap_err();
+    assert!(is_format_violation(&err), "{err}");
+    let err = sharded_batch_gcd(&store, 1).unwrap_err();
+    assert!(is_format_violation(&err), "{err}");
+    store.remove().unwrap();
+}
+
+#[test]
+fn shard_writer_emits_the_hand_built_frame_bytes() {
+    let moduli = mixed_moduli();
+    let store = ShardStore::create(&scratch_dir("shard-pin"), 4, &moduli).unwrap();
+    let by_hand = scratch_dir("shard-pin-hand");
+    fs::create_dir_all(&by_hand).unwrap();
+    for (index, chunk) in moduli.chunks(4).enumerate() {
+        write_raw_shard(
+            &by_hand.join(format!("shard-{index:06}.wks")),
+            index as u32,
+            chunk,
+        );
+    }
+    assert_eq!(files(store.dir()), files(&by_hand));
+    fs::remove_dir_all(&by_hand).unwrap();
+    store.remove().unwrap();
+}
+
+#[test]
+fn every_damaged_shard_byte_is_an_error_or_the_committed_moduli() {
+    let moduli = mixed_moduli();
+    let dir = scratch_dir("shard-hostile");
+    let store = ShardStore::create(&dir, 4, &moduli).unwrap();
+    let cases = sweep_files(&dir, |name| {
+        let outcome = catch_unwind(|| -> Result<Vec<Natural>, CorpusError> {
+            let reopened = ShardStore::open(&dir)?;
+            let mut read = Vec::new();
+            for index in 0..reopened.shard_count() as u32 {
+                read.extend(reopened.read_shard(index)?);
+            }
+            Ok(read)
+        });
+        match outcome {
+            Err(_) => panic!("{name}: damaged bytes panicked the reader"),
+            Ok(Ok(read)) => assert_eq!(read, moduli, "{name}: damage read back as other moduli"),
+            Ok(Err(_)) => {}
+        }
+    });
+    assert_eq!(
+        cases,
+        5 * (2 * (SHARD_HEADER_LEN + 4 * 16) + SHARD_HEADER_LEN + 16)
+    );
+    store.remove().unwrap();
+}
+
+#[test]
+fn every_damaged_cache_byte_is_an_error_or_the_committed_cache() {
+    let store =
+        ShardStore::create(&scratch_dir("cache-hostile-store"), 4, &mixed_moduli()).unwrap();
+    let dir = scratch_dir("cache-hostile");
+    let (committed, _) = TreeCache::build(&dir, &store, 1).unwrap();
+    let bytes: usize = files(&dir).iter().map(|(_, b)| b.len()).sum();
+    let cases = sweep_files(&dir, |name| {
+        let outcome = catch_unwind(AssertUnwindSafe(|| TreeCache::open(&dir, &store)));
+        match outcome {
+            Err(_) => panic!("{name}: damaged bytes panicked the cache reader"),
+            Ok(Ok(cache)) => {
+                assert_eq!(cache.total_moduli(), committed.total_moduli(), "{name}");
+                assert_eq!(cache.top_product(), committed.top_product(), "{name}");
+                assert_eq!(cache.hits(), committed.hits(), "{name}");
+                assert_eq!(cache.state_tag(), committed.state_tag(), "{name}");
+            }
+            Ok(Err(_)) => {}
+        }
+    });
+    assert_eq!(cases, 5 * bytes);
+    committed.remove().unwrap();
     store.remove().unwrap();
 }

@@ -8,24 +8,21 @@
 //! exact store it was computed from (the store's state tag) and records
 //! which owner published it under which fencing token.
 //!
-//! Publication is **first-wins**: the writer fsyncs a complete temp file
-//! and then `hard_link`s it to the final name. The filesystem lets exactly
-//! one link succeed per shard, so a double-publish is structurally
-//! impossible — a revived worker that lost its lease either aborts at the
-//! fence check or loses the link race; either way exactly one `root-N.wkr`
-//! ever exists. Because subtree roots are deterministic (same shard bytes
-//! → same root, enforced by the state tag), *whichever* writer wins
-//! published the correct value.
+//! Publication is **first-wins** ([`durable::publish_once`]): the writer
+//! fsyncs a complete temp file and then `hard_link`s it to the final
+//! name. The filesystem lets exactly one link succeed per shard, so a
+//! double-publish is structurally impossible — a revived worker that lost
+//! its lease either aborts at the fence check or loses the link race;
+//! either way exactly one `root-N.wkr` ever exists. Because subtree roots
+//! are deterministic (same shard bytes → same root, enforced by the state
+//! tag), *whichever* writer wins published the correct value.
 
 use crate::error::ClusterError;
-use crate::lease::remove_prefixed_tmps;
-use std::fs::{self, File};
-use std::io::{self, Write};
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
-use wk_batchgcd::{
-    crc32, encode_natural, fsync_dir, read_section, take_natural, take_u64, ShardStore,
-    CACHE_FORMAT_VERSION, CACHE_HEADER_LEN, CACHE_MAGIC,
-};
+use wk_batchgcd::durable::{self, fsync_dir, take_bytes, take_u64, FrameHeader};
+use wk_batchgcd::{encode_natural, read_section, take_natural, ShardStore, CACHE_FRAME};
 use wk_bigint::Natural;
 
 /// `WKTREEC1` section id of a cluster-published shard root (ids 1–4 are
@@ -96,11 +93,12 @@ impl ExchangeDir {
         self.root_path(index).is_file()
     }
 
-    /// Publish shard `index`'s root. Writes the full section to an
-    /// owner-unique temp file, fsyncs it, hard-links it to the final name
-    /// (first-wins), and fsyncs the directory. On losing the race, the
-    /// existing file is validated against `state_tag` — a binding mismatch
-    /// is an [`ClusterError::ExchangeMismatch`], not a silent overwrite.
+    /// Publish shard `index`'s root: frame the section with [`CACHE_FRAME`]
+    /// (count = shard index) and publish it first-wins through an
+    /// owner-unique temp file ([`durable::publish_once`]). On losing the
+    /// race, the existing file is validated against `state_tag` — a
+    /// binding mismatch is an [`ClusterError::ExchangeMismatch`], not a
+    /// silent overwrite.
     pub fn publish(
         &self,
         state_tag: u64,
@@ -117,35 +115,19 @@ impl ExchangeDir {
         payload.extend_from_slice(owner.as_bytes());
         encode_natural(&mut payload, root)?;
 
-        let mut header = [0u8; CACHE_HEADER_LEN];
-        header[0..8].copy_from_slice(&CACHE_MAGIC);
-        header[8..12].copy_from_slice(&CACHE_FORMAT_VERSION.to_le_bytes());
-        header[12..16].copy_from_slice(&SECTION_CLUSTER_ROOT.to_le_bytes());
-        header[16..24].copy_from_slice(&u64::from(index).to_le_bytes());
-        header[24..32].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-        header[32..36].copy_from_slice(&crc32(&payload).to_le_bytes());
-
+        let header = CACHE_FRAME.encode(&FrameHeader::new(
+            SECTION_CLUSTER_ROOT,
+            u64::from(index),
+            &payload,
+        ));
         let tmp = self.tmp_path(owner, index);
-        {
-            let mut file = File::create(&tmp)?;
-            file.write_all(&header)?;
-            file.write_all(&payload)?;
-            file.sync_all()?;
-        }
-        let linked = fs::hard_link(&tmp, self.root_path(index));
-        let _ = fs::remove_file(&tmp);
-        match linked {
-            Ok(()) => {
-                fsync_dir(&self.dir)?;
-                Ok(Publish::New)
-            }
-            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                // Lost the race; whoever won must have published a root
-                // bound to the same store.
-                self.read_root(index, state_tag)?;
-                Ok(Publish::AlreadyPublished)
-            }
-            Err(e) => Err(ClusterError::Io(e)),
+        if durable::publish_once(&tmp, &self.root_path(index), &[&header, &payload])? {
+            Ok(Publish::New)
+        } else {
+            // Lost the race; whoever won must have published a root bound
+            // to the same store.
+            self.read_root(index, state_tag)?;
+            Ok(Publish::AlreadyPublished)
         }
     }
 
@@ -238,21 +220,19 @@ impl ExchangeDir {
             take_u64(&mut rest).ok_or_else(|| mismatch("payload missing fencing token".into()))?;
         let owner_len =
             take_u64(&mut rest).ok_or_else(|| mismatch("payload missing owner length".into()))?;
-        if owner_len > rest.len() as u64 {
-            return Err(mismatch(format!(
-                "owner length {owner_len} overruns the payload"
-            )));
-        }
-        let (owner_bytes, mut tail) = rest.split_at(owner_len as usize);
+        let owner_bytes = usize::try_from(owner_len)
+            .ok()
+            .and_then(|n| take_bytes(&mut rest, n))
+            .ok_or_else(|| mismatch(format!("owner length {owner_len} overruns the payload")))?;
         let owner = String::from_utf8(owner_bytes.to_vec())
             .map_err(|e| mismatch(format!("owner is not UTF-8: {e}")))?;
         let mut scratch = Vec::new();
-        let root = take_natural(&mut tail, &mut scratch)
+        let root = take_natural(&mut rest, &mut scratch)
             .map_err(|e| mismatch(format!("root record: {e}")))?;
-        if !tail.is_empty() {
+        if !rest.is_empty() {
             return Err(mismatch(format!(
                 "{} trailing bytes after the root record",
-                tail.len()
+                rest.len()
             )));
         }
         if root.is_zero() {
@@ -278,12 +258,12 @@ impl ExchangeDir {
     /// Remove temp files left by a previous crashed run of the *same*
     /// owner. Never touches other owners' temps.
     pub fn remove_own_tmps(&self, owner: &str) -> io::Result<()> {
-        remove_prefixed_tmps(&self.dir, &format!("{owner}-"))
+        durable::remove_tmps(&self.dir, &format!("{owner}-"))
     }
 
     /// Remove every `*.tmp` straggler — the coordinator's post-run sweep,
     /// safe once all workers have exited.
     pub fn remove_all_tmps(&self) -> io::Result<()> {
-        remove_prefixed_tmps(&self.dir, "")
+        durable::remove_tmps(&self.dir, "")
     }
 }

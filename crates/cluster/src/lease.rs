@@ -18,11 +18,12 @@
 //! 1 + the highest token among the shard's tombstones.
 
 use crate::error::ClusterError;
-use std::fs::{self, File, OpenOptions};
+use std::fs::{self, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
-use wk_batchgcd::{crc32, fsync_dir};
+use wk_batchgcd::crc32;
+use wk_batchgcd::durable::{self, fsync_dir, take_bytes, take_u32, take_u64};
 
 /// Magic bytes opening every lease file (`"WKLEASE1"`).
 pub const LEASE_MAGIC: [u8; 8] = *b"WKLEASE1";
@@ -93,33 +94,12 @@ pub struct LeaseRecord {
     pub owner: String,
 }
 
-fn take<'a>(rest: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-    if rest.len() < n {
-        return None;
-    }
-    let (head, tail) = rest.split_at(n);
-    *rest = tail;
-    Some(head)
-}
-
-fn take_u32_le(rest: &mut &[u8]) -> Option<u32> {
-    let bytes = take(rest, 4)?;
-    let mut b = [0u8; 4];
-    b.copy_from_slice(bytes);
-    Some(u32::from_le_bytes(b))
-}
-
-fn take_u64_le(rest: &mut &[u8]) -> Option<u64> {
-    let bytes = take(rest, 8)?;
-    let mut b = [0u8; 8];
-    b.copy_from_slice(bytes);
-    Some(u64::from_le_bytes(b))
-}
-
 impl LeaseRecord {
     /// Serialize: fixed head, owner bytes, CRC-32 of everything before the
     /// CRC itself. Heartbeats rewrite this whole byte string in place (the
-    /// length never changes while the owner doesn't).
+    /// length never changes while the owner doesn't). This is deliberately
+    /// not the shared framed header: that CRC covers only the payload, and
+    /// the trailer here also guards the shard index and fencing token.
     pub fn encode(&self) -> Vec<u8> {
         let owner = self.owner.as_bytes();
         let mut out = Vec::with_capacity(LEASE_HEAD_LEN + owner.len() + 4);
@@ -146,30 +126,28 @@ impl LeaseRecord {
                 LEASE_HEAD_LEN + 4
             ));
         }
-        let (body, tail) = bytes.split_at(bytes.len() - 4);
-        let mut crc_bytes = [0u8; 4];
-        crc_bytes.copy_from_slice(tail);
-        let expected = u32::from_le_bytes(crc_bytes);
+        let (body, mut tail) = bytes.split_at(bytes.len() - 4);
+        let expected = take_u32(&mut tail).unwrap_or_default();
         let actual = crc32(body);
         if actual != expected {
             return Err(format!("CRC {actual:08x} != recorded {expected:08x}"));
         }
         let mut rest = body;
-        let magic = take(&mut rest, 8).unwrap_or(&[]);
+        let magic = take_bytes(&mut rest, 8).unwrap_or(&[]);
         if magic != LEASE_MAGIC {
             return Err(format!("bad magic {magic:02x?}"));
         }
-        let version = take_u32_le(&mut rest).unwrap_or(0);
+        let version = take_u32(&mut rest).unwrap_or(0);
         if version != LEASE_FORMAT_VERSION {
             return Err(format!(
                 "format version {version} (this build supports {LEASE_FORMAT_VERSION})"
             ));
         }
         // The length check above guarantees the fixed head is present.
-        let shard = take_u32_le(&mut rest).unwrap_or(0);
-        let token = take_u64_le(&mut rest).unwrap_or(0);
-        let heartbeat_millis = take_u64_le(&mut rest).unwrap_or(0);
-        let owner_len = take_u64_le(&mut rest).unwrap_or(0);
+        let shard = take_u32(&mut rest).unwrap_or(0);
+        let token = take_u64(&mut rest).unwrap_or(0);
+        let heartbeat_millis = take_u64(&mut rest).unwrap_or(0);
+        let owner_len = take_u64(&mut rest).unwrap_or(0);
         if owner_len != rest.len() as u64 {
             return Err(format!(
                 "owner length {owner_len} but {} owner bytes present",
@@ -284,9 +262,9 @@ impl LeaseDir {
         Ok(max_token + 1)
     }
 
-    /// Try to claim shard `index` with `token`: write a complete lease
-    /// record to an owner-unique temp file, fsync it, and hard-link it to
-    /// the lease name. The link is atomic and first-wins — on
+    /// Try to claim shard `index` with `token`: publish a complete lease
+    /// record first-wins through an owner-unique temp file
+    /// ([`durable::publish_once`]). The link is atomic — on
     /// `AlreadyExists` someone else holds the shard and `None` is
     /// returned. A crash before the link leaves only an invisible temp
     /// file (cleaned by [`LeaseDir::remove_own_tmps`] on restart).
@@ -304,27 +282,15 @@ impl LeaseDir {
             owner: owner.to_string(),
         };
         let tmp = self.dir.join(format!("{owner}-claim-{index:06}.tmp"));
-        {
-            let mut file = File::create(&tmp)?;
-            file.write_all(&record.encode())?;
-            file.sync_all()?;
-        }
         let lease_path = self.lease_path(index);
-        let linked = fs::hard_link(&tmp, &lease_path);
-        let cleanup = fs::remove_file(&tmp);
-        match linked {
-            Ok(()) => {
-                fsync_dir(&self.dir)?;
-                cleanup?;
-                Ok(Some(Lease {
-                    dir: self.dir.clone(),
-                    path: lease_path,
-                    record,
-                }))
-            }
-            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => Ok(None),
-            Err(e) => Err(ClusterError::Io(e)),
+        if !durable::publish_once(&tmp, &lease_path, &[&record.encode()])? {
+            return Ok(None);
         }
+        Ok(Some(Lease {
+            dir: self.dir.clone(),
+            path: lease_path,
+            record,
+        }))
     }
 
     /// Rename a reclaimable lease to its tombstone. Exactly one concurrent
@@ -416,7 +382,7 @@ impl LeaseDir {
     /// owner (the claim path names temps `<owner>-claim-*.tmp`). Never
     /// touches other owners' temps — theirs may be mid-claim right now.
     pub fn remove_own_tmps(&self, owner: &str) -> io::Result<()> {
-        remove_prefixed_tmps(&self.dir, &format!("{owner}-"))
+        durable::remove_tmps(&self.dir, &format!("{owner}-"))
     }
 
     /// Remove *every* leftover in the directory — lease files, tombstones,
@@ -428,19 +394,6 @@ impl LeaseDir {
         }
         fsync_dir(&self.dir)
     }
-}
-
-/// Remove `<prefix>*.tmp` entries from `dir`.
-pub(crate) fn remove_prefixed_tmps(dir: &Path, prefix: &str) -> io::Result<()> {
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if name.starts_with(prefix) && name.ends_with(".tmp") {
-            fs::remove_file(entry.path())?;
-        }
-    }
-    fsync_dir(dir)
 }
 
 /// A lease this process holds (or held — the protocol is explicit about

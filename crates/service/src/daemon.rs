@@ -41,7 +41,7 @@ use wk_scan::{ModulusId, ModulusStore, VendorId};
 
 use crate::error::ServiceError;
 use crate::feed::{FeedEvent, FeedReceiver, HostObservation};
-use crate::provenance::{clean_tmp_orphans, write_atomic, LabelLedger, Provenance, Watermark};
+use crate::provenance::{write_atomic, LabelLedger, Provenance, Watermark};
 
 /// Tree-cache section files, for the rebuild path that clears a corrupt
 /// cache directory (names from DESIGN.md §8.2).
@@ -215,9 +215,9 @@ impl AuditDaemon {
     /// committed on-disk state.
     pub fn open(config: AuditConfig) -> Result<AuditDaemon, ServiceError> {
         fs::create_dir_all(&config.dir)?;
-        clean_tmp_orphans(&config.dir)?;
-        clean_tmp_orphans(&config.store_dir())?;
-        clean_tmp_orphans(&config.cache_dir())?;
+        for dir in [&config.dir, &config.store_dir(), &config.cache_dir()] {
+            wk_batchgcd::durable::remove_tmps(dir, "")?;
+        }
 
         let committed = match fs::read_to_string(config.metadata_path()) {
             Ok(src) => Some(Watermark::from_json(&src, &config.metadata_path())?),

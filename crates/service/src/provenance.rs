@@ -8,17 +8,15 @@
 //! month close (`run_metadata.json`), making the watermark the durable
 //! commit point of the month-close protocol (DESIGN.md §10).
 //!
-//! All files are written atomically: payload to `<name>.tmp`, fsync,
-//! rename over `<name>`, then fsync of the containing directory (the §8.2
-//! durability guarantee — without the directory fsync a crash can lose a
-//! "committed" rename).
+//! All files are written atomically through `wk_batchgcd::durable`:
+//! payload to `<name>.tmp`, fsync, rename over `<name>`, then fsync of the
+//! containing directory (the §8.2 durability guarantee — without the
+//! directory fsync a crash can lose a "committed" rename).
 
 use std::collections::HashMap;
-use std::fs;
-use std::fs::File;
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
-use wk_batchgcd::fsync_dir;
+use std::io;
+use std::path::Path;
+use wk_batchgcd::durable;
 use wk_cert::MonthDate;
 use wk_scan::{ModulusId, VendorId};
 
@@ -287,49 +285,12 @@ pub fn parse_vendor_token(s: &str) -> Option<VendorId> {
     })
 }
 
-/// Atomically publish `bytes` at `path`: write `<path>.tmp`, fsync, rename,
-/// fsync the directory. The reader either sees the old content or the new —
-/// never a torn write, even across power loss (DESIGN.md §8.2).
+/// Atomically publish `bytes` at `path`: [`durable::write_atomic`] with one
+/// part (`<path>.tmp`, fsync, rename, fsync of the directory). The reader
+/// either sees the old content or the new — never a torn write, even
+/// across power loss (DESIGN.md §8.2).
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = tmp_path(path);
-    {
-        let mut file = File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
-    if let Some(parent) = path.parent() {
-        fsync_dir(parent)?;
-    }
-    Ok(())
-}
-
-/// The scratch name `write_atomic` stages through.
-pub fn tmp_path(path: &Path) -> PathBuf {
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_os_string())
-        .unwrap_or_default();
-    name.push(".tmp");
-    path.with_file_name(name)
-}
-
-/// Remove stray `*.tmp` files in `dir` left by a crash mid-stage (written
-/// but never renamed). Publishing is the rename, so a tmp orphan is never
-/// part of committed state; removing it restores the directory to exactly
-/// its last published content.
-pub fn clean_tmp_orphans(dir: &Path) -> io::Result<()> {
-    if !dir.exists() {
-        return Ok(());
-    }
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        let is_tmp = path.extension().map(|e| e == "tmp").unwrap_or(false);
-        if is_tmp && path.is_file() {
-            fs::remove_file(&path)?;
-        }
-    }
-    Ok(())
+    durable::write_atomic(path, &[bytes])
 }
 
 // --- minimal hand-rolled JSON field readers (no serde in this workspace) ---
@@ -455,6 +416,8 @@ mod tests {
 
     #[test]
     fn atomic_write_publishes_and_cleans() {
+        use std::fs;
+        use wk_batchgcd::durable::{remove_tmps, tmp_path};
         let dir = wk_batchgcd::scratch_dir("service-prov-test");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run_metadata.json");
@@ -463,7 +426,7 @@ mod tests {
         // A stray tmp (simulated crash between write and rename) is removed
         // without touching the published file.
         fs::write(tmp_path(&path), b"torn").unwrap();
-        clean_tmp_orphans(&dir).unwrap();
+        remove_tmps(&dir, "").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"one");
         assert!(!tmp_path(&path).exists());
         fs::remove_dir_all(&dir).unwrap();
