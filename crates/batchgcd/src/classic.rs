@@ -111,14 +111,7 @@ pub fn batch_gcd(moduli: &[Natural], threads: usize) -> BatchGcdResult {
         // lint:allow(no-panic-in-lib) invariant: nonempty nonzero input checked above
         .expect("validated batch GCD input");
     let product_tree_time = t0.elapsed();
-    // No build-time Barrett caches: the cofactor descent reads each node's
-    // reciprocal exactly twice, and at that reuse count a Newton build
-    // (~2 node-sized multiplies) plus two Barrett steps costs more than
-    // two Burnikel-Ziegler divisions outright. `reduce_plain` falls back
-    // to exact division when no cache is attached, byte-identically.
-    // Reciprocals are attached only where they amortize: the incremental
-    // delta tree (three reductions per node) and the persisted shard set.
-    let tree_bytes = tree.total_bytes() + tree.cache_bytes();
+    let tree_bytes = tree.total_bytes();
 
     let t1 = Instant::now();
     // Cofactor descent of V = P (seed (P/root) mod root = 1): the leaves
@@ -236,9 +229,8 @@ mod tests {
         let res = batch_gcd(&moduli, 1);
         assert_eq!(res.stats.input_count, 4);
         assert!(res.stats.tree_bytes > 0);
-        // Executor accounting: 4 leaves pair into 2 then 1 (3 build tasks,
-        // no reciprocal-cache jobs — the descent uses exact division); the
-        // cofactor descent runs 2 + 4 level reductions, then 4 gcd tasks.
+        // Executor accounting: 4 leaves pair into 2 then 1 (3 build tasks);
+        // the cofactor descent runs 2 + 4 level reductions, then 4 gcd tasks.
         assert_eq!(res.stats.product_tree_exec.tasks(), 3);
         assert_eq!(res.stats.remainder_tree_exec.tasks(), 6);
         assert_eq!(res.stats.gcd_exec.tasks(), 4);

@@ -306,6 +306,12 @@ pub enum CorpusError {
         /// The capacity the caller asked for.
         found: u64,
     },
+    /// A shard capacity of zero was asked for: no shard could hold a
+    /// modulus.
+    ZeroCapacity {
+        /// The store directory.
+        dir: PathBuf,
+    },
 }
 
 impl fmt::Display for CorpusError {
@@ -344,6 +350,9 @@ impl fmt::Display for CorpusError {
                 "{}: append with capacity {found}, but the store uses {expected}",
                 dir.display()
             ),
+            CorpusError::ZeroCapacity { dir } => {
+                write!(f, "{}: shard capacity must be nonzero", dir.display())
+            }
         }
     }
 }
@@ -440,6 +449,16 @@ impl From<FrameHeader> for ShardMeta {
 // ShardStore
 // ---------------------------------------------------------------------------
 
+/// [`CorpusError::ZeroCapacity`] unless `capacity` is nonzero.
+pub(crate) fn check_capacity(dir: &Path, capacity: usize) -> Result<(), CorpusError> {
+    if capacity == 0 {
+        return Err(CorpusError::ZeroCapacity {
+            dir: dir.to_path_buf(),
+        });
+    }
+    Ok(())
+}
+
 /// A directory of fixed-capacity, checksummed shard files holding a modulus
 /// corpus. A store is *persistent*: nothing is deleted on drop, and
 /// [`ShardStore::open`] re-attaches to a directory written earlier (by this
@@ -460,17 +479,15 @@ impl ShardStore {
     /// aborted export never leaves a half-valid store behind.
     ///
     /// # Errors
-    /// [`CorpusError::FormatViolation`] for a zero modulus (every batch-GCD
-    /// algorithm in this crate rejects zero moduli); filesystem errors as
-    /// [`CorpusError::Io`].
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
+    /// [`CorpusError::ZeroCapacity`] for a zero `capacity`, before anything
+    /// is written; [`CorpusError::FormatViolation`] for a zero modulus
+    /// (every batch-GCD algorithm in this crate rejects zero moduli);
+    /// filesystem errors as [`CorpusError::Io`].
     pub fn create<'a, I>(dir: &Path, capacity: usize, moduli: I) -> Result<ShardStore, CorpusError>
     where
         I: IntoIterator<Item = &'a Natural>,
     {
-        assert!(capacity > 0, "shard capacity must be nonzero");
+        check_capacity(dir, capacity)?;
         fs::create_dir_all(dir)?;
         let shards = write_shards(dir, 0, capacity as u64, moduli)?;
         Ok(ShardStore {
@@ -492,6 +509,7 @@ impl ShardStore {
     /// over the delta.
     ///
     /// # Errors
+    /// [`CorpusError::ZeroCapacity`] for a zero `capacity`;
     /// [`CorpusError::CapacityMismatch`] if `capacity` differs from the
     /// store's existing shard capacity (a store that still has zero shards
     /// accepts any nonzero capacity and adopts it); a zero modulus as
@@ -499,9 +517,6 @@ impl ShardStore {
     /// [`CorpusError::Io`]. A failed append removes the shards it wrote, so
     /// the store is never left half-extended. Version skew in existing
     /// shards surfaces earlier, from [`ShardStore::open`].
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero, matching [`ShardStore::create`].
     pub fn append<'a, I>(
         &mut self,
         capacity: usize,
@@ -510,7 +525,7 @@ impl ShardStore {
     where
         I: IntoIterator<Item = &'a Natural>,
     {
-        assert!(capacity > 0, "shard capacity must be nonzero");
+        check_capacity(&self.dir, capacity)?;
         if self.capacity != 0 && self.capacity != capacity as u64 {
             return Err(CorpusError::CapacityMismatch {
                 dir: self.dir.clone(),
@@ -1005,14 +1020,7 @@ pub(crate) fn run_sharded(
         // lint:allow(no-panic-in-lib) invariant: shard_count > 0 and every shard product is a product of nonzero moduli
         .expect("shard products are nonempty and nonzero");
     let product_tree_time = t0.elapsed();
-    // No reciprocal caches for the top descent: each node's `mu` would be
-    // used exactly twice (the two reductions of its own cofactor step), and
-    // a Newton build costs ~2 node-sized multiplies while Burnikel-Ziegler
-    // division matches a Barrett step almost exactly — so single-use
-    // reciprocals are pure overhead here. Barrett pays only where `mu` is
-    // reused across runs (the persisted shard reciprocals of the
-    // incremental sweep, built by `TreeCache::from_parts`).
-    let top_bytes = top.total_bytes() + top.cache_bytes();
+    let top_bytes = top.total_bytes();
     let (shard_products, top_product) = if keep_tree {
         let top_product = top.root().clone();
         (shard_products, top_product)
@@ -1047,9 +1055,8 @@ pub(crate) fn run_sharded(
                 let tree_bytes = tree.total_bytes();
                 // The seed is (P/root) mod root from the top descent —
                 // exactly this tree's cofactor seed. The descent stays on
-                // the claiming worker and takes the division path:
-                // single-use reciprocals cost more than they save at shard
-                // scale. The seed and the tree recycle after it.
+                // the claiming worker; the seed and the tree recycle after
+                // it.
                 let rems = tree.remainder_tree_cofactor_local(&seed);
                 wk_bigint::arena::recycle(seed);
                 tree.recycle();
@@ -1258,6 +1265,20 @@ mod tests {
             .flat_map(|i| store.read_shard(i).unwrap())
             .collect();
         assert_eq!(back, moduli);
+        store.remove().unwrap();
+    }
+
+    #[test]
+    fn zero_capacity_is_typed_error() {
+        let dir = scratch_dir("corpus-zero-cap");
+        let err = ShardStore::create(&dir, 0, &pseudo_moduli(2, 51)).unwrap_err();
+        assert!(matches!(err, CorpusError::ZeroCapacity { .. }), "{err}");
+        assert!(err.to_string().contains("nonzero"), "{err}");
+        assert!(!dir.exists(), "nothing is written before the check");
+        let mut store = ShardStore::create(&dir, 2, &pseudo_moduli(2, 51)).unwrap();
+        let err = store.append(0, &pseudo_moduli(2, 52)).unwrap_err();
+        assert!(matches!(err, CorpusError::ZeroCapacity { .. }), "{err}");
+        assert_eq!(store.shard_count(), 1);
         store.remove().unwrap();
     }
 

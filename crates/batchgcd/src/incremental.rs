@@ -49,8 +49,8 @@
 
 use crate::classic::{leaf_gcd, BatchGcdResult, BatchStats};
 use crate::corpus::{
-    crc32, decode_natural, encode_natural, run_sharded, CorpusError, Crc32, ShardAssembly,
-    ShardStore,
+    check_capacity, crc32, decode_natural, encode_natural, run_sharded, CorpusError, Crc32,
+    ShardAssembly, ShardStore,
 };
 use crate::durable::{self, take_u64, Frame, FrameError, FrameHeader, FRAME_HEADER_LEN};
 use crate::pool::{PhaseExec, WorkerPool};
@@ -62,7 +62,7 @@ use std::fs::{self, File};
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
-use wk_bigint::{Natural, Reciprocal};
+use wk_bigint::Natural;
 
 /// Magic bytes opening every tree-cache section file (`"WKTREEC1"`).
 pub const CACHE_MAGIC: [u8; 8] = *b"WKTREEC1";
@@ -84,16 +84,15 @@ pub const CACHE_FRAME: Frame = Frame {
 const SECTION_ROOTS: u32 = 1;
 const SECTION_TOP: u32 = 2;
 const SECTION_HITS: u32 = 3;
-const SECTION_RECIPS: u32 = 4;
 
 const ROOTS_FILE: &str = "roots.wkc";
 const TOP_FILE: &str = "top.wkc";
 const HITS_FILE: &str = "hits.wkc";
-/// Optional fourth section: one Barrett reciprocal per cached shard root
-/// (capacity `2m`), so monthly sweeps reduce `P_new` by each root without
-/// recomputing the reciprocal. Caches written before this section existed
-/// open fine — the reciprocals are recomputed from the roots.
-const RECIPS_FILE: &str = "recips.wkc";
+/// Every file a cache directory may hold, for [`TreeCache::remove_at`].
+/// The last is section 4 of caches written by older builds (persisted
+/// shard-root reciprocals): nothing reads it, but removal must still take
+/// it so an old cache directory goes whole.
+const CACHE_FILES: [&str; 4] = [ROOTS_FILE, TOP_FILE, HITS_FILE, "recips.wkc"];
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -331,10 +330,9 @@ pub fn take_natural(rest: &mut &[u8], scratch: &mut Vec<u8>) -> io::Result<Natur
 // ---------------------------------------------------------------------------
 
 /// The persisted product-tree state of one [`ShardStore`]: per-shard
-/// subtree roots, their Barrett reciprocals, the cached top product
-/// `P_old`, and the previous cumulative run's raw-divisor hits. The
-/// checksummed section files live in the cache directory (`roots.wkc`,
-/// `top.wkc`, `hits.wkc`, plus the optional `recips.wkc`; format in
+/// subtree roots, the cached top product `P_old`, and the previous
+/// cumulative run's raw-divisor hits. The checksummed section files live in
+/// the cache directory (`roots.wkc`, `top.wkc`, `hits.wkc`; format in
 /// DESIGN.md §8), each carrying a state tag binding it to the exact shard
 /// CRCs of the store it was computed from — any divergence surfaces as
 /// [`IncrementalError::Stale`] rather than a silently wrong answer.
@@ -343,10 +341,6 @@ pub struct TreeCache {
     dir: PathBuf,
     /// Product of each shard's moduli, index-aligned with the store.
     shard_products: Vec<Natural>,
-    /// Barrett reciprocal of each shard product (capacity `2m`), used by
-    /// the monthly sweep and persisted so it is computed once per shard,
-    /// ever — not once per month.
-    shard_recips: Vec<Reciprocal>,
     /// CRC of each source shard's payload at cache time.
     source_crcs: Vec<u32>,
     /// `P_old`, the product of every cached modulus (`1` when empty).
@@ -354,18 +348,6 @@ pub struct TreeCache {
     /// `(global index, raw divisor)` per vulnerable modulus, ascending.
     hits: Vec<(u64, Natural)>,
     total_moduli: u64,
-}
-
-/// Barrett reciprocals for a slice of shard products, capacity `2m` each
-/// (the [`Reciprocal::new`] default — the sweep folds arbitrarily large
-/// `P_new` values chunk-wise, so the capacity is shape-independent).
-fn shard_recips_for(dir: &Path, products: &[Natural]) -> Result<Vec<Reciprocal>, IncrementalError> {
-    products
-        .iter()
-        .map(|p| {
-            Reciprocal::new(p).map_err(|e| corrupt(dir, format!("shard root reciprocal: {e}")))
-        })
-        .collect()
 }
 
 /// `(global index, raw divisor)` for every modulus with a divisor — the
@@ -462,7 +444,6 @@ impl TreeCache {
         }
         let cache = TreeCache {
             dir: dir.to_path_buf(),
-            shard_recips: shard_recips_for(dir, &shard_products)?,
             shard_products,
             source_crcs: store.shards().iter().map(|m| m.crc).collect(),
             top_product,
@@ -561,60 +542,17 @@ impl TreeCache {
                 detail: "cache sections were written by different runs".to_string(),
             });
         }
-
-        // The reciprocal section is optional: caches written before it
-        // existed (or with the file deleted) recompute from the roots.
-        // When present it binds like the others — tag first (Stale beats
-        // CacheCorrupt for a transplanted file), then structural checks.
-        let recips_path = dir.join(RECIPS_FILE);
-        let shard_recips = if recips_path.is_file() {
-            let (recip_count, recips_payload) = read_section(&recips_path, SECTION_RECIPS)?;
-            let mut rest: &[u8] = &recips_payload;
-            let recips_tag = take_u64(&mut rest).ok_or_else(|| {
-                corrupt(
-                    &recips_path,
-                    "reciprocal payload shorter than its state tag",
-                )
-            })?;
-            if recips_tag != roots_tag {
-                return Err(IncrementalError::Stale {
-                    path: dir.to_path_buf(),
-                    detail: "cache sections were written by different runs".to_string(),
-                });
-            }
-            if recip_count != shard_count {
-                return Err(corrupt(
-                    &recips_path,
-                    format!("{recip_count} reciprocals for {shard_count} shard roots"),
-                ));
-            }
-            let mut recips = Vec::with_capacity(capacity_for(recip_count, &recips_payload));
-            for (i, product) in shard_products.iter().enumerate() {
-                let cap = take_u64(&mut rest).ok_or_else(|| {
-                    corrupt(&recips_path, format!("reciprocal {i} missing its capacity"))
-                })?;
-                if cap > u64::from(u32::MAX) {
-                    return Err(corrupt(
-                        &recips_path,
-                        format!("reciprocal {i} capacity {cap} limbs is implausible"),
-                    ));
-                }
-                let mu = take_natural(&mut rest, &mut scratch)
-                    .map_err(|e| corrupt(&recips_path, format!("reciprocal {i}: {e}")))?;
-                let recip = Reciprocal::from_parts(mu, cap as usize, product)
-                    .map_err(|e| corrupt(&recips_path, format!("reciprocal {i}: {e}")))?;
-                recips.push(recip);
-            }
-            expect_end(&recips_path, rest, "the last reciprocal")?;
-            recips
-        } else {
-            shard_recips_for(dir, &shard_products)?
-        };
+        // Indices ascend, so the last one bounds them all.
+        if let Some(index) = last_index.filter(|&index| index >= total_moduli) {
+            return Err(corrupt(
+                &hits_path,
+                format!("hit index {index} beyond the {total_moduli} cached moduli"),
+            ));
+        }
 
         let cache = TreeCache {
             dir: dir.to_path_buf(),
             shard_products,
-            shard_recips,
             source_crcs,
             top_product,
             hits,
@@ -699,7 +637,14 @@ impl TreeCache {
     /// Like [`ShardStore::remove`], the explicit destructor: dropping a
     /// cache leaves its files in place.
     pub fn remove(self) -> io::Result<()> {
-        durable::remove_published(&self.dir, [ROOTS_FILE, TOP_FILE, HITS_FILE, RECIPS_FILE])
+        TreeCache::remove_at(&self.dir)
+    }
+
+    /// [`remove`](TreeCache::remove) for a cache directory that need not
+    /// open — the way to clear a stale or corrupt cache before a rebuild.
+    /// Also removes the section files older builds wrote.
+    pub fn remove_at(dir: &Path) -> io::Result<()> {
+        durable::remove_published(dir, CACHE_FILES)
     }
 
     /// The tag binding every section to one corpus state: a CRC over the
@@ -756,20 +701,6 @@ impl TreeCache {
             self.hits.len() as u64,
             &payload,
         )?;
-
-        payload.clear();
-        payload.extend_from_slice(&tag.to_le_bytes());
-        for recip in &self.shard_recips {
-            payload.extend_from_slice(&(recip.cap_limbs() as u64).to_le_bytes());
-            encode_natural(&mut payload, recip.mu())?;
-        }
-        write_section(
-            &self.dir,
-            RECIPS_FILE,
-            SECTION_RECIPS,
-            self.shard_recips.len() as u64,
-            &payload,
-        )?;
         Ok(())
     }
 }
@@ -799,8 +730,7 @@ struct SweepOut {
 /// 1. **delta tree** — classic batch GCD over the delta alone, in memory:
 ///    product tree (root `P_new`), cofactor remainder descent, per-leaf gcd.
 /// 2. **sweep** — for each *old* shard, reduce `P_new` by the cached shard
-///    root (through its persisted Barrett reciprocal; a no-op
-///    short-circuit while `P_new` is smaller) and take one
+///    root (a no-op short-circuit while `P_new` is smaller) and take one
 ///    small-modulus reduction + gcd per old modulus:
 ///    `d = gcd(N, P_new mod N)`. The union divisor for an old modulus is
 ///    `gcd(N, g_old * d)`, which collapses to the cached `g_old` whenever
@@ -822,13 +752,11 @@ struct SweepOut {
 /// [`IncrementalError::Stale`] if `cache` does not bind to `store`'s
 /// current state; [`IncrementalError::Delta`] for a zero modulus in the
 /// delta; [`IncrementalError::Corpus`] for shard-store failures, including
-/// [`CorpusError::CapacityMismatch`] when `capacity` differs from the
-/// store's. If persisting the updated cache fails, the in-memory `cache`
+/// [`CorpusError::ZeroCapacity`] for a zero `capacity` (checked before any
+/// work) and [`CorpusError::CapacityMismatch`] when `capacity` differs from
+/// the store's. If persisting the updated cache fails, the in-memory `cache`
 /// and `store` are already consistent with each other; the on-disk cache is
 /// detected stale on the next [`TreeCache::open`].
-///
-/// # Panics
-/// Panics if `capacity` is zero (matching [`ShardStore::create`]).
 pub fn incremental_batch_gcd(
     store: &mut ShardStore,
     cache: &mut TreeCache,
@@ -836,6 +764,7 @@ pub fn incremental_batch_gcd(
     capacity: usize,
     threads: usize,
 ) -> Result<BatchGcdResult, IncrementalError> {
+    check_capacity(store.dir(), capacity)?;
     cache.validate(store)?;
     if delta.is_empty() {
         return reconstruct_cached(store, cache);
@@ -854,15 +783,13 @@ pub fn incremental_batch_gcd(
     let cross_domain = pool.domain();
 
     // Phase 1: classic batch GCD over the delta alone, on the cofactor
-    // descent. The attached cofactor reciprocals serve double duty: phase 3
-    // reuses them to push P_old down this same tree.
+    // descent. Phase 3 pushes P_old down this same tree.
     let t0 = Instant::now();
-    let mut t_new = ProductTree::build(delta, pool.exec_in(&tree_domain))
+    let t_new = ProductTree::build(delta, pool.exec_in(&tree_domain))
         // lint:allow(no-panic-in-lib) invariant: delta is nonempty and zero-free, checked above
         .expect("validated delta");
     let p_new = t_new.root().clone();
-    t_new.attach_cofactor_recips(pool.exec_in(&tree_domain));
-    let tree_bytes = t_new.total_bytes() + t_new.cache_bytes();
+    let tree_bytes = t_new.total_bytes();
     let rems = t_new.remainder_tree_cofactor(&Natural::one(), pool.exec_in(&tree_domain));
     let delta_raw: Vec<Option<Natural>> = pool.exec_in(&tree_domain).map(
         delta.iter().zip(rems).collect(),
@@ -884,12 +811,9 @@ pub fn incremental_batch_gcd(
     // Phase 2: sweep P_new across the old corpus. Reducing by the cached
     // shard root first keeps every per-leaf division at shard scale; while
     // P_new is smaller than the shard product the reduction short-circuits
-    // to a comparison. The reduction itself runs through the shard root's
-    // persisted Barrett reciprocal — the precompute was paid once, at the
-    // month the shard was sealed — with plain division as the fallback.
+    // to a comparison.
     let t1 = Instant::now();
     let shard_products = &cache.shard_products;
-    let shard_recips = &cache.shard_recips;
     let sweep_tasks: Vec<_> = (0..old_shards)
         .map(|s| {
             let pool = &pool;
@@ -900,9 +824,7 @@ pub fn incremental_batch_gcd(
             let store = &*store;
             move || -> Result<SweepOut, CorpusError> {
                 let moduli = store.read_shard(s as u32)?;
-                let reduced = p_new
-                    .barrett_rem(&shard_products[s], &shard_recips[s])
-                    .unwrap_or_else(|_| p_new % &shard_products[s]);
+                let reduced = p_new % &shard_products[s];
                 let ds: Vec<Option<Natural>> = pool
                     .exec_in(sweep_domain)
                     .map(moduli.iter().collect(), |n: &Natural| {
@@ -930,9 +852,8 @@ pub fn incremental_batch_gcd(
         .collect::<Result<Vec<_>, _>>()?;
     let delta_sweep_time = t1.elapsed();
 
-    // Phase 3: resolve the delta against the cached old product. The plain
-    // descent of P_old rides the reciprocals phase 1 attached (only the
-    // root step falls back to one division).
+    // Phase 3: resolve the delta against the cached old product by one
+    // plain descent of P_old.
     let t2 = Instant::now();
     let rems_old = t_new.remainder_tree_plain(&cache.top_product, pool.exec_in(&cross_domain));
     drop(t_new);
@@ -1017,10 +938,6 @@ pub fn incremental_batch_gcd(
         }
         level.pop().unwrap_or_else(Natural::one)
     });
-    // Reciprocals only for the shards this delta created — the cached
-    // shards' reciprocals ride forward untouched.
-    let new_recips = shard_recips_for(&cache.dir, &new_products)?;
-    cache.shard_recips.extend(new_recips);
     cache.shard_products.extend(new_products);
     cache.source_crcs.extend(
         store
@@ -1162,85 +1079,64 @@ mod tests {
         assert_eq!(reopened.hits(), cache.hits());
         // Shard products match the actual shard contents.
         assert_eq!(reopened.shard_products, vec![nat(33 * 323), nat(15)]);
-        // The persisted reciprocals round-trip limb-for-limb.
-        assert!(cache.dir().join(RECIPS_FILE).is_file());
-        assert_eq!(reopened.shard_recips, cache.shard_recips);
         teardown(store, reopened);
         cache.remove().unwrap();
     }
 
     #[test]
-    fn missing_recips_file_recomputes_on_open() {
-        let (store, cache) = setup("incr-norecips", 2, &month1());
-        fs::remove_file(cache.dir().join(RECIPS_FILE)).unwrap();
-        // A pre-reciprocal cache opens fine and rebuilds the same values.
-        let reopened = TreeCache::open(cache.dir(), &store).unwrap();
-        assert_eq!(reopened.shard_recips, cache.shard_recips);
-        // A delta run over the recomputed cache still matches classic.
-        let mut store = store;
-        let mut reopened = reopened;
-        let res = incremental_batch_gcd(&mut store, &mut reopened, &month2(), 2, 1).unwrap();
-        let mut union = month1();
-        union.extend(month2());
-        let classic = batch_gcd(&union, 1);
-        assert_eq!(res.raw_divisors, classic.raw_divisors);
-        // Persisting the union rewrote the reciprocal section.
-        assert!(reopened.dir().join(RECIPS_FILE).is_file());
-        teardown(store, reopened);
-    }
-
-    #[test]
-    fn corrupt_recips_section_is_typed_error() {
-        let (store, cache) = setup("incr-badrecips", 2, &month1());
-        let path = cache.dir().join(RECIPS_FILE);
-        let pristine = fs::read(&path).unwrap();
-
-        // Payload bit flip without fixing the CRC.
-        let mut bytes = pristine.clone();
-        bytes[CACHE_HEADER_LEN + 10] ^= 0x40;
-        fs::write(&path, &bytes).unwrap();
+    fn out_of_range_hit_index_is_corrupt() {
+        // Four moduli in shards of two; a CRC-valid hits section with the
+        // right state tag names modulus 9.
+        let mut moduli = month1();
+        moduli.push(nat(39));
+        let (store, cache) = setup("incr-hit-range", 2, &moduli);
+        let mut payload = cache.state_tag().to_le_bytes().to_vec();
+        payload.extend_from_slice(&9u64.to_le_bytes());
+        encode_natural(&mut payload, &nat(3)).unwrap();
+        write_section(cache.dir(), HITS_FILE, SECTION_HITS, 1, &payload).unwrap();
         let err = TreeCache::open(cache.dir(), &store).unwrap_err();
         assert!(
             matches!(err, IncrementalError::CacheCorrupt { .. }),
             "{err}"
         );
-        assert!(err.to_string().contains("CRC"));
-
-        // Structurally impossible parts behind a valid CRC: zero the first
-        // entry's capacity (payload = tag, then cap + mu per entry) and
-        // re-checksum, so the damage reaches the from_parts validation.
-        let mut bytes = pristine.clone();
-        bytes[CACHE_HEADER_LEN + 8..CACHE_HEADER_LEN + 16].copy_from_slice(&0u64.to_le_bytes());
-        let crc = crc32(&bytes[CACHE_HEADER_LEN..]);
-        bytes[32..36].copy_from_slice(&crc.to_le_bytes());
-        fs::write(&path, &bytes).unwrap();
-        let err = TreeCache::open(cache.dir(), &store).unwrap_err();
-        assert!(
-            matches!(err, IncrementalError::CacheCorrupt { .. }),
-            "{err}"
-        );
-        assert!(err.to_string().contains("reciprocal 0"), "{err}");
+        assert!(err.to_string().contains("hit index 9"), "{err}");
         teardown(store, cache);
     }
 
     #[test]
-    fn transplanted_recips_section_is_stale() {
-        let (store_a, cache_a) = setup("incr-swaprecips-a", 2, &month1());
-        let (store_b, cache_b) = setup("incr-swaprecips-b", 2, &month2());
-        fs::copy(
-            cache_b.dir().join(RECIPS_FILE),
-            cache_a.dir().join(RECIPS_FILE),
-        )
-        .unwrap();
-        let err = TreeCache::open(cache_a.dir(), &store_a).unwrap_err();
-        match &err {
-            IncrementalError::Stale { detail, .. } => {
-                assert!(detail.contains("different runs"), "{detail}")
-            }
-            other => panic!("expected Stale, got {other}"),
-        }
-        teardown(store_a, cache_a);
-        teardown(store_b, cache_b);
+    fn zero_capacity_is_typed_error() {
+        let (mut store, mut cache) = setup("incr-zero-cap", 2, &month1());
+        let err = incremental_batch_gcd(&mut store, &mut cache, &month2(), 0, 1).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                IncrementalError::Corpus(CorpusError::ZeroCapacity { .. })
+            ),
+            "{err}"
+        );
+        assert_eq!(store.total_moduli(), 3);
+        teardown(store, cache);
+    }
+
+    #[test]
+    fn legacy_recips_section_is_ignored_and_removed() {
+        // Caches written by older builds also hold a fourth section,
+        // `recips.wkc`. It is not read: the cache opens, delta-updates like
+        // any other, and `remove` still clears the directory.
+        let (mut store, cache) = setup("incr-legacy", 2, &month1());
+        let legacy = cache.dir().join("recips.wkc");
+        let mut payload = cache.state_tag().to_le_bytes().to_vec();
+        payload.extend_from_slice(&[0xa5; 24]);
+        write_section(cache.dir(), "recips.wkc", 4, 2, &payload).unwrap();
+        let mut reopened = TreeCache::open(cache.dir(), &store).unwrap();
+        let res = incremental_batch_gcd(&mut store, &mut reopened, &month2(), 2, 1).unwrap();
+        let mut union = month1();
+        union.extend(month2());
+        assert_eq!(res.raw_divisors, batch_gcd(&union, 1).raw_divisors);
+        assert!(legacy.is_file(), "an update leaves the legacy file alone");
+        let dir = reopened.dir().to_path_buf();
+        teardown(store, reopened);
+        assert!(!dir.exists());
     }
 
     #[test]
@@ -1466,7 +1362,7 @@ mod tests {
         cache.remove().unwrap();
         assert!(!TreeCache::exists(&dir));
         assert!(!dir.join(ROOTS_FILE).exists());
-        assert!(!dir.join(RECIPS_FILE).exists());
+        assert!(!dir.exists());
         store.remove().unwrap();
     }
 }

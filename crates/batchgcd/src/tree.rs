@@ -16,13 +16,11 @@
 //!     corpus product — which the leaves do not divide.
 //!
 //! Both descents keep every residue below its node, so no node is ever
-//! squared. [`attach_cofactor_recips`](ProductTree::attach_cofactor_recips)
-//! turns their reductions into Barrett steps; the leaves are byte-identical
-//! either way.
+//! squared, and both reduce at every node by exact division.
 
 use crate::pool::Exec;
 use std::fmt;
-use wk_bigint::{arena, Natural, Reciprocal};
+use wk_bigint::{arena, Natural};
 
 /// Why a product tree could not be built. Both conditions are caller bugs
 /// in an in-memory run, but become reachable data errors once moduli stream
@@ -55,19 +53,9 @@ impl std::error::Error for TreeError {}
 
 /// A materialized product tree. `levels[0]` is the leaf level (the inputs);
 /// the last level holds the single root.
-///
-/// Optionally carries per-node Barrett reciprocals (see
-/// [`attach_cofactor_recips`](ProductTree::attach_cofactor_recips)) so the
-/// remainder descents replace each Burnikel-Ziegler division with a Barrett
-/// reduction — two multiplies plus at most two correction subtractions per
-/// node.
 #[derive(Clone, Debug)]
 pub struct ProductTree {
     levels: Vec<Vec<Natural>>,
-    /// Per-node reciprocals, level-aligned with `levels`; empty until
-    /// [`attach_cofactor_recips`](ProductTree::attach_cofactor_recips)
-    /// populates it.
-    recips: Vec<Vec<Option<Reciprocal>>>,
 }
 
 impl ProductTree {
@@ -86,7 +74,7 @@ impl ProductTree {
             levels.push(core::mem::replace(&mut current, next));
         }
         levels.push(current); // the single-node root level
-        Ok(ProductTree::from_levels(levels))
+        Ok(ProductTree { levels })
     }
 
     /// Build the tree on the calling thread, no pool dispatch. The shard
@@ -108,7 +96,7 @@ impl ProductTree {
             levels.push(core::mem::replace(&mut current, next));
         }
         levels.push(current);
-        Ok(ProductTree::from_levels(levels))
+        Ok(ProductTree { levels })
     }
 
     fn check_input(moduli: &[Natural]) -> Result<(), TreeError> {
@@ -119,13 +107,6 @@ impl ProductTree {
             return Err(TreeError::ZeroModulus { index });
         }
         Ok(())
-    }
-
-    fn from_levels(levels: Vec<Vec<Natural>>) -> ProductTree {
-        ProductTree {
-            levels,
-            recips: Vec::new(),
-        }
     }
 
     /// The root product `Π N_i`.
@@ -157,98 +138,24 @@ impl ProductTree {
             .sum()
     }
 
-    /// Precompute the plain per-node reciprocals driving the cofactor
-    /// descent
-    /// ([`remainder_tree_cofactor`](ProductTree::remainder_tree_cofactor)),
-    /// sized by the canonical `V = root` (seed `1`) descent's value bounds:
-    /// near the root the residues stay sibling-sized, so nodes whose
-    /// reductions the bound chain proves trivial get no cache at all, and
-    /// the rest get `mu` at exactly the precision their incoming values
-    /// need (clamped to the `2m` fold capacity). Promoted odd nodes pass
-    /// their residue through unreduced and the root only ever sees the
-    /// seed, so neither is cached. Descents from larger foreign seeds stay
-    /// correct — oversized values chunk-fold through the same reciprocals
-    /// or fall back to division.
-    ///
-    /// A later [`remainder_tree_plain`](ProductTree::remainder_tree_plain)
-    /// descent over the same tree reuses these reciprocals (the incremental
-    /// cross phase does exactly that).
-    pub fn attach_cofactor_recips(&mut self, exec: Exec<'_>) {
-        let top_level = self.levels.len() - 1;
-        // Bound chain for the seed-1 descent, in bits: at node `u` with
-        // sibling `s`, the first reduction sees the parent residue
-        // (`b_v` bits) and the second sees `s * (first reduction)`.
-        let mut bounds: Vec<Vec<u64>> = self.levels.iter().map(|l| vec![0; l.len()]).collect();
-        if let Some(slot) = bounds[top_level].first_mut() {
-            *slot = 1;
-        }
-        let mut jobs: Vec<(usize, usize, usize)> = Vec::new();
-        for level_idx in (0..top_level).rev() {
-            let width = self.levels[level_idx].len();
-            for i in 0..width {
-                let u_bits = self.levels[level_idx][i].bit_len();
-                let b_v = bounds[level_idx + 1][i / 2];
-                let sib = i ^ 1;
-                if sib >= width {
-                    bounds[level_idx][i] = b_v.min(u_bits);
-                    continue;
-                }
-                let t_bound = b_v.min(u_bits);
-                let prod_bound = self.levels[level_idx][sib].bit_len() + t_bound;
-                bounds[level_idx][i] = prod_bound.min(u_bits);
-                let needed_bits = match (b_v > u_bits, prod_bound > u_bits) {
-                    (true, _) => b_v.max(prod_bound),
-                    (false, true) => prod_bound,
-                    (false, false) => continue,
-                };
-                let m = self.levels[level_idx][i].limb_len();
-                let cap = (needed_bits.div_ceil(64) as usize).min(2 * m);
-                jobs.push((level_idx, i, cap));
-            }
-        }
-        let levels = &self.levels;
-        let computed = exec.map_chunked(jobs, |(level_idx, i, cap)| {
-            Reciprocal::with_capacity(&levels[level_idx][i], cap)
-                .ok()
-                .map(|recip| (level_idx, i, recip))
-        });
-        let mut recips: Vec<Vec<Option<Reciprocal>>> =
-            self.levels.iter().map(|l| vec![None; l.len()]).collect();
-        for (level_idx, i, recip) in computed.into_iter().flatten() {
-            recips[level_idx][i] = Some(recip);
-        }
-        self.recips = recips;
-    }
-
-    /// Bytes held by the attached reciprocals, on top of
-    /// [`total_bytes`](ProductTree::total_bytes).
+    /// Bytes held on top of [`total_bytes`](ProductTree::total_bytes):
+    /// always `0`, since a tree stores nothing beside its nodes. It stays
+    /// for the callers that still add it to `total_bytes`.
     pub fn cache_bytes(&self) -> usize {
-        self.recips
-            .iter()
-            .flatten()
-            .flatten()
-            .map(Reciprocal::bytes)
-            .sum()
+        0
     }
 
-    /// One plain reduction: `pv mod node`, via comparison, Barrett, or
-    /// division.
+    /// One plain reduction: `pv mod node`, by comparison or exact division.
+    /// The division's quotient goes back to the thread arena, so a warmed
+    /// descent draws every buffer from the pool.
     fn reduce_plain(&self, pv: &Natural, level_idx: usize, i: usize) -> Natural {
         let node = &self.levels[level_idx][i];
         if pv < node {
             return arena::clone_natural(pv);
         }
-        if let Some(recip) = self
-            .recips
-            .get(level_idx)
-            .and_then(|l| l.get(i))
-            .and_then(Option::as_ref)
-        {
-            if let Ok(r) = pv.barrett_rem(node, recip) {
-                return r;
-            }
-        }
-        pv % node
+        let (q, r) = pv.div_rem(node);
+        arena::recycle(q);
+        r
     }
 
     /// Shared descent driver: reduce `value` modulo the root, then apply
@@ -288,9 +195,7 @@ impl ProductTree {
     /// Compute `value mod leaf_i` for every leaf. This is the descent for
     /// values the leaves do not divide: the distributed variant's foreign
     /// subset products and the incremental cross phase's cached corpus
-    /// product. Each node reduces by exact division, or by a Barrett step
-    /// where [`attach_cofactor_recips`](ProductTree::attach_cofactor_recips)
-    /// cached a reciprocal.
+    /// product.
     pub fn remainder_tree_plain(&self, value: &Natural, exec: Exec<'_>) -> Vec<Natural> {
         self.descend(value, exec, &|pv, l, i| self.reduce_plain(pv, l, i))
     }
@@ -321,10 +226,7 @@ impl ProductTree {
     /// `cofactor_rem = 1`.
     ///
     /// Every intermediate residue is bounded by its *node*, and the leaf
-    /// values are exactly the `(V/N) mod N` the gcd stage consumes. Attach
-    /// [`attach_cofactor_recips`](ProductTree::attach_cofactor_recips) first
-    /// to run every non-trivial reduction as a Barrett step; results are
-    /// byte-identical either way.
+    /// values are exactly the `(V/N) mod N` the gcd stage consumes.
     pub fn remainder_tree_cofactor(&self, cofactor_rem: &Natural, exec: Exec<'_>) -> Vec<Natural> {
         self.descend(cofactor_rem, exec, &|pv, l, i| {
             self.reduce_cofactor(pv, l, i)
@@ -335,8 +237,6 @@ impl ProductTree {
     /// arena. For passes that build many same-shaped trees in sequence —
     /// the shard leaf phase builds one per shard on the claiming worker —
     /// the next tree's nodes then come out of the pool instead of the heap.
-    /// Attached reciprocal caches are dropped normally (their buffers are
-    /// reciprocal-sized, not node-shaped).
     pub fn recycle(self) {
         for level in self.levels {
             for node in level {
@@ -506,19 +406,11 @@ mod tests {
         let foreign = foreign_tree.root();
         for n in [2usize, 3, 13, 16] {
             let moduli = pseudo_moduli(n, 8, 4242);
-            let mut tree = ProductTree::build(&moduli, seq().exec()).unwrap();
-            let values = [tree.root().clone(), foreign.clone(), foreign * foreign];
-            // Exact division first, then the Barrett steps the cofactor
-            // reciprocals enable (the incremental cross phase's path).
-            for with_recips in [false, true] {
-                if with_recips {
-                    tree.attach_cofactor_recips(seq().exec());
-                }
-                for v in &values {
-                    let rems = tree.remainder_tree_plain(v, seq().exec());
-                    for (m, r) in moduli.iter().zip(&rems) {
-                        assert_eq!(r, &(v % m), "n={n} recips={with_recips}");
-                    }
+            let tree = ProductTree::build(&moduli, seq().exec()).unwrap();
+            for v in [tree.root().clone(), foreign.clone(), foreign * foreign] {
+                let rems = tree.remainder_tree_plain(&v, seq().exec());
+                for (m, r) in moduli.iter().zip(&rems) {
+                    assert_eq!(r, &(&v % m), "n={n}");
                 }
             }
         }
@@ -541,8 +433,7 @@ mod tests {
         // promoted odd node. 13/16: balanced and ragged interior shapes.
         for n in [1usize, 2, 3, 13, 16] {
             let moduli = pseudo_moduli(n, 1, 4242);
-            let mut tree = ProductTree::build(&moduli, seq().exec()).unwrap();
-            tree.attach_cofactor_recips(seq().exec());
+            let tree = ProductTree::build(&moduli, seq().exec()).unwrap();
             let root = tree.root().clone();
             // V = root: r_i = (P/N_i) mod N_i.
             let rems = tree.remainder_tree_cofactor(&Natural::one(), seq().exec());

@@ -1,12 +1,11 @@
-//! Equivalence of the division-free cofactor descent (DESIGN.md §9)
-//! against the classic formulation, across every production entry point.
+//! Equivalence of the cofactor descent (DESIGN.md §9) against the classic
+//! formulation, across every production entry point.
 //!
-//! The invariant: replacing per-node `div_rem` with Barrett reduction
-//! against cached reciprocals — and replacing the squared form `P mod N^2`
-//! with the cofactor recurrence `r_u = (s * (r_v mod u)) mod u` — changes
-//! timings only. Raw divisors and statuses stay byte-identical across
-//! thread counts, shard capacities and entry points, and the cofactor
-//! leaves relate to the squared residues by exactly `P mod N^2 = r_N * N`.
+//! The invariant: replacing the squared form `P mod N^2` with the cofactor
+//! recurrence `r_u = (s * (r_v mod u)) mod u` changes timings only. Raw
+//! divisors and statuses stay byte-identical across thread counts, shard
+//! capacities and entry points, and the cofactor leaves relate to the
+//! squared residues by exactly `P mod N^2 = r_N * N`.
 
 use proptest::prelude::*;
 use wk_batchgcd::{
@@ -118,8 +117,7 @@ fn cofactor_leaves_factor_the_squared_leaves() {
     let moduli = population(9, 6, 777);
     let pool = WorkerPool::new(2);
     let domain = pool.domain();
-    let mut tree = ProductTree::build(&moduli, pool.exec_in(&domain)).unwrap();
-    tree.attach_cofactor_recips(pool.exec_in(&domain));
+    let tree = ProductTree::build(&moduli, pool.exec_in(&domain)).unwrap();
 
     let cofactor = tree.remainder_tree_cofactor(&Natural::one(), pool.exec_in(&domain));
     let cofactor_local = tree.remainder_tree_cofactor_local(&Natural::one());
@@ -223,8 +221,7 @@ proptest! {
         let moduli = population(vulnerable, healthy, seed);
         let pool = WorkerPool::new(2);
         let domain = pool.domain();
-        let mut tree = ProductTree::build(&moduli, pool.exec_in(&domain)).unwrap();
-        tree.attach_cofactor_recips(pool.exec_in(&domain));
+        let tree = ProductTree::build(&moduli, pool.exec_in(&domain)).unwrap();
         let leaves = tree.remainder_tree_cofactor(&Natural::one(), pool.exec_in(&domain));
         let root = tree.root().clone();
         for (n, r) in moduli.iter().zip(&leaves) {

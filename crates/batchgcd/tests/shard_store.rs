@@ -161,7 +161,7 @@ fn cache_build_and_from_parts_write_identical_sections() {
     )
     .unwrap();
     let built_files = files(&built_dir);
-    assert_eq!(built_files.len(), 4, "roots, top, hits and recips sections");
+    assert_eq!(built_files.len(), 3, "roots, top and hits sections");
     assert_eq!(built_files, files(&parts_dir));
     built.remove().unwrap();
     parts.remove().unwrap();
@@ -252,11 +252,7 @@ fn inflated_shard_count_is_a_typed_error() {
 #[test]
 fn inflated_cache_section_count_is_cache_corrupt() {
     let store = ShardStore::create(&scratch_dir("shard-count-cache"), 4, &mixed_moduli()).unwrap();
-    for (section, count) in [
-        ("roots.wkc", u64::MAX),
-        ("hits.wkc", 1 << 58),
-        ("recips.wkc", 1 << 58),
-    ] {
+    for (section, count) in [("roots.wkc", u64::MAX), ("hits.wkc", 1 << 58)] {
         let dir = scratch_dir("shard-count-cache-dir");
         let (cache, _) = TreeCache::build(&dir, &store, 1).unwrap();
         set_count(&dir.join(section), count);

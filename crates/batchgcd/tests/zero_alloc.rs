@@ -1,5 +1,6 @@
 //! Counting-allocator proof that the steady-state cofactor descent is
-//! allocation-free (DESIGN.md §13).
+//! allocation-free (DESIGN.md §13). Every node reduces by exact division,
+//! the path every batch-GCD entry point runs.
 //!
 //! A warmed [`ProductTree::remainder_tree_cofactor_local_into`] pass —
 //! same tree, caller-owned [`DescentScratch`] and output vector, limb
@@ -79,14 +80,12 @@ fn population(count: usize, seed: u64) -> Vec<Natural> {
 fn warmed_cofactor_descent_allocates_nothing() {
     let moduli = population(21, 0xa110c);
 
-    // Build and cache-attach on a worker pool, then drop it: the
-    // measurement below must see only this thread.
+    // Build on a worker pool, then drop it: the measurement below must see
+    // only this thread.
     let tree = {
         let pool = WorkerPool::new(2);
         let domain = pool.domain();
-        let mut t = ProductTree::build(&moduli, pool.exec_in(&domain)).unwrap();
-        t.attach_cofactor_recips(pool.exec_in(&domain));
-        t
+        ProductTree::build(&moduli, pool.exec_in(&domain)).unwrap()
     };
 
     let one = Natural::one();

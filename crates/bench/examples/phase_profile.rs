@@ -28,17 +28,10 @@ fn main() {
         .collect();
     println!("phase1 shard products: {:?}", t.elapsed());
 
-    // Phase 2: top tree + reciprocal caches.
+    // Phase 2: top tree.
     let t = Instant::now();
-    let mut top = ProductTree::build(&shard_products, pool.exec()).unwrap();
+    let top = ProductTree::build(&shard_products, pool.exec()).unwrap();
     println!("phase2 top tree: {:?}", t.elapsed());
-    let t = Instant::now();
-    top.attach_cofactor_recips(pool.exec());
-    println!(
-        "phase2b attach_cofactor_recips: {:?} (cache {} KiB)",
-        t.elapsed(),
-        top.cache_bytes() / 1024
-    );
 
     // Phase 3a: top cofactor descent.
     let t = Instant::now();

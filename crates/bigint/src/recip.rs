@@ -1,12 +1,14 @@
 //! Barrett reduction against precomputed reciprocals.
 //!
-//! The batch-GCD remainder tree reduces one huge value modulo every node of
-//! a product tree. Each node's modulus is fixed across the whole descent
-//! (and, in the incremental path, across *runs*), so the division can be
-//! split into a per-modulus precomputation — a fixed-point reciprocal
+//! A modulus that is reduced against many times can split its division
+//! into a per-modulus precomputation — a fixed-point reciprocal
 //! `mu = floor(beta^cap / n)` with `beta = 2^64` — and a per-value
 //! reduction of two multiplies plus at most two correction subtractions
 //! (HAC Algorithm 14.42, generalized to a configurable dividend capacity).
+//! The batch-GCD descents do not use it: a node is reduced against only
+//! two or three times per descent, and at that reuse a Newton build plus
+//! the Barrett steps costs more than exact division (DESIGN.md §13.2). The
+//! kernel stays as a tested reference for the layer benchmarks.
 //!
 //! The reciprocal itself is computed by Newton's method on truncated
 //! operands (precision roughly doubles per iteration, so the total cost is
@@ -43,8 +45,8 @@
 //! `m + 1` limbs still determine the remainder, and at most `2 + delta`
 //! subtractions of `n` finish the reduction. The correction loop is
 //! bounded by [`MAX_BARRETT_CORRECTIONS`]; exceeding it (impossible for a
-//! reciprocal built here, conceivable only for a damaged persisted one)
-//! falls back to one exact division, so the result is the true remainder
+//! reciprocal built here, conceivable only for a damaged one) falls back to
+//! one exact division, so the result is the true remainder
 //! unconditionally. Larger values are folded in `(cap - m)`-limb chunks
 //! from the top, each step staying under the capacity — the division-free
 //! analog of short division.
@@ -75,15 +77,13 @@ const MU_MAX_SLACK_ULPS: u32 = 16;
 /// Upper bound on Barrett correction subtractions: the two the exact-`mu`
 /// analysis allows plus one per ulp of reciprocal slack. Exceeding it is
 /// impossible for reciprocals built by [`Reciprocal::with_capacity`];
-/// reaching it (a damaged persisted reciprocal that slipped past the
-/// structural checks) falls back to one exact division instead of looping
-/// or returning a wrong remainder.
+/// reaching it (a damaged reciprocal) falls back to one exact division
+/// instead of looping or returning a wrong remainder.
 const MAX_BARRETT_CORRECTIONS: u32 = 2 + MU_MAX_SLACK_ULPS;
 
 /// Why a reciprocal could not be built or applied. Misuse (a zero modulus,
 /// or pairing a reciprocal with a different modulus than it was built for)
-/// is a typed error, not a panic: reciprocals flow through persisted tree
-/// caches where a confused pairing must surface as a recoverable condition.
+/// is a typed error, not a panic.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RecipError {
     /// The modulus was zero — no reciprocal exists.
@@ -95,12 +95,6 @@ pub enum RecipError {
         expected_bits: u64,
         /// Bit length of the modulus it was applied to.
         found_bits: u64,
-    },
-    /// A deserialized `(mu, capacity)` pair is structurally impossible for
-    /// the claimed modulus (wrong magnitude or undersized capacity).
-    MalformedParts {
-        /// Which structural check failed.
-        detail: &'static str,
     },
 }
 
@@ -116,9 +110,6 @@ impl fmt::Display for RecipError {
                 "reciprocal built for a {expected_bits}-bit modulus applied to a \
                  {found_bits}-bit one"
             ),
-            RecipError::MalformedParts { detail } => {
-                write!(f, "malformed reciprocal parts: {detail}")
-            }
         }
     }
 }
@@ -128,8 +119,8 @@ impl std::error::Error for RecipError {}
 /// A precomputed fixed-point reciprocal `mu` of one modulus `n` — equal to
 /// `floor(beta^cap / n)` up to `MU_MAX_SLACK_ULPS` of one-sided
 /// under-estimate — sized to reduce dividends below `beta^cap` in a single
-/// Barrett step. The modulus itself is not stored (tree nodes already own
-/// it); its limb and bit lengths are, so a mismatched pairing is caught as
+/// Barrett step. The modulus itself is not stored (the caller owns it);
+/// its limb and bit lengths are, so a mismatched pairing is caught as
 /// [`RecipError::ModulusMismatch`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Reciprocal {
@@ -252,9 +243,9 @@ fn invert_newton(n: &Natural, cap: usize) -> Natural {
     };
     // One shape needs patching: when floor(2^e/n) is exactly the minimal
     // 2^(e-t) (n just below a power of two), the slack can drop z below
-    // mu's guaranteed magnitude window, which the structural checks in
-    // `from_parts` and the capacity maths both rely on. Clamping up to
-    // 2^(e-t) is always sound: floor(2^e/n) >= 2^(e-t) for t-bit n.
+    // mu's guaranteed magnitude window, which the capacity maths relies
+    // on. Clamping up to 2^(e-t) is always sound: floor(2^e/n) >= 2^(e-t)
+    // for t-bit n.
     let floor_min = pow2(e - t);
     if z < floor_min {
         z = floor_min;
@@ -280,11 +271,10 @@ impl Reciprocal {
         Reciprocal::with_capacity(n, 2 * n.limb_len())
     }
 
-    /// Reciprocal sized for dividends below `beta^cap_limbs`. Remainder
-    /// trees know each node's incoming-value bound (the parent's modulus),
-    /// so they size `mu` once and take the single-step path on every
-    /// descent. The capacity is clamped to at least `m + 1` so `mu` always
-    /// has at least one full limb of precision.
+    /// Reciprocal sized for dividends below `beta^cap_limbs`: a caller that
+    /// knows its values' bound sizes `mu` once and takes the single-step
+    /// path on every reduction. The capacity is clamped to at least `m + 1`
+    /// so `mu` always has at least one full limb of precision.
     ///
     /// # Errors
     /// [`RecipError::ZeroModulus`] if `n` is zero.
@@ -300,69 +290,6 @@ impl Reciprocal {
             cap,
             n_bits: n.bit_len(),
         })
-    }
-
-    /// Reassemble a reciprocal from persisted parts, validating them
-    /// against the modulus they claim to invert. The checks are
-    /// structural (capacity and magnitude), not a full recomputation —
-    /// persisted reciprocals are integrity-protected by their container's
-    /// checksums, the same trust model as the cached products themselves.
-    ///
-    /// # Errors
-    /// [`RecipError::ZeroModulus`] for a zero modulus;
-    /// [`RecipError::MalformedParts`] when `(mu, cap_limbs)` cannot be a
-    /// reciprocal of this `n` (wrong magnitude window or capacity).
-    pub fn from_parts(
-        mu: Natural,
-        cap_limbs: usize,
-        n: &Natural,
-    ) -> Result<Reciprocal, RecipError> {
-        if n.is_zero() {
-            return Err(RecipError::ZeroModulus);
-        }
-        let m = n.limb_len();
-        if cap_limbs < m + 1 {
-            return Err(RecipError::MalformedParts {
-                detail: "capacity smaller than the modulus",
-            });
-        }
-        // floor(2^e/n) has e - t + 1 bits, except one more when n is a
-        // power of two.
-        let e = 64 * cap_limbs as u64;
-        let t = n.bit_len();
-        let bits = mu.bit_len();
-        if bits < e - t + 1 || bits > e - t + 2 {
-            return Err(RecipError::MalformedParts {
-                detail: "mu magnitude impossible for this modulus",
-            });
-        }
-        Ok(Reciprocal {
-            mu,
-            m,
-            cap: cap_limbs,
-            n_bits: t,
-        })
-    }
-
-    /// The stored fixed-point reciprocal (`floor(beta^cap / n)` up to the
-    /// permitted under-estimate), for serialization.
-    pub fn mu(&self) -> &Natural {
-        &self.mu
-    }
-
-    /// Dividend capacity in limbs.
-    pub fn cap_limbs(&self) -> usize {
-        self.cap
-    }
-
-    /// Limb length of the modulus this reciprocal inverts.
-    pub fn modulus_limbs(&self) -> usize {
-        self.m
-    }
-
-    /// Stored size in bytes (limb storage of `mu`).
-    pub fn bytes(&self) -> usize {
-        self.mu.limb_len() * 8
     }
 
     /// One generalized-Barrett step for `x < beta^cap`: two multiplies and
@@ -519,10 +446,10 @@ mod tests {
     /// mu must be exactly floor(beta^cap / n) — the direct-division path.
     fn check_mu_exact(n: &Natural, cap: usize) {
         let r = Reciprocal::with_capacity(n, cap).unwrap();
-        let expect = &pow2(64 * r.cap_limbs() as u64) / n;
+        let expect = &pow2(64 * r.cap as u64) / n;
         assert_eq!(
-            r.mu(),
-            &expect,
+            r.mu,
+            expect,
             "mu not exact for n={} limbs cap={cap}",
             n.limb_len()
         );
@@ -532,8 +459,8 @@ mod tests {
     /// and must sit within MU_MAX_SLACK_ULPS below it.
     fn check_mu_slack(n: &Natural, cap: usize) {
         let r = Reciprocal::with_capacity(n, cap).unwrap();
-        let exact = &pow2(64 * r.cap_limbs() as u64) / n;
-        let slack = exact.checked_sub(r.mu()).unwrap_or_else(|| {
+        let exact = &pow2(64 * r.cap as u64) / n;
+        let slack = exact.checked_sub(&r.mu).unwrap_or_else(|| {
             panic!(
                 "mu over-estimates the reciprocal for n={} limbs cap={cap}",
                 n.limb_len()
@@ -612,15 +539,17 @@ mod tests {
 
     #[test]
     fn mu_magnitude_window_holds_under_slack() {
-        // from_parts requires bit_len(mu) in [e-t+1, e-t+2]; the clamp in
-        // invert_newton must keep approximate reciprocals inside it even
-        // for moduli just below a power of two (exact mu minimal).
+        // floor(2^e/n) has e-t+1 bits (e-t+2 for a power of two); the clamp
+        // in invert_newton must keep approximate reciprocals inside that
+        // window even for moduli just below a power of two (exact mu
+        // minimal).
         for (len, seed) in [(9, 3), (20, 5), (64, 8)] {
             let ones = &pow2(64 * len) - &Natural::one();
             let r = Reciprocal::with_capacity(&ones, 2 * len as usize).unwrap();
-            let back = Reciprocal::from_parts(r.mu().clone(), r.cap_limbs(), &ones).unwrap();
+            let (e, t) = (64 * r.cap as u64, ones.bit_len());
+            assert!((e - t + 1..=e - t + 2).contains(&r.mu.bit_len()));
             let x = pseudo(2 * len as usize, seed);
-            assert_eq!(x.barrett_rem(&ones, &back).unwrap(), x.div_rem(&ones).1);
+            assert_eq!(x.barrett_rem(&ones, &r).unwrap(), x.div_rem(&ones).1);
         }
     }
 
@@ -740,30 +669,6 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_roundtrip_and_validation() {
-        let n = pseudo(12, 5);
-        let r = Reciprocal::new(&n).unwrap();
-        let back = Reciprocal::from_parts(r.mu().clone(), r.cap_limbs(), &n).unwrap();
-        assert_eq!(back, r);
-        let x = pseudo(24, 6);
-        assert_eq!(x.barrett_rem(&n, &back).unwrap(), x.div_rem(&n).1);
-
-        // Undersized capacity and wrong-magnitude mu are rejected.
-        assert!(matches!(
-            Reciprocal::from_parts(r.mu().clone(), 11, &n),
-            Err(RecipError::MalformedParts { .. })
-        ));
-        assert!(matches!(
-            Reciprocal::from_parts(Natural::one(), r.cap_limbs(), &n),
-            Err(RecipError::MalformedParts { .. })
-        ));
-        assert!(matches!(
-            Reciprocal::from_parts(r.mu().clone(), r.cap_limbs(), &Natural::zero()),
-            Err(RecipError::ZeroModulus)
-        ));
-    }
-
-    #[test]
     fn error_display() {
         assert!(RecipError::ZeroModulus.to_string().contains("zero"));
         let e = RecipError::ModulusMismatch {
@@ -771,7 +676,5 @@ mod tests {
             found_bits: 99,
         };
         assert!(e.to_string().contains("100"));
-        let e = RecipError::MalformedParts { detail: "x" };
-        assert!(e.to_string().contains("malformed"));
     }
 }

@@ -398,6 +398,30 @@ mod tests {
     }
 
     #[test]
+    fn zero_shard_capacity_is_a_typed_error() {
+        let modes = [
+            BatchMode::Sharded {
+                threads: 1,
+                shard_capacity: 0,
+            },
+            BatchMode::Incremental {
+                threads: 1,
+                shard_capacity: 0,
+                batches: 2,
+            },
+        ];
+        for mode in modes {
+            let err = run_pipeline(&tiny_config(), mode)
+                .err()
+                .expect("zero capacity");
+            assert!(
+                matches!(err, PipelineError::Corpus(CorpusError::ZeroCapacity { .. })),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
     fn incremental_mode_agrees_with_classic_and_reports_delta_metrics() {
         let cfg = tiny_config();
         let dataset_a = run_study(&cfg);

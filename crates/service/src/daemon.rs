@@ -43,10 +43,6 @@ use crate::error::ServiceError;
 use crate::feed::{FeedEvent, FeedReceiver, HostObservation};
 use crate::provenance::{write_atomic, LabelLedger, Provenance, Watermark};
 
-/// Tree-cache section files, for the rebuild path that clears a corrupt
-/// cache directory (names from DESIGN.md §8.2).
-const CACHE_SECTIONS: [&str; 4] = ["roots.wkc", "top.wkc", "hits.wkc", "recips.wkc"];
-
 /// Static configuration of an audit daemon instance.
 #[derive(Clone, Debug)]
 pub struct AuditConfig {
@@ -284,12 +280,7 @@ impl AuditDaemon {
                     Some(cache) => (cache, None),
                     None => {
                         recovery = Recovery::RebuiltCache;
-                        for name in CACHE_SECTIONS {
-                            let path = config.cache_dir().join(name);
-                            if path.exists() {
-                                fs::remove_file(&path)?;
-                            }
-                        }
+                        TreeCache::remove_at(&config.cache_dir())?;
                         let (cache, result) =
                             TreeCache::build(&config.cache_dir(), &store, config.threads)?;
                         (cache, Some(result))
@@ -359,7 +350,7 @@ impl AuditDaemon {
                 &mut daemon.store,
                 &mut daemon.cache,
                 &[],
-                daemon.config.shard_capacity.max(1),
+                daemon.config.shard_capacity,
                 daemon.config.threads,
             )?,
         };
@@ -529,7 +520,7 @@ impl AuditDaemon {
                 &mut self.store,
                 &mut self.cache,
                 &delta,
-                self.config.shard_capacity.max(1),
+                self.config.shard_capacity,
                 self.config.threads,
             )?,
         };
@@ -569,8 +560,7 @@ impl AuditDaemon {
         cluster: &ClusterClose,
     ) -> Result<BatchGcdResult, ServiceError> {
         if !delta.is_empty() {
-            self.store
-                .append(self.config.shard_capacity.max(1), delta)?;
+            self.store.append(self.config.shard_capacity, delta)?;
         }
         let mut spec = ClusterSpec::new(
             self.config.cluster_dir(),

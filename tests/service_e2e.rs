@@ -140,6 +140,53 @@ fn restart_is_clean_and_answers_are_stable() {
 }
 
 #[test]
+fn zero_shard_capacity_is_a_typed_error() {
+    let mut cfg = config("zero-capacity");
+    cfg.shard_capacity = 0;
+    let err = AuditDaemon::open(cfg.clone()).err().expect("zero capacity");
+    assert!(
+        matches!(
+            err,
+            ServiceError::Corpus(wk_batchgcd::CorpusError::ZeroCapacity { .. })
+        ),
+        "{err}"
+    );
+    fs::remove_dir_all(&cfg.dir).unwrap();
+}
+
+#[test]
+fn legacy_recips_section_reopens_clean() {
+    // Caches written by older builds also hold `recips.wkc` (section 4).
+    // Nothing reads it: the daemon reopens such a cache as Clean.
+    let cfg = config("legacy-recips");
+    let mut daemon = AuditDaemon::open(cfg.clone()).unwrap();
+    for (ip, n) in [(1, 33u64), (2, 39)] {
+        let modulus = Natural::from(n);
+        let obs = wk_service::HostObservation {
+            ip,
+            modulus,
+            vendor: None,
+        };
+        daemon.ingest(&obs).unwrap();
+    }
+    daemon.close_month(MonthDate::new(2012, 1)).unwrap();
+    let before = daemon.query(&Natural::from(33u64));
+    let mut payload = daemon.watermark().cache_tag.to_le_bytes().to_vec();
+    payload.extend_from_slice(&[0x5a; 40]);
+    drop(daemon);
+    wk_batchgcd::write_section(&cfg.dir.join("cache"), "recips.wkc", 4, 1, &payload).unwrap();
+
+    let daemon = AuditDaemon::open(cfg.clone()).unwrap();
+    assert_eq!(daemon.recovery(), Recovery::Clean);
+    let after = daemon.query(&Natural::from(33u64));
+    assert!(after.known);
+    assert_eq!(after.factors, before.factors);
+    assert_eq!(after.provenance, before.provenance);
+    daemon.verify_provenance().unwrap();
+    fs::remove_dir_all(&cfg.dir).unwrap();
+}
+
+#[test]
 fn repeat_sightings_do_not_double_ingest() {
     let cfg = config("dedup");
     let mut daemon = AuditDaemon::open(cfg.clone()).unwrap();
