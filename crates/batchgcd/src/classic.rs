@@ -230,11 +230,12 @@ mod tests {
         assert_eq!(res.stats.input_count, 4);
         assert!(res.stats.tree_bytes > 0);
         // Executor accounting: 4 leaves pair into 2 then 1 (3 build tasks);
-        // the cofactor descent runs 2 + 4 level reductions, then 4 gcd tasks.
+        // the descent runs one task per node with children (1 + 2), then 4
+        // gcd tasks.
         assert_eq!(res.stats.product_tree_exec.tasks(), 3);
-        assert_eq!(res.stats.remainder_tree_exec.tasks(), 6);
+        assert_eq!(res.stats.remainder_tree_exec.tasks(), 3);
         assert_eq!(res.stats.gcd_exec.tasks(), 4);
-        assert_eq!(res.stats.total_exec().tasks(), 13);
+        assert_eq!(res.stats.total_exec().tasks(), 10);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::classic::leaf_gcd;
 use crate::corpus::{CorpusError, ShardStore};
 use crate::pool::{ExecDomain, PhaseExec, WorkerPool};
 use crate::resolve::{resolve, KeyStatus};
-use crate::tree::ProductTree;
+use crate::tree::{Descent, ProductTree};
 use std::time::{Duration, Instant};
 use wk_bigint::Natural;
 
@@ -280,20 +280,24 @@ fn run_cluster(
             let descent_domain = &descent_domains[i];
             move || {
                 let mut divisors: Vec<Option<Natural>> = vec![None; subset.len()];
-                let mut remainder_time = Duration::ZERO;
+                // Own subset: (P_i/N) mod N, as in the classic pass.
+                // Foreign subset: P_j mod N. All k descents share one
+                // Newton inverse of this node's root.
+                let one = Natural::one();
+                let jobs: Vec<Descent<'_>> = products
+                    .iter()
+                    .enumerate()
+                    .map(|(j, product)| {
+                        if i == j {
+                            Descent::Cofactor(&one)
+                        } else {
+                            Descent::Plain(product)
+                        }
+                    })
+                    .collect();
                 let mut gcd_time = Duration::ZERO;
-                for (j, product) in products.iter().enumerate() {
-                    let t0 = Instant::now();
-                    let exec = pool.exec_in(descent_domain);
-                    // Own subset: (P_i/N) mod N, as in the classic pass.
-                    // Foreign subset: P_j mod N.
-                    let rems = if i == j {
-                        tree.remainder_tree_cofactor(&Natural::one(), exec)
-                    } else {
-                        tree.remainder_tree_plain(product, exec)
-                    };
-                    remainder_time += t0.elapsed();
-
+                let t0 = Instant::now();
+                tree.remainder_trees(&jobs, pool.exec_in(descent_domain), |_, rems| {
                     let t1 = Instant::now();
                     for (idx, (leaf, z)) in subset.iter().zip(rems).enumerate() {
                         if let Some(candidate) = leaf_gcd(leaf, &z) {
@@ -301,7 +305,8 @@ fn run_cluster(
                         }
                     }
                     gcd_time += t1.elapsed();
-                }
+                });
+                let remainder_time = t0.elapsed() - gcd_time;
                 let largest_foreign_product_bytes = products
                     .iter()
                     .enumerate()

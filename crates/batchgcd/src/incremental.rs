@@ -932,9 +932,12 @@ pub fn incremental_batch_gcd(
     let chunks: Vec<&[Natural]> = delta.chunks(capacity).collect();
     let new_products: Vec<Natural> = pool.exec_in(&tree_domain).map(chunks, |chunk| {
         // Balanced pairwise product — same value as the shard's tree root.
-        let mut level: Vec<Natural> = chunk.to_vec();
+        let mut level: Vec<Natural> = pair_level(chunk).into_iter().map(multiply_pair).collect();
         while level.len() > 1 {
-            level = pair_level(&level).into_iter().map(multiply_pair).collect();
+            let next = pair_level(&level).into_iter().map(multiply_pair).collect();
+            for dead in core::mem::replace(&mut level, next) {
+                wk_bigint::arena::recycle(dead);
+            }
         }
         level.pop().unwrap_or_else(Natural::one)
     });

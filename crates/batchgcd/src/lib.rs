@@ -85,4 +85,4 @@ pub use incremental::{
 pub use naive::{naive_pairwise_gcd, NaiveResult};
 pub use pool::{Exec, ExecDomain, PhaseExec, WorkerPool};
 pub use resolve::{resolve, resolve_with_hits, KeyStatus};
-pub use tree::{DescentScratch, ProductTree, TreeError};
+pub use tree::{Descent, DescentScratch, ProductTree, TreeError};

@@ -3,24 +3,32 @@
 //!
 //! * The **product tree** multiplies the inputs pairwise up a binary tree;
 //!   the root is `P = Π N_i`.
-//! * A **remainder tree** pushes a value `V` down the same tree, reducing
-//!   it at every node. There is one descent per job:
-//!   - the **cofactor descent**
+//! * A **remainder tree** pushes a value `V` down the same tree. There is
+//!   one descent and two jobs:
+//!   - the **cofactor job**
 //!     ([`remainder_tree_cofactor`](ProductTree::remainder_tree_cofactor))
 //!     yields `(V/N_i) mod N_i` for any `V` the root divides. With `V = P`
 //!     that is the quantity batch GCD needs: `gcd(N_i, (P/N_i) mod N_i)` is
 //!     the product of the primes `N_i` shares with the other inputs;
-//!   - the **plain descent**
+//!   - the **plain job**
 //!     ([`remainder_tree_plain`](ProductTree::remainder_tree_plain)) yields
 //!     `V mod N_i` for a foreign `V` — another subset's product, or a cached
 //!     corpus product — which the leaves do not divide.
 //!
-//! Both descents keep every residue below its node, so no node is ever
-//! squared, and both reduce at every node by exact division.
+//! The descent is Bernstein's scaled remainder tree ("Scaled remainder
+//! trees", 2004). Each node `u` carries a fixed-point image
+//! `Z_u ≈ frac(V/u^e)·β^k_u` (`β = 2^64`; `e = 2` for the cofactor job,
+//! `e = 1` for the plain one), and a child's image is one middle product
+//! ([`Natural::mul_middle`]) of its parent's image by its sibling's `e`-th
+//! power: `V/u^e = (V/v^e)·s^e` for `v = u·s`. Only the root's seed takes a
+//! Newton inverse (and, for a value more than twice the root's length, one
+//! exact reduction); below it nothing divides. A leaf rounds
+//! `N·Z_N / β^k_N` to the exact residue. DESIGN.md §9.2 gives the
+//! precision formula and the error budget.
 
 use crate::pool::Exec;
 use std::fmt;
-use wk_bigint::{arena, Natural};
+use wk_bigint::{arena, invert_newton, Natural};
 
 /// Why a product tree could not be built. Both conditions are caller bugs
 /// in an in-memory run, but become reachable data errors once moduli stream
@@ -145,51 +153,203 @@ impl ProductTree {
         0
     }
 
-    /// One plain reduction: `pv mod node`, by comparison or exact division.
-    /// The division's quotient goes back to the thread arena, so a warmed
-    /// descent draws every buffer from the pool.
-    fn reduce_plain(&self, pv: &Natural, level_idx: usize, i: usize) -> Natural {
-        let node = &self.levels[level_idx][i];
-        if pv < node {
-            return arena::clone_natural(pv);
+    /// The leaves under node `i` of `level`: node `i` covers leaves
+    /// `[i·2^level, (i + 1)·2^level)`, clipped to the leaf count, because
+    /// pairing is always adjacent and an odd last node is promoted.
+    fn leaf_span(&self, level: usize, i: usize) -> &[Natural] {
+        let leaves = self.leaves();
+        let start = (i << level).min(leaves.len());
+        let end = ((i + 1) << level).min(leaves.len());
+        &leaves[start..end]
+    }
+
+    /// The precision `k_u` in limbs of node `u`'s image for a job of power
+    /// `e`: `e·nom(u) − (e − 1)·minleaf(u) + GUARD_LIMBS`, where `nom(u)` is
+    /// the summed limb length of the leaves under `u` and `minleaf(u)` the
+    /// shortest of them. A child then has `k_v − k_u ≥ e·len(s)`, so the
+    /// sibling power never amplifies the parent's error, and a leaf `N`
+    /// gets `len(N) + GUARD_LIMBS`, exactly what its rounding needs.
+    fn precision(&self, e: usize, level: usize, i: usize) -> usize {
+        let span = self.leaf_span(level, i);
+        let nom: usize = span.iter().map(Natural::limb_len).sum();
+        let min = span.iter().map(Natural::limb_len).min().unwrap_or(0);
+        e * nom - (e - 1) * min + GUARD_LIMBS
+    }
+
+    /// `job`'s value reduced by the root when it is more than twice the
+    /// root's length, or `None` when it seeds the image as it is. The
+    /// incremental cross phase's cached corpus product, many times the
+    /// delta tree's root, takes this one exact reduction, so the root's
+    /// inverse stays at the root's own size.
+    fn seed_value(&self, job: Descent<'_>) -> Option<Natural> {
+        let (root, value) = (self.root(), job.value());
+        (value.limb_len() > 2 * root.limb_len()).then(|| {
+            let (q, r) = value.div_rem(root);
+            arena::recycle(q);
+            r
+        })
+    }
+
+    /// The precision `k` of `job`'s root image and the limbs
+    /// `K ≥ k + len(x) + 1` of the inverse `⌊β^K / R⌋` of the root `R` it
+    /// needs for a seed value `x`: with those, the inverse's few units of
+    /// error move the image by less than one unit.
+    fn seed_limbs(&self, job: Descent<'_>) -> (usize, usize) {
+        let k = self.precision(job.power(), self.levels.len() - 1, 0);
+        let root = self.root().limb_len();
+        let x = job.value().limb_len();
+        let x = if x > 2 * root { root } else { x };
+        (k, k + x + 1)
+    }
+
+    /// `Z_R ≈ frac(x / R)·β^k` for `job`, `R` the root: the `k` limbs of
+    /// `x·⌊β^cap / R⌋` just below limb `cap`.
+    fn root_image(&self, job: Descent<'_>, inverse: &Natural, cap: usize) -> Natural {
+        let (k, _) = self.seed_limbs(job);
+        match self.seed_value(job) {
+            Some(x) => {
+                let image = x.mul_middle(inverse, cap - k, k);
+                arena::recycle(x);
+                image
+            }
+            None => job.value().mul_middle(inverse, cap - k, k),
         }
-        let (q, r) = pv.div_rem(node);
-        arena::recycle(q);
+    }
+
+    /// The images of the children of node `j` at `level + 1`, from its
+    /// image `z`, which goes back to the arena as soon as both children no
+    /// longer need it. A child `u` with sibling `s` takes the `k_u` limbs of
+    /// `z·s^e` just below limb `k_v`; a sibling's square lives only for
+    /// that one middle product. A promoted odd node is its own child and
+    /// keeps the image.
+    ///
+    /// An image much shorter than its precision — the root's, when the seed
+    /// value is small, as `1` is for every classic descent — instead takes
+    /// two single steps by the sibling: each transform then covers
+    /// `len(z) + len(s)` limbs rather than `k_v`, which at the root is the
+    /// largest transform of the descent and sets its memory peak.
+    fn children(&self, e: usize, level: usize, j: usize, z: Natural) -> (Natural, Option<Natural>) {
+        let nodes = &self.levels[level];
+        let (Some(left), Some(right)) = (nodes.get(2 * j), nodes.get(2 * j + 1)) else {
+            return (z, None);
+        };
+        let k_v = self.precision(e, level + 1, j);
+        let k = [2 * j, 2 * j + 1].map(|i| self.precision(e, level, i));
+        let siblings = [right, left];
+        let two_steps = e == 2 && z.limb_len() + left.limb_len().max(right.limb_len()) < k_v;
+        let [l, r] = if two_steps {
+            // k_v − k_u ≥ 2·len(s), so both steps drop at least len(s) limbs.
+            let halves = [0, 1].map(|c| {
+                let s = siblings[c].limb_len();
+                z.mul_middle(siblings[c], k_v - k[c] - s, k[c] + s)
+            });
+            arena::recycle(z);
+            let [hl, hr] = halves;
+            [(hl, 0), (hr, 1)].map(|(half, c)| {
+                let image = half.mul_middle(siblings[c], siblings[c].limb_len(), k[c]);
+                arena::recycle(half);
+                image
+            })
+        } else {
+            let images = [0, 1].map(|c| {
+                if e == 1 {
+                    return z.mul_middle(siblings[c], k_v - k[c], k[c]);
+                }
+                let square = siblings[c].square();
+                let image = z.mul_middle(&square, k_v - k[c], k[c]);
+                arena::recycle(square);
+                image
+            });
+            arena::recycle(z);
+            images
+        };
+        (l, Some(r))
+    }
+
+    /// One node's step of the descent: its children's images from its own
+    /// and, at the leaf level, their residues.
+    fn step(&self, e: usize, level: usize, j: usize, z: Natural) -> (Natural, Option<Natural>) {
+        let (l, r) = self.children(e, level, j, z);
+        if level > 0 {
+            return (l, r);
+        }
+        (
+            self.finish(e, 2 * j, l),
+            r.map(|r| self.finish(e, 2 * j + 1, r)),
+        )
+    }
+
+    /// Leaf `i`'s residue from its image: `round(N·Z_N / β^k_N) mod N`,
+    /// with one limb below `β^k_N` kept for the rounding.
+    fn finish(&self, e: usize, i: usize, z: Natural) -> Natural {
+        let n = &self.leaves()[i];
+        let k = self.precision(e, 0, i);
+        let scaled = n.mul_middle(&z, k - 1, n.limb_len() + 2);
+        arena::recycle(z);
+        let mut limbs = scaled.into_limbs();
+        if limbs.is_empty() {
+            limbs.push(0);
+        }
+        if wk_bigint::limb::add_assign_slice(&mut limbs, &[1 << 63]) != 0 {
+            limbs.push(1);
+        }
+        limbs.remove(0);
+        let mut r = Natural::from_limbs(limbs);
+        if &r >= n {
+            r.sub_assign_ref(n);
+        }
         r
     }
 
-    /// Shared descent driver: reduce `value` modulo the root, then apply
-    /// `reduce` level by level down to the leaves. Parent buffers move into
-    /// their last child's task (only first children clone), and wide levels
-    /// dispatch in contiguous chunks.
-    fn descend<R>(&self, value: &Natural, exec: Exec<'_>, reduce: &R) -> Vec<Natural>
-    where
-        R: Fn(&Natural, usize, usize) -> Natural + Sync,
-    {
-        let top_level = self.levels.len() - 1;
-        let mut current = vec![self.reduce_plain(value, top_level, 0)];
-        for level_idx in (0..top_level).rev() {
-            let width = self.levels[level_idx].len();
-            let mut tasks: Vec<(Natural, usize)> = Vec::with_capacity(width);
-            for i in 0..width {
-                let p = i / 2;
-                let pv = if i % 2 == 0 && i + 1 < width {
-                    arena::clone_natural(&current[p])
-                } else {
-                    core::mem::replace(&mut current[p], Natural::zero())
-                };
-                tasks.push((pv, i));
+    /// The descent loop: push a root image down level by level on `exec`, one
+    /// task per node with children, rounding the leaves in their parents'
+    /// tasks. Wide levels dispatch in contiguous chunks.
+    fn descend(&self, e: usize, root_image: Natural, exec: Exec<'_>) -> Vec<Natural> {
+        if self.levels.len() == 1 {
+            return vec![self.finish(e, 0, root_image)];
+        }
+        let mut current = vec![root_image];
+        for level in (0..self.levels.len() - 1).rev() {
+            let parents: Vec<(usize, Natural)> = current.into_iter().enumerate().collect();
+            let children = exec.map_chunked(parents, |(j, z)| self.step(e, level, j, z));
+            current = Vec::with_capacity(self.levels[level].len());
+            for (l, r) in children {
+                current.push(l);
+                current.extend(r);
             }
-            current = exec.map_chunked(tasks, |(pv, i)| {
-                let out = reduce(&pv, level_idx, i);
-                // The consumed parent residue goes back to the arena of the
-                // worker that just reduced it — the next level's reductions
-                // on this thread draw from it.
-                arena::recycle(pv);
-                out
-            });
         }
         current
+    }
+
+    /// Run several descents of this tree, in job order, sharing one Newton
+    /// inverse of the root: a k-subset node pushes its own product (a
+    /// cofactor job) and every foreign one (plain jobs) down one tree.
+    /// `each(j, leaves)` receives job `j`'s leaf residues as soon as its
+    /// descent ends, so only one job's root image and leaves are alive at a
+    /// time.
+    pub fn remainder_trees<F>(&self, jobs: &[Descent<'_>], exec: Exec<'_>, mut each: F)
+    where
+        F: FnMut(usize, Vec<Natural>),
+    {
+        let cap = jobs
+            .iter()
+            .map(|&job| self.seed_limbs(job).1)
+            .max()
+            .unwrap_or(0);
+        let inverse = invert_newton(self.root(), cap);
+        for (j, &job) in jobs.iter().enumerate() {
+            let image = self.root_image(job, &inverse, cap);
+            each(j, self.descend(job.power(), image, exec));
+        }
+        arena::recycle(inverse);
+    }
+
+    /// One descent: [`remainder_trees`](ProductTree::remainder_trees) for a
+    /// single job.
+    fn remainder_tree(&self, job: Descent<'_>, exec: Exec<'_>) -> Vec<Natural> {
+        let mut out = Vec::new();
+        self.remainder_trees(&[job], exec, |_, leaves| out = leaves);
+        out
     }
 
     /// Compute `value mod leaf_i` for every leaf. This is the descent for
@@ -197,40 +357,17 @@ impl ProductTree {
     /// subset products and the incremental cross phase's cached corpus
     /// product.
     pub fn remainder_tree_plain(&self, value: &Natural, exec: Exec<'_>) -> Vec<Natural> {
-        self.descend(value, exec, &|pv, l, i| self.reduce_plain(pv, l, i))
-    }
-
-    /// One step of the cofactor recurrence. For a node `u` with sibling `s`
-    /// under parent `v = u * s`, the parent's cofactor residue
-    /// `r_v = (V/v) mod v` maps to `r_u = (s * (r_v mod u)) mod u`, because
-    /// `V/u = (V/v) * s`. A promoted odd node is its own parent, so its
-    /// residue passes through unchanged (the comparison in
-    /// [`reduce_plain`](ProductTree::reduce_plain) short-circuits it).
-    fn reduce_cofactor(&self, pv: &Natural, level_idx: usize, i: usize) -> Natural {
-        let t = self.reduce_plain(pv, level_idx, i);
-        let sib = i ^ 1;
-        if sib >= self.levels[level_idx].len() {
-            return t;
-        }
-        let prod = &self.levels[level_idx][sib] * &t;
-        arena::recycle(t);
-        let r = self.reduce_plain(&prod, level_idx, i);
-        arena::recycle(prod);
-        r
+        self.remainder_tree(Descent::Plain(value), exec)
     }
 
     /// Compute `(V/leaf_i) mod leaf_i` for every leaf, for any `V` the root
-    /// product divides, given only `cofactor_rem = (V/root) mod root` — the
-    /// cofactor form of the remainder tree (after Bernstein's scaled
-    /// remainder tree). The conventional `V = root` descent passes
-    /// `cofactor_rem = 1`.
-    ///
-    /// Every intermediate residue is bounded by its *node*, and the leaf
-    /// values are exactly the `(V/N) mod N` the gcd stage consumes.
+    /// product `R` divides, given only `cofactor_rem = (V / R) mod R`. The
+    /// conventional `V = root` descent passes `cofactor_rem = 1`. The root
+    /// image is `frac(cofactor_rem / R)`, because
+    /// `frac(V / R²) = ((V / R) mod R) / R`, and the leaves come out
+    /// exactly as the `(V/N) mod N` the gcd stage consumes.
     pub fn remainder_tree_cofactor(&self, cofactor_rem: &Natural, exec: Exec<'_>) -> Vec<Natural> {
-        self.descend(cofactor_rem, exec, &|pv, l, i| {
-            self.reduce_cofactor(pv, l, i)
-        })
+        self.remainder_tree(Descent::Cofactor(cofactor_rem), exec)
     }
 
     /// Consume the tree and return every node's limb buffer to the thread
@@ -245,11 +382,12 @@ impl ProductTree {
         }
     }
 
-    /// Cofactor descent on the calling thread, no pool dispatch — the
+    /// The cofactor descent on the calling thread, no pool dispatch — the
     /// shard-leaf counterpart of
-    /// [`remainder_tree_cofactor`](ProductTree::remainder_tree_cofactor).
-    /// The enclosing tree's cofactor descent hands each shard exactly the
-    /// `(P/root) mod root` seed this wants.
+    /// [`remainder_tree_cofactor`](ProductTree::remainder_tree_cofactor),
+    /// through the same seed, child and leaf steps. The enclosing tree's
+    /// cofactor descent hands each shard exactly the `(P / R) mod R` seed
+    /// this wants, `R` the shard's root.
     pub fn remainder_tree_cofactor_local(&self, cofactor_rem: &Natural) -> Vec<Natural> {
         let mut scratch = DescentScratch::default();
         let mut out = Vec::new();
@@ -259,41 +397,80 @@ impl ProductTree {
 
     /// [`remainder_tree_cofactor_local`](ProductTree::remainder_tree_cofactor_local)
     /// writing into caller-owned buffers. `scratch` holds the per-level
-    /// residue containers and `out` receives the leaf residues; both keep
-    /// their capacity across calls, and every `Natural` they held from a
-    /// previous pass is recycled through the arena on entry. A warmed
-    /// (second and later) pass over same-shaped shards therefore performs
-    /// no heap allocation — the property the `zero_alloc` test pins.
+    /// images and `out` receives the leaf residues; both keep their
+    /// capacity across calls, and every `Natural` they held from a previous
+    /// pass is recycled through the arena on entry. A warmed (second and
+    /// later) pass over same-shaped trees therefore performs no heap
+    /// allocation — the property the `zero_alloc` test pins.
     pub fn remainder_tree_cofactor_local_into(
         &self,
         cofactor_rem: &Natural,
         scratch: &mut DescentScratch,
         out: &mut Vec<Natural>,
     ) {
-        let top_level = self.levels.len() - 1;
         scratch.reset();
         for dead in out.drain(..) {
             arena::recycle(dead);
         }
-        scratch
-            .cur
-            .push(self.reduce_plain(cofactor_rem, top_level, 0));
-        for level_idx in (0..top_level).rev() {
-            let width = self.levels[level_idx].len();
-            for i in 0..width {
-                let r = self.reduce_cofactor(&scratch.cur[i / 2], level_idx, i);
-                scratch.next.push(r);
-            }
-            for dead in scratch.cur.drain(..) {
-                arena::recycle(dead);
-            }
-            core::mem::swap(&mut scratch.cur, &mut scratch.next);
+        let job = Descent::Cofactor(cofactor_rem);
+        let (e, (_, cap)) = (job.power(), self.seed_limbs(job));
+        let inverse = invert_newton(self.root(), cap);
+        let root_image = self.root_image(job, &inverse, cap);
+        arena::recycle(inverse);
+        if self.levels.len() == 1 {
+            out.push(self.finish(e, 0, root_image));
+            return;
         }
-        out.append(&mut scratch.cur);
+        let DescentScratch { cur, next } = scratch;
+        cur.push(root_image);
+        for level in (0..self.levels.len() - 1).rev() {
+            let into = if level == 0 { &mut *out } else { &mut *next };
+            for (j, z) in cur.drain(..).enumerate() {
+                let (l, r) = self.step(e, level, j, z);
+                into.push(l);
+                into.extend(r);
+            }
+            core::mem::swap(cur, next);
+        }
     }
 }
 
-/// Reusable level buffers for the local (in-task) descents. Holding one of
+/// Guard limbs every image carries beyond what its leaves need. A middle
+/// product step loses less than two units of its last limb (the one-unit
+/// bound plus the truncation; a two-step child loses four), and
+/// `k_v − k_u ≥ e·len(s)` keeps the parent's error from growing, so after
+/// `D` levels the leaf error is below `4D + 3` units, and the leaf rounding
+/// tolerates `2^63`: one limb covers any depth (DESIGN.md §9.2).
+const GUARD_LIMBS: usize = 1;
+
+/// One remainder-tree job for [`ProductTree::remainder_trees`].
+#[derive(Clone, Copy, Debug)]
+pub enum Descent<'a> {
+    /// `(V/N_i) mod N_i` at every leaf for a `V` the root divides, given
+    /// `(V / R) mod R` for the root `R`.
+    Cofactor(&'a Natural),
+    /// `V mod N_i` at every leaf.
+    Plain(&'a Natural),
+}
+
+impl Descent<'_> {
+    /// The power `e` of the node under `V` in the image `frac(V/u^e)`.
+    fn power(self) -> usize {
+        match self {
+            Descent::Cofactor(_) => 2,
+            Descent::Plain(_) => 1,
+        }
+    }
+
+    /// The value whose fraction over the root seeds the descent.
+    fn value(&self) -> &Natural {
+        match self {
+            Descent::Cofactor(x) | Descent::Plain(x) => x,
+        }
+    }
+}
+
+/// Reusable level buffers for the local (in-task) descent. Holding one of
 /// these across shards lets
 /// [`remainder_tree_cofactor_local_into`](ProductTree::remainder_tree_cofactor_local_into)
 /// run without container allocation once warmed; the `Natural`s inside are
@@ -306,7 +483,7 @@ pub struct DescentScratch {
 }
 
 impl DescentScratch {
-    /// Recycle any held residues and empty both buffers, keeping capacity.
+    /// Recycle any held images and empty both buffers, keeping capacity.
     fn reset(&mut self) {
         for dead in self.cur.drain(..) {
             arena::recycle(dead);
@@ -317,24 +494,21 @@ impl DescentScratch {
     }
 }
 
-/// Pair up adjacent nodes of one level: `[a, b, c]` becomes
+/// Pair up adjacent nodes of one level by reference: `[a, b, c]` becomes
 /// `[(a, Some(b)), (c, None)]`. Shared by the product-tree builders and the
 /// incremental cache's chunk products.
-pub(crate) fn pair_level(level: &[Natural]) -> Vec<(Natural, Option<Natural>)> {
+pub(crate) fn pair_level(level: &[Natural]) -> Vec<(&Natural, Option<&Natural>)> {
     level
         .chunks(2)
-        .filter_map(|pair| {
-            pair.split_first()
-                .map(|(a, rest)| (a.clone(), rest.first().cloned()))
-        })
+        .filter_map(|pair| pair.split_first().map(|(a, rest)| (a, rest.first())))
         .collect()
 }
 
-/// Combine one paired entry: multiply, or promote an unpaired odd node.
-pub(crate) fn multiply_pair((a, b): (Natural, Option<Natural>)) -> Natural {
+/// Combine one paired entry: multiply, or copy an unpaired odd node up.
+pub(crate) fn multiply_pair((a, b): (&Natural, Option<&Natural>)) -> Natural {
     match b {
-        Some(b) => &a * &b,
-        None => a,
+        Some(b) => a * b,
+        None => arena::clone_natural(a),
     }
 }
 

@@ -1,11 +1,13 @@
-//! Equivalence of the cofactor descent (DESIGN.md §9) against the classic
-//! formulation, across every production entry point.
+//! Equivalence of the scaled remainder descent (DESIGN.md §9) against the
+//! classic formulation, across every production entry point.
 //!
-//! The invariant: replacing the squared form `P mod N^2` with the cofactor
-//! recurrence `r_u = (s * (r_v mod u)) mod u` changes timings only. Raw
-//! divisors and statuses stay byte-identical across thread counts, shard
-//! capacities and entry points, and the cofactor leaves relate to the
-//! squared residues by exactly `P mod N^2 = r_N * N`.
+//! The invariant: pushing fixed-point images of `frac(V/u^e)` down the tree
+//! instead of exact residues changes timings only. Raw divisors and
+//! statuses stay byte-identical across thread counts, shard capacities and
+//! entry points; the cofactor leaves relate to the squared residues by
+//! exactly `P mod N^2 = r_N * N`; and every leaf equals a direct `%` at the
+//! paper's key sizes, on trees whose nodes take the transform middle
+//! product, and at the depth of a 10⁶-leaf corpus.
 
 use proptest::prelude::*;
 use wk_batchgcd::{
@@ -187,6 +189,119 @@ fn pipelines_agree_at_512_bit() {
     let dist = distributed_batch_gcd(&moduli, ClusterConfig::sequential(3));
     assert_eq!(dist.raw_divisors, classic.raw_divisors);
     assert_eq!(dist.statuses, classic.statuses);
+}
+
+/// `count` odd moduli of exactly `limbs` limbs each, deterministic.
+fn odd_moduli(count: usize, limbs: usize, seed: u64) -> Vec<Natural> {
+    let mut state = seed | 1;
+    (0..count)
+        .map(|_| {
+            let mut words: Vec<u64> = (0..limbs)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state
+                })
+                .collect();
+            words[0] |= 1;
+            words[limbs - 1] |= 1 << 63;
+            Natural::from_limbs(words)
+        })
+        .collect()
+}
+
+/// Every cofactor leaf against `(P/N) mod N` and every plain leaf against
+/// `V mod N`, by direct division.
+fn assert_leaves_exact(moduli: &[Natural], values: &[Natural]) {
+    let pool = WorkerPool::new(2);
+    let domain = pool.domain();
+    let tree = ProductTree::build(moduli, pool.exec_in(&domain)).unwrap();
+    let root = tree.root().clone();
+    let cofactor = tree.remainder_tree_cofactor(&Natural::one(), pool.exec_in(&domain));
+    assert_eq!(
+        cofactor,
+        tree.remainder_tree_cofactor_local(&Natural::one())
+    );
+    for (i, (n, r)) in moduli.iter().zip(&cofactor).enumerate() {
+        let (q, rem) = root.div_rem(n);
+        assert!(rem.is_zero());
+        assert_eq!(r, &(&q % n), "cofactor leaf {i}");
+    }
+    for (j, v) in values.iter().enumerate() {
+        let leaves = tree.remainder_tree_plain(v, pool.exec_in(&domain));
+        for (i, (n, r)) in moduli.iter().zip(&leaves).enumerate() {
+            assert_eq!(r, &(v % n), "value {j} ({} limbs), leaf {i}", v.limb_len());
+        }
+    }
+}
+
+#[test]
+fn mixed_key_sizes_at_1024_bits_match_direct_division() {
+    // 97 leaves: 1024-bit moduli with 512- and 2048-bit ones mixed in, so
+    // nodes reach the transform middle product (a 1,700-limb root), the
+    // last node is promoted at several levels, and the shortest leaf under
+    // a node (the `minleaf` term) differs between siblings.
+    let mut moduli = odd_moduli(97, 16, 1024);
+    for (i, m) in odd_moduli(12, 8, 512).into_iter().enumerate() {
+        moduli[8 * i + 3] = m;
+    }
+    for (i, m) in odd_moduli(6, 32, 2048).into_iter().enumerate() {
+        moduli[16 * i + 5] = m;
+    }
+    let root_limbs: usize = moduli.iter().map(Natural::limb_len).sum();
+    // A foreign product a little shorter than the root (a k-subset foreign
+    // descent's shape), a value two leaves divide, and zero.
+    let foreign = odd_moduli(90, 16, 77)
+        .iter()
+        .fold(Natural::one(), |acc, n| &acc * n);
+    let sharing = &(&moduli[3] * &moduli[40]) * &odd_moduli(1, 20, 5)[0];
+    assert!(foreign.limb_len() < root_limbs);
+    assert_leaves_exact(&moduli, &[foreign, sharing, Natural::zero()]);
+}
+
+#[test]
+fn plain_descent_of_long_and_short_values() {
+    // The incremental cross phase pushes a cached corpus product 100 times
+    // the delta tree's root down it (one exact reduction at the seed);
+    // shorter values seed directly. 8 leaves, as in a month's delta.
+    let moduli = odd_moduli(8, 16, 31);
+    let root_limbs: usize = moduli.iter().map(Natural::limb_len).sum();
+    let long = odd_moduli(808, 16, 99)
+        .iter()
+        .fold(Natural::one(), |acc, n| &acc * n);
+    assert!(long.limb_len() >= 100 * root_limbs);
+    let short = odd_moduli(1, root_limbs / 2, 3).pop().unwrap();
+    let tiny = Natural::from(0xdead_beef_u64);
+    assert_leaves_exact(&moduli, &[long, short, tiny]);
+}
+
+/// The guard-limb budget at the depth of a 10⁶-leaf corpus: a 20-level
+/// tree of 2^19 + 1 one-limb leaves (the last one promoted at every
+/// level), its cofactor leaves checked on a deterministic sample against
+/// `Π_{j≠i} N_j mod N_i` computed one word at a time. Release builds only:
+/// the tree is 80 MB and the check takes seconds.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only: 2^19-leaf tree")]
+fn guard_budget_holds_at_twenty_levels() {
+    let moduli = odd_moduli((1 << 19) + 1, 1, 0x6a09_e667);
+    let words: Vec<u64> = moduli.iter().map(Natural::low_limb).collect();
+    let pool = WorkerPool::new(2);
+    let domain = pool.domain();
+    let tree = ProductTree::build(&moduli, pool.exec_in(&domain)).unwrap();
+    let leaves = tree.remainder_tree_cofactor(&Natural::one(), pool.exec_in(&domain));
+    assert_eq!(leaves.len(), words.len());
+    let last = words.len() - 1;
+    let sample = (0..words.len()).step_by(8191).chain([1, last - 1, last]);
+    for i in sample {
+        let n = words[i] as u128;
+        let expect = words
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| j != i)
+            .fold(1u128, |acc, (_, &w)| acc * (w as u128 % n) % n);
+        assert_eq!(leaves[i], Natural::from(expect as u64), "leaf {i}");
+    }
 }
 
 proptest! {

@@ -1,12 +1,17 @@
 //! Counting-allocator proof that the steady-state cofactor descent is
-//! allocation-free (DESIGN.md §13). Every node reduces by exact division,
-//! the path every batch-GCD entry point runs.
+//! allocation-free (DESIGN.md §13). It is the scaled remainder descent
+//! every batch-GCD entry point runs: a Newton inverse of the root, then one
+//! middle product per node.
 //!
 //! A warmed [`ProductTree::remainder_tree_cofactor_local_into`] pass —
 //! same tree, caller-owned [`DescentScratch`] and output vector, limb
 //! arena populated by the first pass — must touch the global allocator
 //! zero times. Every limb buffer the descent needs comes back out of the
-//! thread arena, and the level containers keep their capacity.
+//! thread arena, and the level containers keep their capacity. Two trees
+//! are pinned: 21 × 256-bit moduli (an 84-limb root, schoolbook middle
+//! products only) and the audit daemon's capacity-64 shard at the paper's
+//! key size, 64 × 1024-bit moduli (a 1,024-limb root), where the Newton
+//! inverse and the transform middle products run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -76,16 +81,35 @@ fn population(count: usize, seed: u64) -> Vec<Natural> {
         .collect()
 }
 
-#[test]
-fn warmed_cofactor_descent_allocates_nothing() {
-    let moduli = population(21, 0xa110c);
+/// `count` odd moduli of exactly `limbs` limbs, deterministic.
+fn odd_moduli(count: usize, limbs: usize, seed: u64) -> Vec<Natural> {
+    let mut state = seed | 1;
+    (0..count)
+        .map(|_| {
+            let mut words: Vec<u64> = (0..limbs)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state
+                })
+                .collect();
+            words[0] |= 1;
+            words[limbs - 1] |= 1 << 63;
+            Natural::from_limbs(words)
+        })
+        .collect()
+}
 
+/// Two unmeasured passes, then four armed ones: zero heap calls, and every
+/// pass's leaves byte-identical to the first.
+fn assert_warmed_descent_allocates_nothing(moduli: &[Natural]) {
     // Build on a worker pool, then drop it: the measurement below must see
     // only this thread.
     let tree = {
         let pool = WorkerPool::new(2);
         let domain = pool.domain();
-        ProductTree::build(&moduli, pool.exec_in(&domain)).unwrap()
+        ProductTree::build(moduli, pool.exec_in(&domain)).unwrap()
     };
 
     let one = Natural::one();
@@ -110,8 +134,18 @@ fn warmed_cofactor_descent_allocates_nothing() {
     let allocs = ALLOCS.load(Ordering::SeqCst);
 
     assert_eq!(
-        allocs, 0,
-        "steady-state cofactor descent hit the heap {allocs} times"
+        allocs,
+        0,
+        "steady-state cofactor descent over {} moduli hit the heap {allocs} times",
+        moduli.len()
     );
     assert_eq!(out, reference, "warmed passes must stay byte-identical");
+}
+
+/// One test drives both trees in turn: the counter is process-global, so
+/// the two measurements must not run on concurrent test threads.
+#[test]
+fn warmed_cofactor_descent_allocates_nothing() {
+    assert_warmed_descent_allocates_nothing(&population(21, 0xa110c));
+    assert_warmed_descent_allocates_nothing(&odd_moduli(64, 16, 0x1024));
 }

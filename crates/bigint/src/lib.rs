@@ -59,8 +59,8 @@ pub use div::BZ_THRESHOLD;
 pub use fmt::ParseNaturalError;
 pub use integer::{Integer, Sign};
 pub use modular::MontgomeryContext;
-pub use mul::{KARATSUBA_THRESHOLD, TOOM3_THRESHOLD};
+pub use mul::{KARATSUBA_THRESHOLD, MIDDLE_NTT_THRESHOLD, TOOM3_THRESHOLD};
 pub use natural::Natural;
-pub use ntt::{mul_ntt, NTT_THRESHOLD};
+pub use ntt::{mul_middle_ntt, mul_ntt, NTT_THRESHOLD};
 pub use prime::{first_primes, is_prime_u64, WordDivisor};
-pub use recip::{RecipError, Reciprocal};
+pub use recip::{invert_newton, RecipError, Reciprocal};

@@ -274,6 +274,68 @@ fn toom3(a: &Natural, b: &Natural, ntt: bool) -> Natural {
     out
 }
 
+/// Size (limbs, of the shorter operand and of the window) from which
+/// [`Natural::mul_middle`] runs one cyclic transform instead of the
+/// windowed schoolbook rows.
+pub const MIDDLE_NTT_THRESHOLD: usize = 160;
+
+/// The windowed schoolbook form of [`Natural::mul_middle`]: only the rows'
+/// products that land at limb `lo − 2` or above are formed, each with its
+/// full two-limb value, and a row's carry out of the window's top is
+/// dropped.
+fn middle_schoolbook_into(a: &[u64], b: &[u64], lo: usize, len: usize, out: &mut Vec<u64>) {
+    let start = lo.saturating_sub(2);
+    let top = lo + len;
+    out.clear();
+    out.resize(top - start, 0);
+    for (i, &ai) in a.iter().enumerate().take_while(|&(i, _)| i < top) {
+        let t_lo = start.saturating_sub(i);
+        let t_hi = (top - i).min(b.len());
+        if ai == 0 || t_lo >= t_hi {
+            continue;
+        }
+        let mut carry = 0u64;
+        for (o, &bt) in out[i + t_lo - start..].iter_mut().zip(&b[t_lo..t_hi]) {
+            let (low, high) = crate::limb::mul_add_carry(*o, bt, ai, carry);
+            *o = low;
+            carry = high;
+        }
+        // Earlier rows end below limb i + lb, so the carry lands on a zero.
+        if t_hi == b.len() {
+            if let Some(o) = out.get_mut(i + t_hi - start) {
+                *o = carry;
+            }
+        }
+    }
+    out.drain(..lo - start);
+}
+
+/// The limbs of the window `[lo, lo + len)` that can be nonzero: none
+/// above the product's `la + lb` limbs.
+fn middle_len(a: &[u64], b: &[u64], lo: usize, len: usize) -> usize {
+    if a.is_empty() || b.is_empty() {
+        return 0;
+    }
+    len.min((a.len() + b.len()).saturating_sub(lo))
+}
+
+/// Slice-level [`Natural::mul_middle`] into a caller-provided buffer; the
+/// window is cut to [`middle_len`] limbs.
+fn mul_middle_slices_into(a: &[u64], b: &[u64], lo: usize, len: usize, out: &mut Vec<u64>) {
+    let (a, b) = (trim(a), trim(b));
+    let len = middle_len(a, b, lo, len);
+    if len == 0 {
+        out.clear();
+        return;
+    }
+    if a.len().min(b.len()).min(len) >= MIDDLE_NTT_THRESHOLD
+        && crate::ntt::mul_middle_into(a, b, lo, len, out)
+    {
+        return;
+    }
+    middle_schoolbook_into(a, b, lo, len, out);
+}
+
 /// Multiply, dispatching on operand size. This is the single entry point all
 /// operator impls funnel through; the result buffer and every scratch
 /// intermediate come from the thread's arena.
@@ -306,6 +368,41 @@ impl Natural {
     /// of bench `ablation_mul_algorithms`.
     pub fn mul_toom3(&self, rhs: &Natural) -> Natural {
         toom3(self, rhs, false)
+    }
+
+    /// The middle product: limbs `[lo, lo + len)` of `self · rhs`, that is
+    /// `⌊self·rhs / β^lo⌋ mod β^len` with `β = 2^64`, computed from the
+    /// product coefficients `c_j = Σ a_i·b_(j−i)` at `j ≥ lo − 2` only.
+    ///
+    /// **Error bound.** The coefficients below `lo − 2` are left out. Each
+    /// is below `min(la, lb)·β^2`, so together they would carry less than
+    /// `min(la, lb)/β < 1` unit into limb `lo`: the result is the exact
+    /// middle limbs or one less (modulo `β^len`), never more. It is exact
+    /// when `lo ≤ 2`. Both forms compute this same value limb for limb.
+    ///
+    /// Below [`MIDDLE_NTT_THRESHOLD`] limbs (shorter operand or window) it
+    /// runs windowed schoolbook rows, about `min(la, lb)·len` limb
+    /// products. From there it runs the three-prime NTT as one cyclic
+    /// convolution whose length covers the longer operand and the window,
+    /// not the whole product: the wrapped coefficients fall below the
+    /// window, where nothing is read. The result buffer and every scratch
+    /// buffer come from the thread arena.
+    pub fn mul_middle(&self, rhs: &Natural, lo: usize, len: usize) -> Natural {
+        let mut out = crate::arena::take(middle_len(self.limbs(), rhs.limbs(), lo, len) + 5);
+        mul_middle_slices_into(self.limbs(), rhs.limbs(), lo, len, &mut out);
+        Natural::from_limbs(out)
+    }
+
+    /// [`mul_middle`](Natural::mul_middle) by windowed schoolbook rows
+    /// regardless of size: the reference the transform form must match.
+    pub fn mul_middle_schoolbook(&self, rhs: &Natural, lo: usize, len: usize) -> Natural {
+        let (a, b) = (self.limbs(), rhs.limbs());
+        let len = middle_len(a, b, lo, len);
+        let mut out = crate::arena::take(len + 5);
+        if len > 0 {
+            middle_schoolbook_into(a, b, lo, len, &mut out);
+        }
+        Natural::from_limbs(out)
     }
 
     /// Multiply by a single limb.

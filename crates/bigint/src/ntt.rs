@@ -27,15 +27,23 @@
 //!   as the left operand is loaded (for a square, in the pointwise step).
 //! * **Memory.** The primes run one at a time: the working set is the
 //!   output, one saved residue vector, two transform buffers and one table
-//!   of `2^(k−1)` twiddle pairs. Twiddles are built per call and freed with
-//!   it; nothing is cached across calls.
+//!   of `2^(k−1)` twiddle pairs. All but the output live in the thread's
+//!   arena workspace ([`crate::arena::take_workspace`]), so a warmed
+//!   transform touches no heap; twiddles are rebuilt per call.
 //! * **Squaring and fixed operands.** Squaring transforms its operand once.
 //!   [`Prepared`] keeps a fixed operand's forward transforms for many
 //!   multiplies (Burnikel–Ziegler's divisor pieces).
+//! * **Middle products.** [`mul_middle_into`] computes a window of a
+//!   product by one cyclic convolution that only has to cover the longer
+//!   operand and the window's top: the coefficients that wrap around land
+//!   below the window's two guard limbs, where nothing is read.
 //!
-//! The dispatcher turns NTT on at [`NTT_THRESHOLD`] limbs.
+//! The dispatcher turns NTT on at [`NTT_THRESHOLD`] limbs, the middle
+//! product at [`MIDDLE_NTT_THRESHOLD`](crate::MIDDLE_NTT_THRESHOLD).
 
+use crate::arena;
 use crate::natural::Natural;
+use core::ops::Range;
 
 /// Operand size (limbs, smaller operand) at which NTT takes over from
 /// Karatsuba in the multiplication dispatcher.
@@ -182,40 +190,53 @@ impl Shape {
     }
 }
 
-/// The `2^(log−1)` twiddle pairs `(w, ⌊w·2^64/p⌋)` in bit-reversed order:
+/// A twiddle `w` with its Shoup quotient `⌊w·2^64/p⌋`.
+type Twiddle = [u64; 2];
+
+/// The `2^(log−1)` twiddles in bit-reversed order, flattened into `tw` as
+/// `[w, wq]` pairs so the table can live in an arena buffer:
 /// `tw[0] = 1` and `tw[2^d + j] = tw[j]·ω_(2^(d+2))`. Every level of the
 /// forward transform gives its block `j` the twiddle `tw[j]`, and the table
 /// of a shorter transform is a prefix of a longer one's.
-fn twiddles(pr: &Prime, log: u32, tw: &mut Vec<(u64, u64)>) {
-    tw.clear();
+fn twiddles(pr: &Prime, log: u32, tw: &mut [u64]) {
     let count = (1usize << log) / 2;
     if count == 0 {
         return;
     }
-    tw.reserve(count);
-    tw.push((1, shoup_quotient(1, pr)));
-    let mut step = 2;
-    while tw.len() < count {
+    tw[..2].copy_from_slice(&[1, shoup_quotient(1, pr)]);
+    let (mut filled, mut step) = (1, 2);
+    while filled < count {
         let w = pr.roots.get(step).copied().unwrap_or(1);
         let wq = shoup_quotient(w, pr);
-        for j in 0..tw.len() {
-            let v = reduce(mul_shoup(tw[j].0, w, wq, pr.p), pr.p);
-            tw.push((v, shoup_quotient(v, pr)));
+        for j in 0..filled {
+            let v = reduce(mul_shoup(tw[2 * j], w, wq, pr.p), pr.p);
+            tw[2 * (filled + j)..2 * (filled + j) + 2].copy_from_slice(&[v, shoup_quotient(v, pr)]);
         }
+        filled *= 2;
         step += 1;
     }
 }
 
+/// Limbs of a flat twiddle table for a transform of `shape`.
+fn table_len(shape: Shape) -> usize {
+    1 << shape.log
+}
+
+/// The flat table `tw` as twiddles.
+fn pairs(tw: &[u64]) -> &[Twiddle] {
+    tw.as_chunks::<2>().0
+}
+
 /// The twiddle `-w`: `(p − w, ⌊(p − w)·2^64/p⌋ = !wq)` for `w ≠ 0`.
 #[inline(always)]
-fn negate((w, wq): (u64, u64), p: u64) -> (u64, u64) {
-    (p - w, !wq)
+fn negate([w, wq]: Twiddle, p: u64) -> Twiddle {
+    [p - w, !wq]
 }
 
 /// Turn a forward table into the inverse one in place: `tw[0] = 1` stays,
 /// and within each octave `2^e ≤ j < 2^(e+1)` the inverse of `tw[j]` is
 /// `−tw[3·2^e − 1 − j]`, so an octave reverses and negates.
-fn invert_twiddles(tw: &mut [(u64, u64)], p: u64) {
+fn invert_twiddles(tw: &mut [Twiddle], p: u64) {
     let mut start = 1;
     while let Some(octave) = tw.get_mut(start..2 * start) {
         octave.reverse();
@@ -227,7 +248,7 @@ fn invert_twiddles(tw: &mut [(u64, u64)], p: u64) {
 /// Cooley–Tukey butterfly `(x + w·y, x − w·y)`: inputs and outputs in
 /// `[0, 4p)`.
 #[inline(always)]
-fn ct(x: u64, y: u64, (w, wq): (u64, u64), p: u64) -> (u64, u64) {
+fn ct(x: u64, y: u64, [w, wq]: Twiddle, p: u64) -> (u64, u64) {
     let u = reduce(x, 2 * p);
     let t = mul_shoup(y, w, wq, p);
     (u + t, u + 2 * p - t)
@@ -236,14 +257,14 @@ fn ct(x: u64, y: u64, (w, wq): (u64, u64), p: u64) -> (u64, u64) {
 /// Gentleman–Sande butterfly `(x + y, (x − y)·w)`: inputs and outputs in
 /// `[0, 2p)`.
 #[inline(always)]
-fn gs(x: u64, y: u64, (w, wq): (u64, u64), p: u64) -> (u64, u64) {
+fn gs(x: u64, y: u64, [w, wq]: Twiddle, p: u64) -> (u64, u64) {
     (reduce(x + y, 2 * p), mul_shoup(x + 2 * p - y, w, wq, p))
 }
 
 /// Two forward levels on the quarters `[a, b, c, d]` of a block whose
 /// twiddle is `w` and whose halves' twiddles are `w0`, `w1`.
 #[inline(always)]
-fn ct_quad([a, b, c, d]: [u64; 4], w: (u64, u64), [w0, w1]: [(u64, u64); 2], p: u64) -> [u64; 4] {
+fn ct_quad([a, b, c, d]: [u64; 4], w: Twiddle, [w0, w1]: [Twiddle; 2], p: u64) -> [u64; 4] {
     let (a, c) = ct(a, c, w, p);
     let (b, d) = ct(b, d, w, p);
     let (a, b) = ct(a, b, w0, p);
@@ -253,7 +274,7 @@ fn ct_quad([a, b, c, d]: [u64; 4], w: (u64, u64), [w0, w1]: [(u64, u64); 2], p: 
 
 /// The inverse of [`ct_quad`] up to a factor 4, given inverse twiddles.
 #[inline(always)]
-fn gs_quad([a, b, c, d]: [u64; 4], w: (u64, u64), [w0, w1]: [(u64, u64); 2], p: u64) -> [u64; 4] {
+fn gs_quad([a, b, c, d]: [u64; 4], w: Twiddle, [w0, w1]: [Twiddle; 2], p: u64) -> [u64; 4] {
     let (a, b) = gs(a, b, w0, p);
     let (c, d) = gs(c, d, w1, p);
     let (a, c) = gs(a, c, w, p);
@@ -267,8 +288,8 @@ fn gs_quad([a, b, c, d]: [u64; 4], w: (u64, u64), [w0, w1]: [(u64, u64); 2], p: 
 fn quad_pass(
     buf: &mut [u64],
     size: usize,
-    tw: &[(u64, u64)],
-    quad: impl Fn([u64; 4], (u64, u64), [(u64, u64); 2]) -> [u64; 4],
+    tw: &[Twiddle],
+    quad: impl Fn([u64; 4], Twiddle, [Twiddle; 2]) -> [u64; 4],
 ) {
     let pairs = tw.as_chunks::<2>().0;
     if size == 4 {
@@ -295,8 +316,8 @@ fn quad_pass(
 fn pair_pass(
     buf: &mut [u64],
     size: usize,
-    tw: &[(u64, u64)],
-    pair: impl Fn(u64, u64, (u64, u64)) -> (u64, u64),
+    tw: &[Twiddle],
+    pair: impl Fn(u64, u64, Twiddle) -> (u64, u64),
 ) {
     for (block, &w) in buf.chunks_exact_mut(size).zip(tw) {
         let (lo, hi) = block.split_at_mut(size / 2);
@@ -310,21 +331,27 @@ fn pair_pass(
 /// `scale` when given, and run the forward transform: natural order in,
 /// bit-reversed blocks of `leaf` out, values in `[0, 4p)`.
 fn forward(
-    buf: &mut Vec<u64>,
+    buf: &mut [u64],
     limbs: &[u64],
     shape: Shape,
-    tw: &[(u64, u64)],
-    scale: Option<(u64, u64)>,
+    tw: &[Twiddle],
+    scale: Option<Twiddle>,
     pr: &Prime,
 ) {
     let p = pr.p;
-    buf.clear();
+    let (head, tail) = buf.split_at_mut(limbs.len());
     match scale {
-        Some((s, sq)) => buf.extend(limbs.iter().map(|&x| mul_shoup(x, s, sq, p))),
+        Some([s, sq]) => head
+            .iter_mut()
+            .zip(limbs)
+            .for_each(|(b, &x)| *b = mul_shoup(x, s, sq, p)),
         // A limb below 2^64 < 6p lands in [0, 4p) after one subtraction of 2p.
-        None => buf.extend(limbs.iter().map(|&x| reduce(x, 2 * p))),
+        None => head
+            .iter_mut()
+            .zip(limbs)
+            .for_each(|(b, &x)| *b = reduce(x, 2 * p)),
     }
-    buf.resize(shape.len(), 0);
+    tail.fill(0);
     let mut size = buf.len();
     while size >= 4 * shape.leaf {
         quad_pass(buf, size, tw, |x, w, halves| ct_quad(x, w, halves, p));
@@ -338,7 +365,7 @@ fn forward(
 /// Inverse transform without the `2^-log` normalization, given the
 /// inverted table: bit-reversed blocks in `[0, 2p)`, natural order out,
 /// values in `[0, 2p)`.
-fn inverse(buf: &mut [u64], shape: Shape, itw: &[(u64, u64)], pr: &Prime) {
+fn inverse(buf: &mut [u64], shape: Shape, itw: &[Twiddle], pr: &Prime) {
     let p = pr.p;
     // `done`: the block size whose levels are already undone.
     let mut done = shape.leaf;
@@ -355,7 +382,7 @@ fn inverse(buf: &mut [u64], shape: Shape, itw: &[(u64, u64)], pr: &Prime) {
 /// `x·y mod (t^3 − ζ)` for two leaf blocks, inputs in `[0, 4p)`, outputs
 /// in `[0, 2p)` carrying the Montgomery factor `2^-64`.
 #[inline(always)]
-fn leaf3(x: [u64; 3], y: [u64; 3], (z, zq): (u64, u64), pr: &Prime) -> [u64; 3] {
+fn leaf3(x: [u64; 3], y: [u64; 3], [z, zq]: Twiddle, pr: &Prime) -> [u64; 3] {
     let (p, two_p) = (pr.p, 2 * pr.p);
     let [x0, x1, x2] = x.map(|v| reduce(v, two_p));
     let [y0, y1, y2] = y.map(|v| reduce(v, two_p));
@@ -375,14 +402,14 @@ enum Factor<'a> {
     /// Another forward transform.
     Transform(&'a [u64]),
     /// The same transform, multiplied by this scale on the way.
-    Square((u64, u64)),
+    Square(Twiddle),
 }
 
 /// Pointwise products of two forward transforms into `buf`, inputs in
 /// `[0, 4p)`, outputs in `[0, 2p)`. Uses the forward table.
-fn pointwise(buf: &mut [u64], other: Factor<'_>, shape: Shape, tw: &[(u64, u64)], pr: &Prime) {
+fn pointwise(buf: &mut [u64], other: Factor<'_>, shape: Shape, tw: &[Twiddle], pr: &Prime) {
     let (p, two_p) = (pr.p, 2 * pr.p);
-    let scaled = |x: u64, (s, sq): (u64, u64)| mul_shoup(x, s, sq, p);
+    let scaled = |x: u64, [s, sq]: Twiddle| mul_shoup(x, s, sq, p);
     if shape.leaf == 1 {
         let product = |x: u64, y: u64| redc(wide(reduce(x, two_p), reduce(y, two_p)), pr);
         match other {
@@ -396,7 +423,7 @@ fn pointwise(buf: &mut [u64], other: Factor<'_>, shape: Shape, tw: &[(u64, u64)]
     }
     // Leaf block j reduces modulo t^3 − ζ_j with ζ_(2i) = tw[i] and
     // ζ_(2i+1) = −tw[i]; a transform without radix-2 levels has ζ = 1.
-    let untransformed = (shape.log == 0).then(|| (1, shoup_quotient(1, pr)));
+    let untransformed = (shape.log == 0).then(|| [1, shoup_quotient(1, pr)]);
     let zetas = untransformed
         .into_iter()
         .chain(tw.iter().flat_map(|&t| [t, negate(t, p)]));
@@ -426,32 +453,43 @@ enum Rhs<'a> {
     Prepared(&'a Prepared),
 }
 
-/// `out = a · rhs` over `shape`, which must hold the `a.len() + b_len − 1`
-/// coefficients. `a` and the right operand are trimmed and nonempty.
-fn multiply(a: &[u64], rhs: Rhs<'_>, b_len: usize, shape: Shape, out: &mut Vec<u64>) {
-    let count = a.len() + b_len - 1;
-    debug_assert!(count <= shape.len());
+/// The limbs of `Σ_{j ∈ window} c_j·β^(j − window.start)` (`β = 2^64`),
+/// where `c_j` is coefficient `j` of the cyclic convolution of `a` and the
+/// right operand over `shape`: `window.len()` limbs in `out`, then the
+/// three pending carry limbs as the return value. Both operands must fit
+/// the transform, and every `c_j` in the window must be a true product
+/// coefficient (no wrapped term lands there) for the result to be exact.
+/// The transform buffers and the twiddle table come from the thread arena.
+fn convolve(
+    a: &[u64],
+    rhs: Rhs<'_>,
+    shape: Shape,
+    window: Range<usize>,
+    out: &mut Vec<u64>,
+) -> [u64; 3] {
+    let len = shape.len();
+    debug_assert!(a.len() <= len && window.end <= len);
     out.clear();
-    out.resize(count + 1, 0);
-    let mut buf = Vec::with_capacity(shape.len());
-    let mut other = Vec::new();
-    let mut saved = Vec::with_capacity(count);
-    let mut tw = Vec::new();
+    let other_len = if matches!(rhs, Rhs::Limbs(_)) { len } else { 0 };
+    let mut workspace = arena::take_workspace(len + table_len(shape) + other_len + window.len());
+    let (buf, rest) = workspace.split_at_mut(len);
+    let (tw, rest) = rest.split_at_mut(table_len(shape));
+    let (other, rest) = rest.split_at_mut(other_len);
+    let saved = &mut rest[..window.len()];
     for (i, (pr, scale)) in PRIMES.into_iter().zip(scales(shape.log)).enumerate() {
-        twiddles(pr, shape.log, &mut tw);
+        twiddles(pr, shape.log, tw);
         let factor = match rhs {
             Rhs::Same => {
-                forward(&mut buf, a, shape, &tw, None, pr);
+                forward(buf, a, shape, pairs(tw), None, pr);
                 Factor::Square(scale)
             }
             Rhs::Limbs(b) => {
-                forward(&mut buf, a, shape, &tw, Some(scale), pr);
-                forward(&mut other, b, shape, &tw, None, pr);
-                Factor::Transform(&other)
+                forward(buf, a, shape, pairs(tw), Some(scale), pr);
+                forward(other, b, shape, pairs(tw), None, pr);
+                Factor::Transform(other)
             }
             Rhs::Prepared(prepared) => {
-                forward(&mut buf, a, shape, &tw, Some(scale), pr);
-                let len = shape.len();
+                forward(buf, a, shape, pairs(tw), Some(scale), pr);
                 Factor::Transform(
                     prepared
                         .transforms
@@ -460,46 +498,58 @@ fn multiply(a: &[u64], rhs: Rhs<'_>, b_len: usize, shape: Shape, out: &mut Vec<u
                 )
             }
         };
-        pointwise(&mut buf, factor, shape, &tw, pr);
-        invert_twiddles(&mut tw, pr.p);
-        inverse(&mut buf, shape, &tw, pr);
-        buf.truncate(count);
+        pointwise(buf, factor, shape, pairs(tw), pr);
+        invert_twiddles(tw.as_chunks_mut::<2>().0, pr.p);
+        inverse(buf, shape, pairs(tw), pr);
+        let coefficients = buf.get(window.clone()).unwrap_or_default();
         match i {
-            0 => out.iter_mut().zip(&buf).for_each(|(o, &r)| *o = r),
-            1 => saved.extend_from_slice(&buf),
+            0 => out.extend_from_slice(coefficients),
+            1 => saved.copy_from_slice(coefficients),
             _ => {}
         }
     }
-    garner(out, &saved, &buf);
+    let carry = garner(out, saved, buf.get(window).unwrap_or_default());
+    arena::put_workspace(workspace);
+    carry
+}
+
+/// `out = a · rhs`, `a` and the right operand (of `b_len` limbs) trimmed
+/// and nonempty, over a `shape` that holds all `a.len() + b_len − 1`
+/// coefficients.
+fn multiply(a: &[u64], rhs: Rhs<'_>, b_len: usize, shape: Shape, out: &mut Vec<u64>) {
+    let count = a.len() + b_len - 1;
+    let [c0, c1, c2] = convolve(a, rhs, shape, 0..count, out);
+    out.push(c0);
+    debug_assert_eq!((c1, c2), (0, 0), "product overflowed its limbs");
 }
 
 /// Per-prime scales with Shoup quotients: `2^64 · 2^-log` undoes the
 /// pointwise Montgomery factor and the inverse's missing `2^-log`, times
 /// the Garner constant `1`, `p0^-1` or `(p0·p1)^-1` of the prime.
-fn scales(log: u32) -> [(u64, u64); 3] {
+fn scales(log: u32) -> [Twiddle; 3] {
     [(&P0, 1), (&P1, INV_P0_MOD_P1), (&P2, INV_P0P1_MOD_P2)].map(|(pr, garner)| {
         let p = pr.p;
         let montgomery = ((1u128 << 64) % p as u128) as u64;
         let halves = pow_mod_const(p.div_ceil(2), log as u64, p);
         let s = mul_mod_const(mul_mod_const(montgomery, halves, p), garner, p);
-        (s, shoup_quotient(s, pr))
+        [s, shoup_quotient(s, pr)]
     })
 }
 
 /// Recombine the residues of each coefficient (`out[i]` for `p0`, `r1[i]`
 /// for `p1`, `r2[i]` for `p2`, in `[0, 2p)` and scaled by [`scales`]) and
-/// propagate carries, writing the product limbs over `out`.
-fn garner(out: &mut [u64], r1: &[u64], r2: &[u64]) {
-    let shoup = |w: u64, pr: &Prime| (w, shoup_quotient(w, pr));
+/// propagate carries, writing the sum's limbs over `out` and returning the
+/// three limbs still pending above them.
+fn garner(out: &mut [u64], r1: &[u64], r2: &[u64]) -> [u64; 3] {
+    let shoup = |w: u64, pr: &Prime| [w, shoup_quotient(w, pr)];
     let (inv01, inv012) = (shoup(INV_P0_MOD_P1, &P1), shoup(INV_P0P1_MOD_P2, &P2));
     let p0_inv012 = shoup(mul_mod_const(P0.p, INV_P0P1_MOD_P2, P2.p), &P2);
-    let mul = |x: u64, (w, wq): (u64, u64), p: u64| reduce(mul_shoup(x, w, wq, p), p);
+    let mul = |x: u64, [w, wq]: Twiddle, p: u64| reduce(mul_shoup(x, w, wq, p), p);
     let (p0p1_lo, p0p1_hi) = (P0P1 as u64, (P0P1 >> 64) as u64);
     // Pending limbs of the running sum at positions i, i + 1, i + 2; the
     // sum never needs a fourth, as coefficients stay below 2^186.
     let (mut c0, mut c1, mut c2) = (0u64, 0u64, 0u64);
-    let (head, last) = out.split_at_mut(out.len() - 1);
-    for (o, (&y1, &y2)) in head.iter_mut().zip(r1.iter().zip(r2)) {
+    for (o, (&y1, &y2)) in out.iter_mut().zip(r1.iter().zip(r2)) {
         // x0 = c mod p0; y1 = c·p0^-1 mod p1; y2 = c·(p0·p1)^-1 mod p2.
         let x0 = reduce(*o, P0.p);
         // v1 = (c − x0)·p0^-1 mod p1, in [0, p1).
@@ -519,10 +569,7 @@ fn garner(out: &mut [u64], r1: &[u64], r2: &[u64]) {
         c1 = s as u64;
         c2 = (s >> 64) as u64;
     }
-    if let Some(o) = last.first_mut() {
-        *o = c0;
-    }
-    debug_assert_eq!((c1, c2), (0, 0), "product overflowed its limbs");
+    [c0, c1, c2]
 }
 
 /// A fixed operand's forward transforms, for multiplying it by many
@@ -543,13 +590,17 @@ impl Prepared {
             return None;
         }
         let shape = Shape::for_coefficients(b.len() + max_other - 1)?;
-        let mut transforms = Vec::with_capacity(3 * shape.len());
-        let (mut buf, mut tw) = (Vec::new(), Vec::new());
-        for pr in PRIMES {
-            twiddles(pr, shape.log, &mut tw);
-            forward(&mut buf, b, shape, &tw, None, pr);
-            transforms.extend_from_slice(&buf);
+        let mut transforms = vec![0; 3 * shape.len()];
+        let mut workspace = arena::take_workspace(table_len(shape));
+        let tw = &mut workspace[..table_len(shape)];
+        for (pr, buf) in PRIMES
+            .into_iter()
+            .zip(transforms.chunks_exact_mut(shape.len()))
+        {
+            twiddles(pr, shape.log, tw);
+            forward(buf, b, shape, pairs(tw), None, pr);
         }
+        arena::put_workspace(workspace);
         Some(Prepared {
             limbs: b.len(),
             max_other,
@@ -589,6 +640,57 @@ pub(crate) fn mul_into(a: &[u64], b: &[u64], out: &mut Vec<u64>) -> bool {
     let rhs = if a == b { Rhs::Same } else { Rhs::Limbs(b) };
     multiply(a, rhs, b.len(), shape, out);
     true
+}
+
+/// The truncated middle product `out` = limbs `[lo, lo + len)` of
+/// `Σ_{j ≥ lo − 2} c_j·β^j` (see [`Natural::mul_middle`]) by one cyclic
+/// convolution, `a` and `b` trimmed and nonempty. The transform only has
+/// to cover the longer operand, the top of the window and the
+/// `la + lb − 1 − (lo − 2)` coefficients from the window's guard limbs up:
+/// the coefficients that wrap around land below the guard limbs, where
+/// nothing is read. Returns `false`, leaving `out` alone, when that length
+/// is beyond the primes' roots.
+pub(crate) fn mul_middle_into(
+    a: &[u64],
+    b: &[u64],
+    lo: usize,
+    len: usize,
+    out: &mut Vec<u64>,
+) -> bool {
+    let count = a.len() + b.len() - 1;
+    let start = lo.saturating_sub(2);
+    let end = (lo + len).min(count).max(start);
+    let need = a
+        .len()
+        .max(b.len())
+        .max(end)
+        .max(count.saturating_sub(start));
+    let Some(shape) = Shape::for_coefficients(need) else {
+        return false;
+    };
+    let rhs = if a == b { Rhs::Same } else { Rhs::Limbs(b) };
+    let carry = convolve(a, rhs, shape, start..end, out);
+    out.extend(carry);
+    out.drain(..lo - start);
+    out.truncate(len);
+    true
+}
+
+/// [`Natural::mul_middle`] by transform regardless of size, for the
+/// differential tests and the benchmark ladder; the dispatcher switches to
+/// it from [`MIDDLE_NTT_THRESHOLD`](crate::MIDDLE_NTT_THRESHOLD) limbs.
+pub fn mul_middle_ntt(a: &Natural, b: &Natural, lo: usize, len: usize) -> Natural {
+    let len = len.min((a.limb_len() + b.limb_len()).saturating_sub(lo));
+    if a.is_zero() || b.is_zero() || len == 0 {
+        return Natural::zero();
+    }
+    let mut out = crate::arena::take(len + 5);
+    if mul_middle_into(a.limbs(), b.limbs(), lo, len, &mut out) {
+        Natural::from_limbs(out)
+    } else {
+        crate::arena::put(out);
+        a.mul_middle_schoolbook(b, lo, len)
+    }
 }
 
 /// NTT multiplication regardless of size. Exposed for the ablation bench
@@ -667,7 +769,7 @@ mod tests {
             for w in [1, 2, pr.p - 1, pr.p / 2, pr.roots[20], 0x1234_5678_9abc] {
                 let exact = (((w as u128) << 64) / p) as u64;
                 assert_eq!(shoup_quotient(w, pr), exact, "w={w:#x}");
-                assert_eq!(negate((w, exact), pr.p).1, shoup_quotient(pr.p - w, pr));
+                assert_eq!(negate([w, exact], pr.p)[1], shoup_quotient(pr.p - w, pr));
                 for x in [u64::MAX, 0, 4 * pr.p - 1, 12345] {
                     let r = mul_shoup(x, w, exact, pr.p);
                     assert!(r < 2 * pr.p);
@@ -685,12 +787,12 @@ mod tests {
             for (leaf, log) in (0..7).flat_map(|log| [(1, log), (3, log)]) {
                 let shape = Shape { leaf, log };
                 let values: Vec<u64> = (0..shape.len() as u64).map(|i| i * i + 7).collect();
-                let (mut tw, mut buf) = (Vec::new(), Vec::new());
+                let (mut tw, mut buf) = (vec![0; table_len(shape)], vec![0; shape.len()]);
                 twiddles(pr, log, &mut tw);
-                forward(&mut buf, &values, shape, &tw, None, pr);
+                forward(&mut buf, &values, shape, pairs(&tw), None, pr);
                 buf.iter_mut().for_each(|x| *x %= pr.p);
-                invert_twiddles(&mut tw, pr.p);
-                inverse(&mut buf, shape, &tw, pr);
+                invert_twiddles(tw.as_chunks_mut::<2>().0, pr.p);
+                inverse(&mut buf, shape, pairs(&tw), pr);
                 let back: Vec<u64> = buf.iter().map(|x| x % pr.p).collect();
                 let expect: Vec<u64> = values.iter().map(|x| (x << log) % pr.p).collect();
                 assert_eq!(back, expect, "leaf={leaf} log={log}");
@@ -714,14 +816,18 @@ mod tests {
 
     #[test]
     fn twiddle_tables_nest() {
-        let (mut short, mut long) = (Vec::new(), Vec::new());
+        let (mut short, mut long) = (vec![0; 32], vec![0; 512]);
         twiddles(&P1, 5, &mut short);
         twiddles(&P1, 9, &mut long);
+        let (short, long) = (pairs(&short), pairs(&long));
         assert_eq!(short.len(), 16);
         assert_eq!(long[..16], short[..]);
         // tw[2j]² = tw[j] along the bit-reversed order.
         for j in 1..long.len() / 2 {
-            assert_eq!(mul_mod_const(long[2 * j].0, long[2 * j].0, P1.p), long[j].0);
+            assert_eq!(
+                mul_mod_const(long[2 * j][0], long[2 * j][0], P1.p),
+                long[j][0]
+            );
         }
     }
 

@@ -1,26 +1,31 @@
-//! Barrett reduction against precomputed reciprocals.
+//! Newton inverses and Barrett reduction against them.
 //!
-//! A modulus that is reduced against many times can split its division
-//! into a per-modulus precomputation — a fixed-point reciprocal
-//! `mu = floor(beta^cap / n)` with `beta = 2^64` — and a per-value
-//! reduction of two multiplies plus at most two correction subtractions
-//! (HAC Algorithm 14.42, generalized to a configurable dividend capacity).
-//! The batch-GCD descents do not use it: a node is reduced against only
-//! two or three times per descent, and at that reuse a Newton build plus
-//! the Barrett steps costs more than exact division (DESIGN.md §13.2). The
-//! kernel stays as a tested reference for the layer benchmarks.
+//! [`invert_newton`] computes a fixed-point inverse `floor(beta^cap / n)`
+//! (`beta = 2^64`), up to a few ulps of one-sided under-estimate. It seeds
+//! the batch-GCD remainder descent: `wk-batchgcd`'s scaled remainder tree
+//! turns one inverse of a product tree's root into the root's fixed-point
+//! image, and nothing below the root divides (DESIGN.md §9).
 //!
-//! The reciprocal itself is computed by Newton's method on truncated
-//! operands (precision roughly doubles per iteration, so the total cost is
-//! a small constant number of full-size multiplies). The iteration is
-//! *deliberately left approximate*: it maintains `mu <= floor(beta^cap/n)`
-//! throughout (every truncation under-estimates) and lands within
-//! [`MU_MAX_SLACK_ULPS`] of the exact value. Making it exact would need a
-//! full `mu * n` verification product — empirically the single most
-//! expensive operation of the whole precomputation, and the only thing it
-//! buys is shrinking the Barrett correction loop from "a few" subtractions
-//! to two. The correction loop is O(m) per pass; the verification product
-//! is a full multiply. So the slack is kept and the loop bound widened.
+//! A modulus that is reduced against many times can also split its
+//! division into that precomputation and a per-value reduction of two
+//! multiplies plus at most two correction subtractions (HAC Algorithm
+//! 14.42, generalized to a configurable dividend capacity): [`Reciprocal`].
+//! No batch-GCD path uses it; the kernel stays as a tested reference for
+//! the layer benchmarks.
+//!
+//! The inverse is computed by Newton's method on truncated operands
+//! (precision roughly doubles per iteration, so the total cost is a small
+//! constant number of full-size multiplies). Each step forms the small
+//! residual `z·n − 2^g` by one middle product whose transform covers `n`
+//! rather than the whole product. The iteration is *deliberately left
+//! approximate*: it maintains `mu <= floor(beta^cap/n)` throughout and
+//! lands within [`MU_MAX_SLACK_ULPS`] of the exact value. Making it exact
+//! would need a full `mu * n` verification product — empirically the
+//! single most expensive operation of the whole precomputation, and the
+//! only thing it buys is shrinking the Barrett correction loop from "a
+//! few" subtractions to two. The correction loop is O(m) per pass; the
+//! verification product is a full multiply. So the slack is kept and the
+//! loop bound widened.
 //!
 //! # Correctness bound
 //!
@@ -68,8 +73,8 @@ const NEWTON_GUARD_BITS: u64 = 32;
 /// may land, in ulps. The iteration only ever under-estimates (seed and
 /// every truncation round toward zero; the subtracted term's operand
 /// rounds up), and the 32 guard bits leave at most a few ulps unresolved —
-/// 4 was the observed worst case across the adversarial test shapes, 16 is
-/// that with headroom. Each ulp of slack costs one O(m) subtraction in the
+/// 2 was the observed worst case across 240 random, all-ones-top and
+/// power-of-two-top shapes of 9 to 1,500 limbs, 16 is that with headroom. Each ulp of slack costs one O(m) subtraction in the
 /// Barrett correction loop, which is far cheaper than the full `mu * n`
 /// product an exactness pass would need.
 const MU_MAX_SLACK_ULPS: u32 = 16;
@@ -134,11 +139,37 @@ pub struct Reciprocal {
     n_bits: u64,
 }
 
-/// `2^bits` as a [`Natural`].
+/// `2^bits` as a [`Natural`], in an arena buffer.
 fn pow2(bits: u64) -> Natural {
-    let mut p = Natural::zero();
-    p.set_bit(bits, true);
-    p
+    let limb = (bits / 64) as usize;
+    let mut limbs = crate::arena::take(limb + 1);
+    limbs.resize(limb + 1, 0);
+    limbs[limb] = 1 << (bits % 64);
+    Natural::from_limbs(limbs)
+}
+
+/// `limbs += 1`, growing by a limb on carry.
+fn increment(limbs: &mut Vec<u64>) {
+    if limbs.is_empty() || crate::limb::add_assign_slice(limbs, &[1]) != 0 {
+        limbs.push(1);
+    }
+}
+
+/// `z << bits` in an arena buffer, also for `bits == 0`.
+fn shl_pooled(z: &Natural, bits: u64) -> Natural {
+    if bits == 0 {
+        return crate::arena::clone_natural(z);
+    }
+    z.shl_bits(bits)
+}
+
+/// `floor(2^e / n)` by one exact division, every buffer recycled.
+fn exact_inverse(e: u64, n: &Natural) -> Natural {
+    let p = pow2(e);
+    let (q, r) = p.div_rem(n);
+    crate::arena::recycle(p);
+    crate::arena::recycle(r);
+    q
 }
 
 /// `a >> (64*k)` — the limbs above the low `k`, as a borrowed view.
@@ -151,33 +182,51 @@ fn high_limb_slice(a: &[u64], k: usize) -> &[u64] {
     }
 }
 
-/// `floor(beta^cap / n)`, possibly under-estimated by at most
-/// [`MU_MAX_SLACK_ULPS`], by Newton iteration on truncated operands. The
+/// `floor(beta^cap / n)`, possibly under-estimated by at most 16 ulps
+/// (`MU_MAX_SLACK_ULPS`), by Newton iteration on truncated operands. The
 /// under-estimate is one-sided by construction — see the module docs for
 /// why over-estimating would be unsound and why the slack is kept rather
 /// than corrected away. Falls back to one exact direct division for small
 /// moduli or near-unit quotients, where the iteration's bookkeeping costs
 /// more than Knuth division.
-fn invert_newton(n: &Natural, cap: usize) -> Natural {
+///
+/// Every intermediate comes from and goes back to the thread arena, so a
+/// warmed pool runs the whole inversion without touching the heap: it
+/// seeds the scaled remainder descent (`wk-batchgcd`'s `ProductTree`),
+/// whose steady state the `zero_alloc` test pins.
+///
+/// # Panics
+/// Panics if `n` is zero.
+pub fn invert_newton(n: &Natural, cap: usize) -> Natural {
+    assert!(!n.is_zero(), "inverse of zero");
     let m = n.limb_len();
     let e = 64 * cap as u64; // mu = floor(2^e / n)
     let t = n.bit_len();
-    if m <= NEWTON_DIRECT_LIMBS || e - t < 128 {
-        return &pow2(e) / n;
+    if m <= NEWTON_DIRECT_LIMBS || e < t + 128 {
+        return exact_inverse(e, n);
     }
 
     // Seed from the top 64 bits of n (top bit set, by normalization):
     // z0 = floor(2^128 / (n1 + 1)) approximates 2^(t+64)/n from below with
     // absolute error <= 5 ulps (n1 >= 2^63 bounds the bracket width), i.e.
     // ~61 correct bits.
-    let n1 = (n >> (t - 64)).low_limb();
-    let mut z = if n1 == u64::MAX {
-        pow2(64)
+    let n1 = (n.limbs()[m - 1] << n.top_limb().leading_zeros())
+        | n.limbs()[m - 2]
+            .checked_shr(64 - n.top_limb().leading_zeros())
+            .unwrap_or(0);
+    let z0 = if n1 == u64::MAX {
+        1u128 << 64
     } else {
-        Natural::from(u128::MAX / (n1 as u128 + 1))
+        u128::MAX / (n1 as u128 + 1)
+    };
+    let mut z = {
+        let mut limbs = crate::arena::take(2);
+        limbs.extend([z0 as u64, (z0 >> 64) as u64]);
+        Natural::from_limbs(limbs)
     };
     let mut g = t + 64; // z ~ 2^g / n
     let correct: u64 = 60;
+    let mut c_prev = correct;
     let needed = e - t + 2; // significant bits of mu, plus slack
 
     // Precision ladder, built backwards from the target so the last step
@@ -187,15 +236,18 @@ fn invert_newton(n: &Natural, cap: usize) -> Natural {
     // — measured at ~2x the total build cost. Each rung satisfies
     // `rung <= 2 * previous - 4`, the same 4-bit truncation budget per
     // step as before: `prev = ceil(rung/2) + 2` gives
-    // `2*prev - 4 = 2*ceil(rung/2) >= rung`.
-    let mut ladder: Vec<u64> = Vec::new();
+    // `2*prev - 4 = 2*ceil(rung/2) >= rung`. Rungs at least halve, so 64
+    // slots hold any ladder.
+    let mut ladder = [0u64; 64];
+    let mut rungs = 0;
     let mut c = needed;
     while c > correct {
-        ladder.push(c);
+        ladder[rungs] = c;
+        rungs += 1;
         c = c.div_ceil(2) + 2;
     }
 
-    for &c_next in ladder.iter().rev() {
+    for &c_next in ladder[..rungs].iter().rev() {
         // Each step squares the relative error; budget 4 bits of it for
         // the truncations below. The working exponent saturates at the
         // target `e` (near-unit quotients get there with bits still to
@@ -206,24 +258,73 @@ fn invert_newton(n: &Natural, cap: usize) -> Natural {
         // the subtracted term over-estimates (keeps z' from overshooting).
         let h = t.min(c_next + NEWTON_GUARD_BITS);
         let sigma = t - h;
-        let n_hat = if sigma == 0 {
-            n.clone()
-        } else {
-            &(n >> sigma) + &Natural::one()
-        };
+        let mut n_hat = crate::arena::clone_natural(n);
+        if sigma > 0 {
+            n_hat.shr_assign_bits(sigma);
+            let carry = crate::limb::add_assign_slice(n_hat.vec_mut(), &[1]);
+            if carry != 0 {
+                n_hat.vec_mut().push(carry);
+            }
+        }
         // z' = 2^(g_next-g+1)*z - floor(z^2 * n_hat / 2^(2g - g_next - sigma))
-        // approximates 2^g_next/n with the relative error squared.
+        // approximates 2^g_next/n with the relative error squared. With the
+        // residual d = z·n_hat − 2^(g−sigma) that is
+        // z' = 2^(g_next−g)·z − floor(z·d / 2^down), and d is small: z has
+        // `c_prev` correct bits, so |d| < 2^(g − sigma − c_prev + 4). Its
+        // limbs [lo, hi) come from one middle product whose transform
+        // covers n_hat, not the whole product, and the limbs below `lo`
+        // would move the floor by less than one unit.
         debug_assert!(g_next >= g && 2 * g >= g_next + sigma);
         let down = 2 * g - g_next - sigma;
-        let sub = &(&(&z * &z) * &n_hat) >> down;
-        let up = &z << (g_next - g + 1);
-        z = match up.checked_sub(&sub) {
-            Some(v) => v,
+        let lo = (down.saturating_sub(z.bit_len() + 1) / 64) as usize;
+        let hi = ((g - sigma - c_prev + 14).div_ceil(64) as usize).max(lo + 1);
+        let len = hi - lo;
+        let mut d = z.mul_middle(&n_hat, lo, len).into_limbs();
+        crate::arena::recycle(n_hat);
+        d.resize(len, 0);
+        if let Some(bit) = (g - sigma).checked_sub(64 * lo as u64) {
+            // 2^(g−sigma) inside the window: subtract it, modulo β^len.
+            if let Some(window) = d.get_mut((bit / 64) as usize..).filter(|w| !w.is_empty()) {
+                crate::limb::sub_assign_slice(window, &[1 << (bit % 64)]);
+            }
+        }
+        // Two's complement over `len` limbs: the window holds
+        // floor(d / β^lo), at most one unit low.
+        let negative = d.last().is_some_and(|top| top >> 63 == 1);
+        if negative {
+            d.iter_mut().for_each(|l| *l = !*l);
+            increment(&mut d);
+        }
+        let d = Natural::from_limbs(d);
+        let mut correction = &z * &d;
+        crate::arena::recycle(d);
+        // floor(z·d / 2^down) by a shift, rounding away from zero for a
+        // negative d.
+        let shift = down - 64 * lo as u64;
+        let inexact = correction
+            .trailing_zeros()
+            .is_some_and(|zeros| zeros < shift);
+        correction.shr_assign_bits(shift);
+        if negative && inexact {
+            increment(correction.vec_mut());
+        }
+        let mut next = shl_pooled(&z, g_next - g);
+        crate::arena::recycle(core::mem::replace(&mut z, Natural::zero()));
+        if negative {
+            next.add_assign_ref(&correction);
+        } else if next < correction {
             // Unreachable for in-range errors; exact fallback keeps the
             // routine total without a panic path.
-            None => return &pow2(e) / n,
-        };
+            crate::arena::recycle(next);
+            crate::arena::recycle(correction);
+            return exact_inverse(e, n);
+        } else {
+            next.sub_assign_ref(&correction);
+        }
+        crate::arena::recycle(correction);
+        z = next;
         g = g_next;
+        c_prev = c_next;
     }
 
     // z is now within a few ulps of floor(2^e/n) and is left approximate
@@ -231,32 +332,29 @@ fn invert_newton(n: &Natural, cap: usize) -> Natural {
     // it must first be made one-sided. Each step computes a concave
     // function of the previous z whose maximum over all inputs is the true
     // 2^g/n (the Newton map touches its fixed point at its critical
-    // point); the floored shift adds less than one, so every step ends at
-    // most one ulp above the true value, however far off its input was.
-    // Subtracting that ulp yields z <= floor(2^e/n) unconditionally —
-    // the direction the Barrett remainder arithmetic depends on.
-    z = match z.checked_sub(&Natural::one()) {
-        Some(v) => v,
+    // point); the floored shift adds less than one, so every exact step
+    // ends at most one ulp above the true value, however far off its input
+    // was. The residual's dropped low limbs raise a step by at most one
+    // more ulp. Subtracting those two ulps yields z <= floor(2^e/n)
+    // unconditionally — the direction the Barrett remainder arithmetic
+    // depends on.
+    if z.limb_len() < 2 {
         // Unreachable (z is astronomically large here); exact fallback
         // keeps the routine total without a panic path.
-        None => return &pow2(e) / n,
-    };
+        crate::arena::recycle(z);
+        return exact_inverse(e, n);
+    }
+    crate::limb::sub_assign_slice(z.vec_mut(), &[2]);
+    z.normalize();
     // One shape needs patching: when floor(2^e/n) is exactly the minimal
     // 2^(e-t) (n just below a power of two), the slack can drop z below
     // mu's guaranteed magnitude window, which the capacity maths relies
     // on. Clamping up to 2^(e-t) is always sound: floor(2^e/n) >= 2^(e-t)
-    // for t-bit n.
-    let floor_min = pow2(e - t);
-    if z < floor_min {
-        z = floor_min;
+    // for t-bit n. (The slack bound itself is pinned by the unit tests.)
+    if z.bit_len() <= e - t {
+        crate::arena::recycle(z);
+        return pow2(e - t);
     }
-    debug_assert!(
-        (&pow2(e) / n)
-            .checked_sub(&z)
-            .and_then(|slack| slack.to_u64())
-            .is_some_and(|slack| slack <= u64::from(MU_MAX_SLACK_ULPS)),
-        "Newton over-estimated or left more than MU_MAX_SLACK_ULPS of error"
-    );
     z
 }
 
@@ -441,6 +539,30 @@ mod tests {
             })
             .collect();
         Natural::from_limbs(limbs)
+    }
+
+    /// The Newton inverse itself, at the shapes the scaled remainder
+    /// descent asks for (precision about the modulus' length, and twice
+    /// it) and past the transform threshold of its residual middle
+    /// product: never above `floor(2^e/n)`, never more than
+    /// `MU_MAX_SLACK_ULPS` below.
+    #[test]
+    fn newton_inverse_is_one_sided_and_close() {
+        for (m, seed) in [(9, 1), (40, 2), (170, 3), (333, 4), (700, 5), (1500, 6)] {
+            let mut n = pseudo(m, seed);
+            n.set_bit(64 * m as u64 - 1, true);
+            for cap in [m + 3, 2 * m, 2 * m + 7, 3 * m + 1] {
+                let z = invert_newton(&n, cap);
+                let exact = &pow2(64 * cap as u64) / &n;
+                let slack = exact.checked_sub(&z).expect("over-estimate");
+                assert!(
+                    slack
+                        .to_u64()
+                        .is_some_and(|s| s <= u64::from(MU_MAX_SLACK_ULPS)),
+                    "slack {slack:?} at m={m} cap={cap}"
+                );
+            }
+        }
     }
 
     /// mu must be exactly floor(beta^cap / n) — the direct-division path.
