@@ -6,30 +6,34 @@
 //! variant in [`crate::distributed`], benchmarked against this baseline.
 
 use crate::incremental::DeltaMetrics;
-use crate::pool::{PhaseExec, WorkerPool};
+use crate::pool::{Exec, PhaseExec, WorkerPool};
 use crate::resolve::{resolve, KeyStatus};
-use crate::tree::ProductTree;
+use crate::tree::{Descent, ProductTree};
 use std::time::{Duration, Instant};
-use wk_bigint::Natural;
+use wk_bigint::{arena, Natural};
 
 /// Timing and memory accounting for one batch-GCD run.
+///
+/// One timing rule holds on every path: the `*_time` fields are wall-clock
+/// times of whole phases, the product tree and the leaf phase (every
+/// remainder descent plus the per-leaf gcds), and busy time lives in the
+/// executor counters — the gcds' own is `gcd_exec.busy_total()`.
 #[derive(Clone, Debug, Default)]
 pub struct BatchStats {
     /// Wall-clock time building the product tree.
     pub product_tree_time: Duration,
-    /// Wall-clock time descending the remainder tree.
+    /// Wall-clock time of the leaf phase: the remainder descents and the
+    /// per-leaf gcds.
     pub remainder_tree_time: Duration,
-    /// Wall-clock time for the final per-leaf gcd.
-    pub gcd_time: Duration,
     /// Peak stored tree size in bytes (the paper's 70-100 GB per node).
     pub tree_bytes: usize,
     /// Number of input moduli.
     pub input_count: usize,
     /// Executor metrics for the product-tree phase.
     pub product_tree_exec: PhaseExec,
-    /// Executor metrics for the remainder-tree phase.
+    /// Executor metrics for the remainder descents.
     pub remainder_tree_exec: PhaseExec,
-    /// Executor metrics for the per-leaf gcd phase.
+    /// Executor metrics for the per-leaf gcds.
     pub gcd_exec: PhaseExec,
     /// Delta-phase metrics; all-zero [`Default`] for from-scratch runs,
     /// populated by
@@ -38,9 +42,9 @@ pub struct BatchStats {
 }
 
 impl BatchStats {
-    /// Total wall-clock time across the three phases.
+    /// Total wall-clock time: the product tree plus the leaf phase.
     pub fn total_time(&self) -> Duration {
-        self.product_tree_time + self.remainder_tree_time + self.gcd_time
+        self.product_tree_time + self.remainder_tree_time
     }
 
     /// Executor metrics summed over all three phases.
@@ -116,16 +120,13 @@ pub fn batch_gcd(moduli: &[Natural], threads: usize) -> BatchGcdResult {
     let t1 = Instant::now();
     // Cofactor descent of V = P (seed (P/root) mod root = 1): the leaves
     // are (P/N) mod N directly, so no trailing exact division is needed.
-    let remainders = tree.remainder_tree_cofactor(&Natural::one(), pool.exec_in(&remainder_domain));
+    let raw_divisors = leaf_divisors(
+        &tree,
+        &[Descent::Cofactor(&Natural::one())],
+        pool.exec_in(&remainder_domain),
+        pool.exec_in(&gcd_domain),
+    );
     let remainder_tree_time = t1.elapsed();
-
-    let t2 = Instant::now();
-    let raw_divisors: Vec<Option<Natural>> = pool
-        .exec_in(&gcd_domain)
-        .map_chunked(moduli.iter().zip(remainders).collect(), |(n, zn)| {
-            leaf_gcd(n, &zn)
-        });
-    let gcd_time = t2.elapsed();
 
     let statuses = resolve(moduli, &raw_divisors);
     BatchGcdResult {
@@ -134,7 +135,6 @@ pub fn batch_gcd(moduli: &[Natural], threads: usize) -> BatchGcdResult {
         stats: BatchStats {
             product_tree_time,
             remainder_tree_time,
-            gcd_time,
             tree_bytes,
             input_count: moduli.len(),
             product_tree_exec: build_domain.phase(),
@@ -145,15 +145,46 @@ pub fn batch_gcd(moduli: &[Natural], threads: usize) -> BatchGcdResult {
     }
 }
 
-/// The leaf step every batch-GCD path shares: `gcd(n, z)`, or `None` when
-/// it is 1 (`n` shares no prime with `z`).
-pub(crate) fn leaf_gcd(n: &Natural, z: &Natural) -> Option<Natural> {
+/// The one rule that combines divisors, on every path: fold `g = gcd(N, z)`
+/// into `N`'s divisor as `gcd(N, prev·g)`, or leave it when `g = 1`. For
+/// any `a`, `b`, `gcd(N, a·b) = gcd(N, gcd(N, a)·gcd(N, b))`, so folding the
+/// residues of any factorization of `P/N` gives `gcd(N, P/N)`: a prime that
+/// `N` holds twice and the others hold twice counts twice, as in the single
+/// tree (DESIGN.md §5).
+pub(crate) fn merge_divisor(divisor: &mut Option<Natural>, n: &Natural, z: &Natural) {
     let g = n.gcd(z);
     if g.is_one() {
-        None
-    } else {
-        Some(g)
+        return;
     }
+    *divisor = Some(match divisor.take() {
+        None => g,
+        Some(prev) => n.gcd(&(&prev * &g)),
+    });
+}
+
+/// The leaf phase every tree path shares: run `jobs` down `tree` in one
+/// [`ProductTree::remainder_trees`] call on `descent`, and fold each job's
+/// leaf residues into the leaves' divisors with [`merge_divisor`] on `gcd`.
+pub(crate) fn leaf_divisors(
+    tree: &ProductTree,
+    jobs: &[Descent<'_>],
+    descent: Exec<'_>,
+    gcd: Exec<'_>,
+) -> Vec<Option<Natural>> {
+    let leaves = tree.leaves();
+    let mut divisors = vec![None; leaves.len()];
+    tree.remainder_trees(jobs, descent, |_, residues| {
+        let items = leaves
+            .iter()
+            .zip(std::mem::take(&mut divisors))
+            .zip(residues);
+        divisors = gcd.map_chunked(items.collect(), |((n, mut divisor), z)| {
+            merge_divisor(&mut divisor, n, &z);
+            arena::recycle(z);
+            divisor
+        });
+    });
+    divisors
 }
 
 #[cfg(test)]

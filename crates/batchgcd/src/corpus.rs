@@ -41,11 +41,11 @@
 //! store.remove().unwrap();
 //! ```
 
-use crate::classic::{leaf_gcd, BatchGcdResult, BatchStats};
+use crate::classic::{merge_divisor, BatchGcdResult, BatchStats};
 use crate::durable::{self, Frame, FrameError, FrameHeader, FRAME_HEADER_LEN};
 use crate::pool::WorkerPool;
 use crate::resolve::resolve_with_hits;
-use crate::tree::ProductTree;
+use crate::tree::{product_root, ProductTree, TreeError};
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, BufReader, Read, Write};
@@ -866,9 +866,9 @@ impl Iterator for ShardReader {
 /// on the same moduli in the same order: every remainder is an exact
 /// modular reduction, so tree shape cannot change values.
 ///
-/// Timing note: shard claims interleave remainder descent and gcd work, so
-/// `remainder_tree_time` covers the whole leaf phase wall-clock while
-/// `gcd_time` reports the gcd tasks' summed busy time from the executor.
+/// Timing follows the one rule of [`BatchStats`]: `remainder_tree_time` is
+/// the leaf phase's wall clock (top descent, shard descents and gcds), and
+/// the gcds' busy time is `gcd_exec.busy_total()`.
 ///
 /// # Errors
 /// Any shard that fails to read back (truncation, checksum, version skew,
@@ -880,40 +880,42 @@ pub fn sharded_batch_gcd(
     Ok(run_sharded(store, None, threads, false)?.result)
 }
 
-/// Build one shard's local product tree and return its root: phase 1 of
+/// One shard's product, the root of its local product tree: phase 1 of
 /// [`sharded_batch_gcd`], which calls this once per shard, and the unit of
 /// work a cluster node performs per claimed shard. A root computed on any
 /// process is therefore bit-identical to the one the single-process run
-/// produces for that shard.
+/// produces for that shard. Only two tree levels are alive at a time.
 ///
 /// # Errors
 /// Propagates the shard's read-back failure ([`CorpusError`]) or a
 /// structurally empty shard as [`CorpusError::FormatViolation`].
 pub fn shard_subtree_root(store: &ShardStore, index: u32) -> Result<Natural, CorpusError> {
-    let (moduli, tree) = read_shard_tree(store, index)?;
-    let root = tree.root().clone();
-    // Worker-local recycling: the next shard this worker claims rebuilds a
-    // same-shaped tree straight from the arena.
-    tree.recycle();
+    let (moduli, root) = read_shard_with(store, index, |moduli| {
+        ProductTree::check_input(moduli).map(|()| product_root(moduli))
+    })?;
+    // Worker-local recycling: the next shard this worker claims builds its
+    // levels straight from the arena.
     for m in moduli {
         wk_bigint::arena::recycle(m);
     }
     Ok(root)
 }
 
-/// Read shard `index` and build its product tree on the calling thread:
-/// shards are the parallel unit, and at shard scale the pair multiplies are
-/// far smaller than the pool dispatch they would otherwise schedule.
-fn read_shard_tree(
+/// Read shard `index` and run `build` over its moduli on the calling
+/// thread: shards are the parallel unit, and at shard scale the pair
+/// multiplies are far smaller than the pool dispatch they would otherwise
+/// schedule.
+fn read_shard_with<T>(
     store: &ShardStore,
     index: u32,
-) -> Result<(Vec<Natural>, ProductTree), CorpusError> {
+    build: impl FnOnce(&[Natural]) -> Result<T, TreeError>,
+) -> Result<(Vec<Natural>, T), CorpusError> {
     let moduli = store.read_shard(index)?;
-    let tree = ProductTree::build_local(&moduli).map_err(|e| CorpusError::FormatViolation {
+    let built = build(&moduli).map_err(|e| CorpusError::FormatViolation {
         path: store.shard_path(index),
         detail: e.to_string(),
     })?;
-    Ok((moduli, tree))
+    Ok((moduli, built))
 }
 
 /// A sharded run's result plus the tree material a caller needs to persist
@@ -1037,21 +1039,15 @@ pub(crate) fn run_sharded(
     let seeds = top.remainder_tree_cofactor(&Natural::one(), pool.exec_in(&remainder_domain));
     drop(top);
 
-    struct ShardLeaves {
-        divisors: Vec<Option<Natural>>,
-        /// (index within shard, modulus) for each nontrivial divisor.
-        hits: Vec<(usize, Natural)>,
-        tree_bytes: usize,
-    }
-
     let leaf_tasks: Vec<_> = seeds
         .into_iter()
         .enumerate()
         .map(|(index, seed)| {
             let pool = &pool;
             let gcd_domain = &gcd_domain;
-            move || -> Result<ShardLeaves, CorpusError> {
-                let (moduli, tree) = read_shard_tree(store, index as u32)?;
+            move || -> Result<(ShardLeaves, usize), CorpusError> {
+                let (moduli, tree) =
+                    read_shard_with(store, index as u32, ProductTree::build_local)?;
                 let tree_bytes = tree.total_bytes();
                 // The seed is (P/root) mod root from the top descent —
                 // exactly this tree's cofactor seed. The descent stays on
@@ -1070,28 +1066,16 @@ pub(crate) fn run_sharded(
                             .iter()
                             .zip(rems)
                             .map(|(n, zn)| {
-                                let g = leaf_gcd(n, &zn);
+                                let mut divisor = None;
+                                merge_divisor(&mut divisor, n, &zn);
                                 wk_bigint::arena::recycle(zn);
-                                g
+                                divisor
                             })
                             .collect::<Vec<_>>()
                     }])
                     .pop()
                     .unwrap_or_default();
-                let hits: Vec<(usize, Natural)> = divisors
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, g)| g.is_some())
-                    .map(|(i, _)| (i, moduli[i].clone()))
-                    .collect();
-                for m in moduli {
-                    wk_bigint::arena::recycle(m);
-                }
-                Ok(ShardLeaves {
-                    divisors,
-                    hits,
-                    tree_bytes,
-                })
+                Ok((ShardLeaves::new(moduli, divisors), tree_bytes))
             }
         })
         .collect();
@@ -1100,16 +1084,13 @@ pub(crate) fn run_sharded(
     let mut hits: Vec<(usize, Natural)> = Vec::new();
     let mut max_shard_tree_bytes = 0usize;
     for outcome in pool.exec_in(&remainder_domain).run_tasks(leaf_tasks) {
-        let leaves = outcome?;
-        let base = raw_divisors.len();
-        hits.extend(leaves.hits.into_iter().map(|(local, n)| (base + local, n)));
-        raw_divisors.extend(leaves.divisors);
-        max_shard_tree_bytes = max_shard_tree_bytes.max(leaves.tree_bytes);
+        let (leaves, tree_bytes) = outcome?;
+        leaves.append_to(&mut raw_divisors, &mut hits);
+        max_shard_tree_bytes = max_shard_tree_bytes.max(tree_bytes);
     }
     let remainder_tree_time = t1.elapsed();
 
     let statuses = resolve_with_hits(total, &hits, &raw_divisors);
-    let gcd_exec = gcd_domain.phase();
     Ok(ShardAssembly {
         result: BatchGcdResult {
             raw_divisors,
@@ -1117,18 +1098,52 @@ pub(crate) fn run_sharded(
             stats: BatchStats {
                 product_tree_time,
                 remainder_tree_time,
-                gcd_time: gcd_exec.busy_total(),
                 tree_bytes: top_bytes + max_shard_tree_bytes,
                 input_count: total,
                 product_tree_exec: build_domain.phase(),
                 remainder_tree_exec: remainder_domain.phase(),
-                gcd_exec,
+                gcd_exec: gcd_domain.phase(),
                 ..BatchStats::default()
             },
         },
         shard_products,
         top_product,
     })
+}
+
+/// One shard's leaf output: its moduli's divisors in shard order, and
+/// `(index within the shard, modulus)` for each divisor, the only moduli
+/// the resolve pass needs.
+pub(crate) struct ShardLeaves {
+    divisors: Vec<Option<Natural>>,
+    hits: Vec<(usize, Natural)>,
+}
+
+impl ShardLeaves {
+    /// Keep the moduli that have a divisor; the others go back to the
+    /// arena.
+    pub(crate) fn new(moduli: Vec<Natural>, divisors: Vec<Option<Natural>>) -> ShardLeaves {
+        let mut hits = Vec::new();
+        for (i, (n, divisor)) in moduli.into_iter().zip(&divisors).enumerate() {
+            match divisor {
+                Some(_) => hits.push((i, n)),
+                None => wk_bigint::arena::recycle(n),
+            }
+        }
+        ShardLeaves { divisors, hits }
+    }
+
+    /// Append this shard, the next in store order, to a run's divisors and
+    /// its hits (indexed over the whole run).
+    pub(crate) fn append_to(
+        self,
+        raw: &mut Vec<Option<Natural>>,
+        hits: &mut Vec<(usize, Natural)>,
+    ) {
+        let base = raw.len();
+        hits.extend(self.hits.into_iter().map(|(local, n)| (base + local, n)));
+        raw.extend(self.divisors);
+    }
 }
 
 #[cfg(test)]

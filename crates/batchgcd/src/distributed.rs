@@ -18,9 +18,12 @@
 //! so it runs the cofactor descent and each leaf takes
 //! `gcd(N, (P_i/N) mod N)`, as in the classic pass. A *foreign* product
 //! `P_j` shares no leaf, so it runs the plain descent and each leaf takes
-//! `gcd(N, P_j mod N)`, which is the correct pair-coverage quantity.
+//! `gcd(N, P_j mod N)`, which is the correct pair-coverage quantity. A
+//! leaf folds its k gcds by the rule every path shares, `gcd(N, prev·g)`,
+//! so its divisor is `gcd(N, P/N)` exactly as the single tree reports it,
+//! prime-power moduli included.
 
-use crate::classic::leaf_gcd;
+use crate::classic::leaf_divisors;
 use crate::corpus::{CorpusError, ShardStore};
 use crate::pool::{ExecDomain, PhaseExec, WorkerPool};
 use crate::resolve::{resolve, KeyStatus};
@@ -33,32 +36,27 @@ use wk_bigint::Natural;
 pub struct ClusterConfig {
     /// Number of subsets (k) — one per simulated cluster node.
     pub subsets: usize,
-    /// OS threads used to run node tasks concurrently. On a single-core
-    /// host this only interleaves; total CPU time is the honest metric.
-    pub node_threads: usize,
-    /// Threads each node uses internally for its tree levels.
-    pub threads_per_node: usize,
+    /// Execution slots of the one pool the run draws from: node tasks and
+    /// the tree work inside them share it. On a single-core host this only
+    /// interleaves; total CPU time is the honest metric.
+    pub threads: usize,
 }
 
 impl ClusterConfig {
-    /// A k-node cluster with sequential everything (deterministic timing).
+    /// A k-node cluster on one thread (deterministic timing).
     pub fn sequential(k: usize) -> Self {
         ClusterConfig {
             subsets: k,
-            node_threads: 1,
-            threads_per_node: 1,
+            threads: 1,
         }
-    }
-
-    /// Execution slots of the shared pool: enough for `node_threads` node
-    /// tasks each fanning out `threads_per_node` ways. Both levels draw
-    /// from this one pool instead of spawning their own threads.
-    pub fn total_threads(&self) -> usize {
-        self.node_threads.max(1) * self.threads_per_node.max(1)
     }
 }
 
 /// Per-node accounting, mirroring what the paper reports per machine.
+///
+/// Timing follows the one rule of [`BatchStats`](crate::classic::BatchStats):
+/// the `*_time` fields are wall-clock times of whole phases, and the busy
+/// time of the node's gcds is in its executor counters.
 #[derive(Clone, Debug)]
 pub struct NodeReport {
     /// Node index (= subset index).
@@ -67,25 +65,24 @@ pub struct NodeReport {
     pub subset_size: usize,
     /// Wall time building the node's own product tree.
     pub product_tree_time: Duration,
-    /// Wall time for all k remainder-tree descents on this node.
+    /// Wall time of the node's leaf phase: all k remainder-tree descents
+    /// and the per-leaf gcds.
     pub remainder_time: Duration,
-    /// Wall time for the per-leaf gcd passes on this node.
-    pub gcd_time: Duration,
     /// Bytes held by the node's own product tree (paper: 70-100 GB/node).
     pub tree_bytes: usize,
     /// Bytes of the largest *foreign* subset product (any `P_j`, `j` not
     /// this node) held during descent; 0 when `k = 1`.
     pub largest_foreign_product_bytes: usize,
     /// Executor metrics for the pool tasks this node's work submitted
-    /// (tree-level multiplies and remainder reductions; slots are shared
-    /// with the other nodes).
+    /// (tree-level multiplies, remainder steps and leaf gcds; slots are
+    /// shared with the other nodes).
     pub exec: PhaseExec,
 }
 
 impl NodeReport {
     /// Total busy time for this node.
     pub fn busy_time(&self) -> Duration {
-        self.product_tree_time + self.remainder_time + self.gcd_time
+        self.product_tree_time + self.remainder_time
     }
 }
 
@@ -101,7 +98,7 @@ pub struct ClusterReport {
     pub k: usize,
     /// Executor metrics for phase 1 (all nodes' product-tree builds).
     pub build_exec: PhaseExec,
-    /// Executor metrics for phase 2 (all descents + gcd sweeps).
+    /// Executor metrics for phase 2 (all descents and leaf gcds).
     pub descent_exec: PhaseExec,
 }
 
@@ -241,9 +238,10 @@ fn run_cluster(
     // tree work inside them share the same execution slots, so a node that
     // finishes early steals tree-level tasks from its neighbours instead of
     // idling. Per-node domains keep the accounting separate.
-    let pool = WorkerPool::new(config.total_threads());
+    let pool = WorkerPool::new(config.threads);
     let build_domains: Vec<ExecDomain> = (0..k).map(|_| pool.domain()).collect();
     let descent_domains: Vec<ExecDomain> = (0..k).map(|_| pool.domain()).collect();
+    let gcd_domains: Vec<ExecDomain> = (0..k).map(|_| pool.domain()).collect();
 
     // Phase 1: each node builds its own product tree.
     let tree_tasks: Vec<_> = subsets
@@ -273,13 +271,12 @@ fn run_cluster(
         .enumerate()
         .map(|(i, (tree, build_time))| {
             let products = &products;
-            let subset: &[Natural] = subsets[i];
             let build_time = *build_time;
             let pool = &pool;
             let build_domain = &build_domains[i];
             let descent_domain = &descent_domains[i];
+            let gcd_domain = &gcd_domains[i];
             move || {
-                let mut divisors: Vec<Option<Natural>> = vec![None; subset.len()];
                 // Own subset: (P_i/N) mod N, as in the classic pass.
                 // Foreign subset: P_j mod N. All k descents share one
                 // Newton inverse of this node's root.
@@ -295,18 +292,14 @@ fn run_cluster(
                         }
                     })
                     .collect();
-                let mut gcd_time = Duration::ZERO;
                 let t0 = Instant::now();
-                tree.remainder_trees(&jobs, pool.exec_in(descent_domain), |_, rems| {
-                    let t1 = Instant::now();
-                    for (idx, (leaf, z)) in subset.iter().zip(rems).enumerate() {
-                        if let Some(candidate) = leaf_gcd(leaf, &z) {
-                            merge_divisor(&mut divisors[idx], leaf, candidate);
-                        }
-                    }
-                    gcd_time += t1.elapsed();
-                });
-                let remainder_time = t0.elapsed() - gcd_time;
+                let divisors = leaf_divisors(
+                    tree,
+                    &jobs,
+                    pool.exec_in(descent_domain),
+                    pool.exec_in(gcd_domain),
+                );
+                let remainder_time = t0.elapsed();
                 let largest_foreign_product_bytes = products
                     .iter()
                     .enumerate()
@@ -316,12 +309,12 @@ fn run_cluster(
                     .unwrap_or(0);
                 let mut exec = build_domain.phase();
                 exec.merge(&descent_domain.phase());
+                exec.merge(&gcd_domain.phase());
                 let report = NodeReport {
                     node_id: i,
-                    subset_size: subset.len(),
+                    subset_size: tree.leaf_count(),
                     product_tree_time: build_time,
                     remainder_time,
-                    gcd_time,
                     tree_bytes: tree.total_bytes(),
                     largest_foreign_product_bytes,
                     exec,
@@ -346,7 +339,7 @@ fn run_cluster(
     for domain in &build_domains {
         build_exec.merge(&domain.phase());
     }
-    for domain in &descent_domains {
+    for domain in descent_domains.iter().chain(&gcd_domains) {
         descent_exec.merge(&domain.phase());
     }
 
@@ -360,19 +353,6 @@ fn run_cluster(
             descent_exec,
         },
     )
-}
-
-/// Merge a new candidate divisor for `leaf` into the accumulator slot:
-/// keep `gcd(N, lcm(existing, candidate))`, i.e. the product of all distinct
-/// shared primes found so far — the same quantity the classic pass reports.
-fn merge_divisor(slot: &mut Option<Natural>, leaf: &Natural, candidate: Natural) {
-    *slot = Some(match slot.take() {
-        None => candidate,
-        Some(prev) => {
-            let lcm = &(&prev * &candidate) / &prev.gcd(&candidate);
-            leaf.gcd(&lcm)
-        }
-    });
 }
 
 #[cfg(test)]

@@ -12,18 +12,19 @@
 //!   raw-divisor hits — in the same limb codec and CRC scheme as the shard
 //!   files themselves (DESIGN.md §8 specifies the format field by field);
 //! * [`incremental_batch_gcd`] resolves the union corpus by (a) building
-//!   the small product tree over the delta, (b) sweeping `P_new` across the
-//!   cached shard roots to find *old* moduli sharing a prime with the delta
-//!   — one cheap small-modulus reduction per old modulus, no multiplies —
-//!   and (c) reducing the cached `P_old` down the delta tree to resolve
-//!   *new* moduli against the full corpus.
+//!   the small product tree over the delta and pushing two jobs down it
+//!   at once — the delta's own cofactor job and the cached `P_old` as a
+//!   plain job — to resolve *new* moduli against the full corpus, and (b)
+//!   sweeping `P_new` across the cached shard roots to find *old* moduli
+//!   sharing a prime with the delta — one cheap small-modulus reduction per
+//!   old modulus, no multiplies.
 //!
 //! The output is byte-identical to a from-scratch run over the union
 //! (cross-checked in `tests/incremental_equiv.rs`): for an old modulus
 //! `gcd(N, P_union/N) = gcd(N, g_old * gcd(N, P_new))` and for a new one
-//! `gcd(N, P_union/N) = gcd(N, gcd(N, P_old) * g_delta)`, both instances of
-//! `gcd(N, a*b) = gcd(N, gcd(N,a) * gcd(N,b))` — see DESIGN.md §8 for the
-//! correctness argument.
+//! `gcd(N, P_union/N) = gcd(N, g_delta * gcd(N, P_old))`, both instances of
+//! `gcd(N, a*b) = gcd(N, gcd(N,a) * gcd(N,b))`, the rule every path folds
+//! divisors by — see DESIGN.md §8 for the correctness argument.
 //!
 //! # Examples
 //!
@@ -47,16 +48,15 @@
 //! store.remove().unwrap();
 //! ```
 
-use crate::classic::{leaf_gcd, BatchGcdResult, BatchStats};
+use crate::classic::{leaf_divisors, merge_divisor, BatchGcdResult, BatchStats};
 use crate::corpus::{
     check_capacity, crc32, decode_natural, encode_natural, run_sharded, CorpusError, Crc32,
-    ShardAssembly, ShardStore,
+    ShardAssembly, ShardLeaves, ShardStore,
 };
 use crate::durable::{self, take_u64, Frame, FrameError, FrameHeader, FRAME_HEADER_LEN};
-use crate::pool::{PhaseExec, WorkerPool};
+use crate::pool::WorkerPool;
 use crate::resolve::resolve_with_hits;
-use crate::tree::{multiply_pair, pair_level, ProductTree, TreeError};
-use std::collections::BTreeMap;
+use crate::tree::{product_root, Descent, ProductTree, TreeError};
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Read};
@@ -172,21 +172,22 @@ impl From<io::Error> for IncrementalError {
 
 /// Per-phase accounting for one incremental run, surfaced on
 /// [`BatchStats`]. From-scratch runs leave it all-zero (the `Default`).
-/// Executor metrics live on [`BatchStats`] itself: the delta-tree phase is
-/// `product_tree_exec`, the sweep and cross phases `remainder_tree_exec`.
+/// The times are wall-clock times of the three delta phases (the timing
+/// rule of [`BatchStats`]); executor metrics live on [`BatchStats`] itself:
+/// the delta tree and the cache update's chunk products in
+/// `product_tree_exec`, the delta tree's two descents in
+/// `remainder_tree_exec`, and its leaf folds and the sweep in `gcd_exec`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DeltaMetrics {
     /// New moduli resolved this run (the delta size `M`).
     pub delta_count: u64,
     /// Previously-cached moduli the run resolved against (`N`).
     pub cached_count: u64,
-    /// Wall-clock time for the delta product tree plus the classic
-    /// delta-vs-delta pass.
+    /// Wall-clock time for the delta product tree plus its leaf pass (the
+    /// delta's own cofactor job and the cached `P_old`'s plain job).
     pub delta_tree_time: Duration,
     /// Wall-clock time sweeping `P_new` across the cached old-shard roots.
     pub delta_sweep_time: Duration,
-    /// Wall-clock time reducing the cached `P_old` down the delta tree.
-    pub delta_cross_time: Duration,
     /// Wall-clock time appending the delta shards and persisting the
     /// updated cache (chunk products plus the one `P_old * P_new`
     /// multiply).
@@ -200,12 +201,9 @@ impl DeltaMetrics {
         self.delta_count == 0 && self.cached_count == 0
     }
 
-    /// Total wall-clock time across the four delta phases.
+    /// Total wall-clock time across the three delta phases.
     pub fn total_time(&self) -> Duration {
-        self.delta_tree_time
-            + self.delta_sweep_time
-            + self.delta_cross_time
-            + self.delta_cache_update_time
+        self.delta_tree_time + self.delta_sweep_time + self.delta_cache_update_time
     }
 }
 
@@ -709,15 +707,6 @@ impl TreeCache {
 // incremental_batch_gcd
 // ---------------------------------------------------------------------------
 
-/// One old shard's sweep output.
-struct SweepOut {
-    /// `(global index, modulus, d)` for every old modulus with
-    /// `d = gcd(N, P_new mod N) > 1`.
-    fresh: Vec<(u64, Natural, Natural)>,
-    /// `(global index, modulus)` for every cached-hit index in this shard.
-    cached: Vec<(u64, Natural)>,
-}
-
 /// Resolve the union of `store`'s cached corpus and the `delta` moduli,
 /// paying only delta-proportional multiplies, then append the delta to the
 /// store (as shards of `capacity`) and update `cache` in memory and on
@@ -727,24 +716,25 @@ struct SweepOut {
 ///
 /// The phases, timed individually in [`BatchStats::delta`]:
 ///
-/// 1. **delta tree** — classic batch GCD over the delta alone, in memory:
-///    product tree (root `P_new`), cofactor remainder descent, per-leaf gcd.
+/// 1. **delta tree** — the product tree over the delta (root `P_new`), then
+///    one leaf pass down it with two jobs under one Newton inverse of
+///    `P_new`: the cofactor job `(P_new/N) mod N` and the plain job
+///    `P_old mod N` of the cached corpus product. Each new modulus folds
+///    both residues into `gcd(N, P_union/N)`.
 /// 2. **sweep** — for each *old* shard, reduce `P_new` by the cached shard
 ///    root (a no-op short-circuit while `P_new` is smaller) and take one
-///    small-modulus reduction + gcd per old modulus:
-///    `d = gcd(N, P_new mod N)`. The union divisor for an old modulus is
-///    `gcd(N, g_old * d)`, which collapses to the cached `g_old` whenever
-///    `d = 1` — no multiplies, no old-tree rebuild.
-/// 3. **cross** — one plain remainder descent of the cached `P_old` down
-///    the delta tree gives `P_old mod N` per new modulus;
-///    `gcd(N, gcd(N, P_old) * g_delta)` is its union divisor.
-/// 4. **cache update** — append the delta shards, multiply
+///    small-modulus reduction per old modulus, `P_new mod N`, folded into
+///    its cached divisor `g_old` as `gcd(N, g_old·gcd(N, P_new))` — which
+///    is `g_old` itself whenever `N` shares nothing with the delta. No
+///    multiplies, no old-tree rebuild.
+/// 3. **cache update** — append the delta shards, multiply
 ///    `P_old * P_new` once, compute the new shards' products, persist.
 ///
-/// On the stats: `product_tree_time` and `product_tree_exec` mirror phase 1
-/// (plus phase 4's chunk products on the executor side), and
-/// `remainder_tree_time` and `remainder_tree_exec` cover phases 2–3; the
-/// per-phase wall times are in `stats.delta`. An empty delta
+/// On the stats, by the timing rule of [`BatchStats`]: `product_tree_time`
+/// is the delta tree's build, and `remainder_tree_time` the leaf work of
+/// phases 1 and 2. `product_tree_exec` counts the delta tree and phase 3's
+/// chunk products, `remainder_tree_exec` the two descents, and `gcd_exec`
+/// the leaf folds of phase 1 and the sweep's reductions. An empty delta
 /// skips every phase and reconstructs the cached result from the hit list,
 /// reading only the shards that contain hits.
 ///
@@ -774,173 +764,83 @@ pub fn incremental_batch_gcd(
     }
 
     let old_total = cache.total_moduli as usize;
-    let old_shards = cache.shard_products.len();
     let total = old_total + delta.len();
 
     let pool = WorkerPool::new(threads);
     let tree_domain = pool.domain();
-    let sweep_domain = pool.domain();
-    let cross_domain = pool.domain();
+    let remainder_domain = pool.domain();
+    let gcd_domain = pool.domain();
 
-    // Phase 1: classic batch GCD over the delta alone, on the cofactor
-    // descent. Phase 3 pushes P_old down this same tree.
+    // Phase 1: the delta tree, then its cofactor job and the cached P_old
+    // as a plain job in one leaf pass.
     let t0 = Instant::now();
     let t_new = ProductTree::build(delta, pool.exec_in(&tree_domain))
         // lint:allow(no-panic-in-lib) invariant: delta is nonempty and zero-free, checked above
         .expect("validated delta");
-    let p_new = t_new.root().clone();
+    let product_tree_time = t0.elapsed();
     let tree_bytes = t_new.total_bytes();
-    let rems = t_new.remainder_tree_cofactor(&Natural::one(), pool.exec_in(&tree_domain));
-    let delta_raw: Vec<Option<Natural>> = pool.exec_in(&tree_domain).map(
-        delta.iter().zip(rems).collect(),
-        // zn = (P_new/N) mod N straight off the cofactor descent.
-        |(n, zn): (&Natural, Natural)| leaf_gcd(n, &zn),
+    let new_divisors = leaf_divisors(
+        &t_new,
+        &[
+            Descent::Cofactor(&Natural::one()),
+            Descent::Plain(&cache.top_product),
+        ],
+        pool.exec_in(&remainder_domain),
+        pool.exec_in(&gcd_domain),
     );
+    let p_new = t_new.root().clone();
+    drop(t_new);
     let delta_tree_time = t0.elapsed();
 
-    // Per-shard base offsets and cached-hit locals for the sweep.
-    let bases = shard_bases(store);
-    let mut hit_locals: Vec<Vec<u64>> = vec![Vec::new(); old_shards];
-    for (index, _) in &cache.hits {
-        let (s, local) = locate(&bases, *index);
-        if let Some(slot) = hit_locals.get_mut(s) {
-            slot.push(local);
-        }
-    }
-
-    // Phase 2: sweep P_new across the old corpus. Reducing by the cached
+    // Phase 2: sweep P_new across the old corpus, one task per shard, each
+    // seeded with the cached divisors of its moduli. Reducing by the cached
     // shard root first keeps every per-leaf division at shard scale; while
     // P_new is smaller than the shard product the reduction short-circuits
     // to a comparison.
     let t1 = Instant::now();
-    let shard_products = &cache.shard_products;
-    let sweep_tasks: Vec<_> = (0..old_shards)
-        .map(|s| {
-            let pool = &pool;
-            let sweep_domain = &sweep_domain;
-            let p_new = &p_new;
-            let base = bases[s];
-            let locals = std::mem::take(&mut hit_locals[s]);
-            let store = &*store;
-            move || -> Result<SweepOut, CorpusError> {
+    let mut cached = cache.hits.iter().peekable();
+    let mut end = 0u64;
+    let sweep_tasks: Vec<_> = store
+        .shards()
+        .iter()
+        .zip(&cache.shard_products)
+        .enumerate()
+        .map(|(s, (meta, shard_product))| {
+            let base = end;
+            end += meta.count;
+            let mut divisors: Vec<Option<Natural>> = vec![None; meta.count as usize];
+            while let Some((index, g_old)) = cached.next_if(|(index, _)| *index < end) {
+                divisors[(index - base) as usize] = Some(g_old.clone());
+            }
+            let (pool, gcd_domain, p_new, store) = (&pool, &gcd_domain, &p_new, &*store);
+            move || -> Result<ShardLeaves, CorpusError> {
                 let moduli = store.read_shard(s as u32)?;
-                let reduced = p_new % &shard_products[s];
-                let ds: Vec<Option<Natural>> = pool
-                    .exec_in(sweep_domain)
-                    .map(moduli.iter().collect(), |n: &Natural| {
-                        leaf_gcd(n, &(&reduced % n))
-                    });
-                let fresh = ds
-                    .into_iter()
-                    .enumerate()
-                    .filter_map(|(local, d)| {
-                        d.map(|d| (base + local as u64, moduli[local].clone(), d))
-                    })
-                    .collect();
-                let cached = locals
-                    .iter()
-                    .map(|&local| (base + local, moduli[local as usize].clone()))
-                    .collect();
-                Ok(SweepOut { fresh, cached })
+                let reduced = p_new % shard_product;
+                let items = moduli.iter().zip(divisors).collect();
+                let divisors = pool.exec_in(gcd_domain).map(items, |(n, mut divisor)| {
+                    merge_divisor(&mut divisor, n, &(&reduced % n));
+                    divisor
+                });
+                Ok(ShardLeaves::new(moduli, divisors))
             }
         })
         .collect();
-    let sweep_outs = pool
-        .exec()
-        .run_tasks(sweep_tasks)
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
+    let mut raw_divisors: Vec<Option<Natural>> = Vec::with_capacity(total);
+    let mut resolve_hits: Vec<(usize, Natural)> = Vec::new();
+    for leaves in pool.exec().run_tasks(sweep_tasks) {
+        leaves?.append_to(&mut raw_divisors, &mut resolve_hits);
+    }
     let delta_sweep_time = t1.elapsed();
-
-    // Phase 3: resolve the delta against the cached old product by one
-    // plain descent of P_old.
-    let t2 = Instant::now();
-    let rems_old = t_new.remainder_tree_plain(&cache.top_product, pool.exec_in(&cross_domain));
-    drop(t_new);
-    let cross_items: Vec<(&Natural, Natural, Option<Natural>)> = delta
-        .iter()
-        .zip(rems_old)
-        .zip(delta_raw)
-        .map(|((n, r), g)| (n, r, g))
-        .collect();
-    let new_divisors: Vec<Option<Natural>> =
-        pool.exec_in(&cross_domain)
-            .map(cross_items, |(n, r, g_delta)| {
-                let e = n.gcd(&r);
-                let combined = match g_delta {
-                    // gcd(N, e * g) with e = gcd(N, P_old), g = gcd(N, P_new/N).
-                    Some(g) => n.gcd(&(&e * &g)),
-                    None => e,
-                };
-                if combined.is_one() {
-                    None
-                } else {
-                    Some(combined)
-                }
-            });
-    let delta_cross_time = t2.elapsed();
-
-    // Combine: union divisors for old moduli, then the resolve pass.
-    let cached_divisors: BTreeMap<u64, Natural> = cache.hits.iter().cloned().collect();
-    let mut hit_ns: BTreeMap<u64, Natural> = BTreeMap::new();
-    let mut union_old: BTreeMap<u64, (Natural, Natural)> = BTreeMap::new();
-    for out in sweep_outs {
-        for (index, n, d) in out.fresh {
-            // gcd(N, g_old * d) — always > 1 because d > 1 divides it.
-            let combined = match cached_divisors.get(&index) {
-                Some(g_old) => n.gcd(&(g_old * &d)),
-                None => d,
-            };
-            union_old.insert(index, (n, combined));
-        }
-        for (index, n) in out.cached {
-            hit_ns.insert(index, n);
-        }
-    }
-    for (index, g_old) in &cached_divisors {
-        if union_old.contains_key(index) {
-            continue;
-        }
-        // d = 1 for this modulus, so its union divisor is the cached one.
-        let n = hit_ns
-            .get(index)
-            // lint:allow(no-panic-in-lib) invariant: the sweep returns the modulus of every cached-hit index
-            .expect("sweep returns the modulus of every cached hit")
-            .clone();
-        union_old.insert(*index, (n, g_old.clone()));
-    }
-
-    let mut raw_divisors: Vec<Option<Natural>> = vec![None; old_total];
-    let mut resolve_hits: Vec<(usize, Natural)> = Vec::with_capacity(union_old.len());
-    for (index, (n, g)) in union_old {
-        if let Some(slot) = raw_divisors.get_mut(index as usize) {
-            *slot = Some(g);
-        }
-        resolve_hits.push((index as usize, n));
-    }
-    for (j, g) in new_divisors.iter().enumerate() {
-        if g.is_some() {
-            resolve_hits.push((old_total + j, delta[j].clone()));
-        }
-    }
-    raw_divisors.extend(new_divisors);
+    // The delta follows the old corpus, as its shards will on disk.
+    ShardLeaves::new(delta.to_vec(), new_divisors).append_to(&mut raw_divisors, &mut resolve_hits);
     let statuses = resolve_with_hits(total, &resolve_hits, &raw_divisors);
 
-    // Phase 4: extend the store and bring the cache forward to the union.
-    let t3 = Instant::now();
+    // Phase 3: extend the store and bring the cache forward to the union.
+    let t2 = Instant::now();
     let appended = store.append(capacity, delta)?;
     let chunks: Vec<&[Natural]> = delta.chunks(capacity).collect();
-    let new_products: Vec<Natural> = pool.exec_in(&tree_domain).map(chunks, |chunk| {
-        // Balanced pairwise product — same value as the shard's tree root.
-        let mut level: Vec<Natural> = pair_level(chunk).into_iter().map(multiply_pair).collect();
-        while level.len() > 1 {
-            let next = pair_level(&level).into_iter().map(multiply_pair).collect();
-            for dead in core::mem::replace(&mut level, next) {
-                wk_bigint::arena::recycle(dead);
-            }
-        }
-        level.pop().unwrap_or_else(Natural::one)
-    });
+    // Balanced pairwise products — the same values as the shards' roots.
+    let new_products = pool.exec_in(&tree_domain).map(chunks, product_root);
     cache.shard_products.extend(new_products);
     cache.source_crcs.extend(
         store
@@ -954,28 +854,24 @@ pub fn incremental_batch_gcd(
     cache.total_moduli = total as u64;
     cache.hits = hits_of(&raw_divisors);
     cache.persist()?;
-    let delta_cache_update_time = t3.elapsed();
+    let delta_cache_update_time = t2.elapsed();
 
-    let mut remainder_exec = sweep_domain.phase();
-    remainder_exec.merge(&cross_domain.phase());
     Ok(BatchGcdResult {
         raw_divisors,
         statuses,
         stats: BatchStats {
-            product_tree_time: delta_tree_time,
-            remainder_tree_time: delta_sweep_time + delta_cross_time,
-            gcd_time: Duration::ZERO,
+            product_tree_time,
+            remainder_tree_time: delta_tree_time - product_tree_time + delta_sweep_time,
             tree_bytes,
             input_count: total,
             product_tree_exec: tree_domain.phase(),
-            remainder_tree_exec: remainder_exec,
-            gcd_exec: PhaseExec::default(),
+            remainder_tree_exec: remainder_domain.phase(),
+            gcd_exec: gcd_domain.phase(),
             delta: DeltaMetrics {
                 delta_count: delta.len() as u64,
                 cached_count: old_total as u64,
                 delta_tree_time,
                 delta_sweep_time,
-                delta_cross_time,
                 delta_cache_update_time,
             },
         },
@@ -1172,9 +1068,11 @@ mod tests {
         assert!(!delta.is_empty());
         assert_eq!(delta.delta_count, 3);
         assert_eq!(delta.cached_count, 3);
-        // Delta tree on the product side; sweep and cross on the remainder side.
+        // Delta tree on the product side, its two descents on the
+        // remainder side, its leaf folds and the sweep on the gcd side.
         assert!(res.stats.product_tree_exec.tasks() > 0);
         assert!(res.stats.remainder_tree_exec.tasks() > 0);
+        assert!(res.stats.gcd_exec.tasks() > 0);
 
         // The store and cache both advanced to the union.
         assert_eq!(store.total_moduli(), 6);

@@ -17,8 +17,8 @@
 //! * [`distributed`] — the paper's k-subset variant (Figure 2): more total
 //!   work, no single-huge-integer bottleneck, cluster-parallelizable, with
 //!   per-node accounting matching what the paper reports. Simulated node
-//!   parallelism and within-node threading draw from one shared pool sized
-//!   `node_threads * threads_per_node`;
+//!   parallelism and within-node threading draw from one shared pool of
+//!   [`ClusterConfig::threads`] slots;
 //! * [`naive`] — the `O(n^2)` pairwise baseline the feasibility argument is
 //!   made against;
 //! * [`mod@resolve`] — turning raw divisors into factorizations, including the
@@ -39,7 +39,9 @@
 //!   small-modulus reductions.
 //!
 //! All the algorithms produce identical raw divisors and statuses for the
-//! same input — a cross-checked invariant in the test suites.
+//! same input — a cross-checked invariant in the test suites, prime-power
+//! moduli included: every path folds divisors by one rule,
+//! `gcd(N, prev·g)`, and the tree paths share one leaf phase.
 //!
 //! ```
 //! use wk_bigint::Natural;

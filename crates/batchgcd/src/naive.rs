@@ -6,13 +6,15 @@
 //! exists to make that comparison measurable (ablation bench A1) and to act
 //! as a correctness oracle for the tree-based implementations at small size.
 
+use crate::classic::merge_divisor;
 use crate::resolve::{resolve, KeyStatus};
 use wk_bigint::Natural;
 
 /// Result of the naive pairwise sweep (same shape as the batch result).
 #[derive(Clone, Debug)]
 pub struct NaiveResult {
-    /// Product of all shared primes per modulus (`None` if coprime to all).
+    /// `gcd(N, Π_{j≠i} N_j)` per modulus (`None` if coprime to all), as
+    /// every batch path reports it.
     pub raw_divisors: Vec<Option<Natural>>,
     /// Resolved statuses, canonical with the batch algorithms.
     pub statuses: Vec<KeyStatus>,
@@ -23,9 +25,9 @@ pub struct NaiveResult {
 /// Compute all pairwise gcds directly.
 pub fn naive_pairwise_gcd(moduli: &[Natural]) -> NaiveResult {
     let n = moduli.len();
-    // Accumulate, per modulus, the lcm of all nontrivial pairwise gcds —
-    // this equals the product of distinct shared primes, matching the raw
-    // divisor batch GCD reports.
+    // Fold every nontrivial pairwise gcd into both moduli's divisors by the
+    // rule every batch path uses: the result is gcd(N, Π_{j≠i} N_j), the
+    // raw divisor batch GCD reports.
     let mut acc: Vec<Option<Natural>> = vec![None; n];
     let mut ops = 0u64;
     for i in 0..n {
@@ -36,14 +38,7 @@ pub fn naive_pairwise_gcd(moduli: &[Natural]) -> NaiveResult {
                 continue;
             }
             for idx in [i, j] {
-                acc[idx] = Some(match acc[idx].take() {
-                    None => g.clone(),
-                    Some(prev) => {
-                        // lcm(prev, g), then clamp to a divisor of N.
-                        let l = &(&prev * &g) / &prev.gcd(&g);
-                        moduli[idx].gcd(&l)
-                    }
-                });
+                merge_divisor(&mut acc[idx], &moduli[idx], &g);
             }
         }
     }

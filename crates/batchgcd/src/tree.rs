@@ -107,7 +107,7 @@ impl ProductTree {
         Ok(ProductTree { levels })
     }
 
-    fn check_input(moduli: &[Natural]) -> Result<(), TreeError> {
+    pub(crate) fn check_input(moduli: &[Natural]) -> Result<(), TreeError> {
         if moduli.is_empty() {
             return Err(TreeError::EmptyInput);
         }
@@ -178,9 +178,9 @@ impl ProductTree {
 
     /// `job`'s value reduced by the root when it is more than twice the
     /// root's length, or `None` when it seeds the image as it is. The
-    /// incremental cross phase's cached corpus product, many times the
-    /// delta tree's root, takes this one exact reduction, so the root's
-    /// inverse stays at the root's own size.
+    /// incremental path's cached corpus product, many times the delta
+    /// tree's root, takes this one exact reduction, so the root's inverse
+    /// stays at the root's own size.
     fn seed_value(&self, job: Descent<'_>) -> Option<Natural> {
         let (root, value) = (self.root(), job.value());
         (value.limb_len() > 2 * root.limb_len()).then(|| {
@@ -353,8 +353,8 @@ impl ProductTree {
     }
 
     /// Compute `value mod leaf_i` for every leaf. This is the descent for
-    /// values the leaves do not divide: the distributed variant's foreign
-    /// subset products and the incremental cross phase's cached corpus
+    /// values the leaves do not divide, such as the distributed variant's
+    /// foreign subset products and the incremental path's cached corpus
     /// product.
     pub fn remainder_tree_plain(&self, value: &Natural, exec: Exec<'_>) -> Vec<Natural> {
         self.remainder_tree(Descent::Plain(value), exec)
@@ -495,9 +495,8 @@ impl DescentScratch {
 }
 
 /// Pair up adjacent nodes of one level by reference: `[a, b, c]` becomes
-/// `[(a, Some(b)), (c, None)]`. Shared by the product-tree builders and the
-/// incremental cache's chunk products.
-pub(crate) fn pair_level(level: &[Natural]) -> Vec<(&Natural, Option<&Natural>)> {
+/// `[(a, Some(b)), (c, None)]`.
+fn pair_level(level: &[Natural]) -> Vec<(&Natural, Option<&Natural>)> {
     level
         .chunks(2)
         .filter_map(|pair| pair.split_first().map(|(a, rest)| (a, rest.first())))
@@ -505,11 +504,27 @@ pub(crate) fn pair_level(level: &[Natural]) -> Vec<(&Natural, Option<&Natural>)>
 }
 
 /// Combine one paired entry: multiply, or copy an unpaired odd node up.
-pub(crate) fn multiply_pair((a, b): (&Natural, Option<&Natural>)) -> Natural {
+fn multiply_pair((a, b): (&Natural, Option<&Natural>)) -> Natural {
     match b {
         Some(b) => a * b,
         None => arena::clone_natural(a),
     }
+}
+
+/// The root of [`ProductTree::build_local`]'s tree over `moduli` (`1` when
+/// empty), without the tree: the levels go up on the calling thread, and
+/// each goes back to the arena once the next is built, so at most two are
+/// alive. The pairing is the tree's, so the root is the same value. The
+/// shard subtree roots and the incremental cache's chunk products use it.
+pub(crate) fn product_root(moduli: &[Natural]) -> Natural {
+    let mut level: Vec<Natural> = pair_level(moduli).into_iter().map(multiply_pair).collect();
+    while level.len() > 1 {
+        let next = pair_level(&level).into_iter().map(multiply_pair).collect();
+        for dead in core::mem::replace(&mut level, next) {
+            arena::recycle(dead);
+        }
+    }
+    level.pop().unwrap_or_else(Natural::one)
 }
 
 #[cfg(test)]

@@ -262,7 +262,7 @@ fn mixed_key_sizes_at_1024_bits_match_direct_division() {
 
 #[test]
 fn plain_descent_of_long_and_short_values() {
-    // The incremental cross phase pushes a cached corpus product 100 times
+    // The incremental delta pass pushes a cached corpus product 100 times
     // the delta tree's root down it (one exact reduction at the seed);
     // shorter values seed directly. 8 leaves, as in a month's delta.
     let moduli = odd_moduli(8, 16, 31);

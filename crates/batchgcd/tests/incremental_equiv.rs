@@ -17,6 +17,18 @@ use wk_keygen::{KeygenBehavior, ModelKeygen, PrimeShaping};
 /// pool, `healthy` keys with fresh primes, interleaved so that shared
 /// primes cross month boundaries. 128-bit moduli keep the suite fast.
 fn population(vulnerable: usize, healthy: usize, seed: u64) -> Vec<Natural> {
+    population_with_squares(vulnerable, healthy, 0, seed)
+}
+
+/// [`population`] plus `squares` prime-square moduli `p²`, spread through
+/// the months: even-numbered ones square the pool prime of a vulnerable
+/// key, odd-numbered ones a fresh prime, so the inputs are not squarefree.
+fn population_with_squares(
+    vulnerable: usize,
+    healthy: usize,
+    squares: usize,
+    seed: u64,
+) -> Vec<Natural> {
     let pool_size = (vulnerable / 3).max(1);
     let mut vuln_gen = ModelKeygen::new(
         KeygenBehavior::SharedPrimePool {
@@ -33,9 +45,8 @@ fn population(vulnerable: usize, healthy: usize, seed: u64) -> Vec<Natural> {
         128,
         seed + 1,
     );
-    let mut moduli: Vec<Natural> = (0..vulnerable)
-        .map(|_| vuln_gen.generate().public.n)
-        .collect();
+    let vuln_keys: Vec<_> = (0..vulnerable).map(|_| vuln_gen.generate()).collect();
+    let mut moduli: Vec<Natural> = vuln_keys.iter().map(|k| k.public.n.clone()).collect();
     for (i, n) in (0..healthy)
         .map(|_| healthy_gen.generate().public.n)
         .enumerate()
@@ -43,6 +54,14 @@ fn population(vulnerable: usize, healthy: usize, seed: u64) -> Vec<Natural> {
         // Interleave so every month mixes pool and fresh keys — shared
         // primes must be found across month boundaries, not just within.
         moduli.insert((i * 2 + 1).min(moduli.len()), n);
+    }
+    for i in 0..squares {
+        let p = match vuln_keys.get(i) {
+            Some(key) if i % 2 == 0 => key.p.clone(),
+            _ => healthy_gen.generate().p,
+        };
+        let at = (moduli.len() * (2 * i + 1) / (2 * squares)).min(moduli.len());
+        moduli.insert(at, &p * &p);
     }
     moduli
 }
@@ -173,19 +192,21 @@ fn delta_metrics_shrink_with_the_delta() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random populations, month counts, and capacities: the chained
-    /// incremental result always matches the classic union run.
+    /// Random populations, some with prime-square moduli, month counts,
+    /// and capacities: the chained incremental result always matches the
+    /// classic union run.
     #[test]
     fn random_chains_match_classic(
         vulnerable in 3usize..10,
         healthy in 0usize..8,
+        squares in 0usize..3,
         seed in 0u64..1000,
         months in 1usize..5,
         capacity in 1usize..9,
     ) {
-        let moduli = population(vulnerable, healthy, seed);
+        let moduli = population_with_squares(vulnerable, healthy, squares, seed);
         let classic = batch_gcd(&moduli, 1);
-        let tag = format!("prop-{vulnerable}-{healthy}-{seed}-{months}-{capacity}");
+        let tag = format!("prop-{vulnerable}-{healthy}-{squares}-{seed}-{months}-{capacity}");
         let incr = chained_incremental(&moduli, months, capacity, 1, &tag);
         prop_assert_eq!(incr.raw_divisors, classic.raw_divisors);
         prop_assert_eq!(incr.statuses, classic.statuses);

@@ -8,8 +8,9 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 use wk_batchgcd::{
-    batch_gcd, distributed_batch_gcd, distributed_batch_gcd_sharded, naive_pairwise_gcd,
-    scratch_dir, sharded_batch_gcd, ClusterConfig, ShardStore,
+    assemble_from_shard_roots, batch_gcd, distributed_batch_gcd, distributed_batch_gcd_sharded,
+    incremental_batch_gcd, naive_pairwise_gcd, scratch_dir, shard_subtree_root, sharded_batch_gcd,
+    ClusterConfig, KeyStatus, ShardStore, TreeCache,
 };
 use wk_bigint::Natural;
 use wk_keygen::{KeygenBehavior, ModelKeygen, PrimeShaping};
@@ -18,6 +19,21 @@ use wk_keygen::{KeygenBehavior, ModelKeygen, PrimeShaping};
 /// `healthy` keys with fresh primes. Returns (moduli, expected-vulnerable
 /// flags). Uses 128-bit moduli to keep the suite fast.
 fn population(vulnerable: usize, healthy: usize, seed: u64) -> (Vec<Natural>, Vec<bool>) {
+    population_with_squares(vulnerable, healthy, 0, seed)
+}
+
+/// [`population`] plus `squares` prime-square moduli `p²`, spread through
+/// the list: even-numbered ones square a pool prime, odd-numbered ones a
+/// fresh prime no other modulus holds. A modulus is expected vulnerable
+/// exactly when it shares a prime with another — so `p²` counts exactly
+/// when `p` divides another modulus, and a pool key whose prime no other
+/// key drew becomes vulnerable beside its square.
+fn population_with_squares(
+    vulnerable: usize,
+    healthy: usize,
+    squares: usize,
+    seed: u64,
+) -> (Vec<Natural>, Vec<bool>) {
     let pool_size = (vulnerable / 3).max(1);
     let mut vuln_gen = ModelKeygen::new(
         KeygenBehavior::SharedPrimePool {
@@ -34,27 +50,30 @@ fn population(vulnerable: usize, healthy: usize, seed: u64) -> (Vec<Natural>, Ve
         128,
         seed + 1,
     );
-    let mut moduli = Vec::new();
-    let mut expected = Vec::new();
-    // Track pool-prime usage: a vulnerable key is only *detectably*
-    // vulnerable if its pool prime is used by at least one other key.
-    let mut vuln_keys = Vec::new();
-    for _ in 0..vulnerable {
-        vuln_keys.push(vuln_gen.generate());
+    // Each modulus with its prime factors.
+    let mut keys: Vec<(Natural, Vec<Natural>)> = (0..vulnerable)
+        .map(|_| vuln_gen.generate())
+        .chain((0..healthy).map(|_| healthy_gen.generate()))
+        .map(|k| (k.public.n, vec![k.p, k.q]))
+        .collect();
+    for i in 0..squares {
+        let p = match i % 2 {
+            0 if vulnerable > 0 => keys[i % vulnerable].1[0].clone(),
+            _ => healthy_gen.generate().p,
+        };
+        let at = (3 * i + 1).min(keys.len());
+        keys.insert(at, (&p * &p, vec![p]));
     }
-    for (i, k) in vuln_keys.iter().enumerate() {
-        let shared = vuln_keys
-            .iter()
-            .enumerate()
-            .any(|(j, other)| j != i && other.p == k.p);
-        moduli.push(k.public.n.clone());
-        expected.push(shared);
-    }
-    for _ in 0..healthy {
-        moduli.push(healthy_gen.generate().public.n.clone());
-        expected.push(false);
-    }
-    (moduli, expected)
+    let expected = keys
+        .iter()
+        .enumerate()
+        .map(|(i, (_, mine))| {
+            keys.iter()
+                .enumerate()
+                .any(|(j, (_, other))| j != i && mine.iter().any(|f| other.contains(f)))
+        })
+        .collect();
+    (keys.into_iter().map(|(n, _)| n).collect(), expected)
 }
 
 #[test]
@@ -119,6 +138,96 @@ fn sharded_runs_byte_identical_on_rsa_population() {
     }
 }
 
+/// Moduli over small primes with a prime square among them. A square `p²`
+/// whose `p` divides two other moduli has raw divisor `p²` — the product
+/// of the primes it shares, with multiplicity — and every path must report
+/// exactly that, not `p` (DESIGN.md §5).
+fn prime_power_shapes() -> (Natural, Vec<Vec<Natural>>) {
+    let [p, r, s, t, u] =
+        [1_000_003u64, 1_000_033, 1_000_037, 1_000_039, 1_000_081].map(Natural::from);
+    let square = &p * &p;
+    let shapes = vec![
+        // p² first, beside p·r in every split into two or more subsets.
+        vec![square.clone(), &p * &r, &p * &s, &t * &u],
+        // p² last: alone in its subset for k = 3 and k = 4.
+        vec![&p * &r, &p * &s, &t * &u, square.clone()],
+    ];
+    (square, shapes)
+}
+
+#[test]
+fn algorithms_agree_on_prime_power_moduli() {
+    let (square, shapes) = prime_power_shapes();
+    for (shape, moduli) in shapes.iter().enumerate() {
+        let classic = batch_gcd(moduli, 1);
+        let at = moduli.iter().position(|m| m == &square).unwrap();
+        assert_eq!(
+            classic.raw_divisors[at].as_ref(),
+            Some(&square),
+            "shape {shape}"
+        );
+        let check = |path: &str, raw: &[Option<Natural>], statuses: &[KeyStatus]| {
+            assert_eq!(raw, &classic.raw_divisors[..], "shape {shape}: {path}");
+            assert_eq!(statuses, &classic.statuses[..], "shape {shape}: {path}");
+        };
+        for k in 1..=4 {
+            let dist = distributed_batch_gcd(moduli, ClusterConfig::sequential(k));
+            check(
+                &format!("k-subset k={k}"),
+                &dist.raw_divisors,
+                &dist.statuses,
+            );
+        }
+        let naive = naive_pairwise_gcd(moduli);
+        check("naive", &naive.raw_divisors, &naive.statuses);
+        for capacity in [1usize, 2] {
+            let dir = scratch_dir(&format!("prime-power-{shape}-{capacity}"));
+            let store = ShardStore::create(&dir, capacity, moduli).unwrap();
+            let sharded = sharded_batch_gcd(&store, 1).unwrap();
+            check(
+                &format!("sharded capacity={capacity}"),
+                &sharded.raw_divisors,
+                &sharded.statuses,
+            );
+            let roots = (0..store.shard_count() as u32)
+                .map(|index| shard_subtree_root(&store, index))
+                .collect::<Result<Vec<_>, _>>()
+                .unwrap();
+            let assembled = assemble_from_shard_roots(&store, roots, 1).unwrap().result;
+            check(
+                &format!("assembly capacity={capacity}"),
+                &assembled.raw_divisors,
+                &assembled.statuses,
+            );
+            let dist = distributed_batch_gcd_sharded(&store, ClusterConfig::sequential(2)).unwrap();
+            check(
+                &format!("sharded k-subset capacity={capacity}"),
+                &dist.raw_divisors,
+                &dist.statuses,
+            );
+            store.remove().unwrap();
+        }
+        // Two months at every split point: the square lands in the cached
+        // month, in the new one, and beside its sharers in either.
+        for split in 1..moduli.len() {
+            let (old, new) = moduli.split_at(split);
+            let tag = format!("prime-power-{shape}-month-{split}");
+            let mut store =
+                ShardStore::create(&scratch_dir(&format!("{tag}-store")), 2, old).unwrap();
+            let (mut cache, _) =
+                TreeCache::build(&scratch_dir(&format!("{tag}-cache")), &store, 1).unwrap();
+            let incr = incremental_batch_gcd(&mut store, &mut cache, new, 2, 1).unwrap();
+            check(
+                &format!("incremental split={split}"),
+                &incr.raw_divisors,
+                &incr.statuses,
+            );
+            cache.remove().unwrap();
+            store.remove().unwrap();
+        }
+    }
+}
+
 #[test]
 fn nine_prime_clique_fully_recovered() {
     let mut gen = ModelKeygen::new(
@@ -166,19 +275,24 @@ fn recovered_factor_breaks_the_key() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random mixtures: algorithms agree and healthy keys never flagged.
+    /// Random mixtures, some with prime-square moduli: algorithms agree and
+    /// healthy keys never flagged.
     #[test]
     fn algorithms_agree_and_no_false_positives(
         vulnerable in 2usize..10,
         healthy in 0usize..6,
+        squares in 0usize..3,
         seed in 0u64..1000,
         k in 1usize..6,
     ) {
-        let (moduli, expected) = population(vulnerable, healthy, seed);
+        let (moduli, expected) = population_with_squares(vulnerable, healthy, squares, seed);
         let classic = batch_gcd(&moduli, 1);
         let dist = distributed_batch_gcd(&moduli, ClusterConfig::sequential(k));
         prop_assert_eq!(&classic.raw_divisors, &dist.raw_divisors);
         prop_assert_eq!(&classic.statuses, &dist.statuses);
+        let naive = naive_pairwise_gcd(&moduli);
+        prop_assert_eq!(&classic.raw_divisors, &naive.raw_divisors);
+        prop_assert_eq!(&classic.statuses, &naive.statuses);
         for (status, want) in classic.statuses.iter().zip(expected.iter()) {
             prop_assert_eq!(status.is_vulnerable(), *want);
         }

@@ -30,11 +30,12 @@ fn main() {
     let results = run_pipeline(&config, BatchMode::Classic { threads: 1 }).expect("pipeline");
     let stats = results.batch_stats.as_ref().unwrap();
     println!(
-        "batch GCD: {} moduli in {:?} (product tree {:?}, remainder tree {:?}), trees {} MiB\n",
+        "batch GCD: {} moduli in {:?} (product tree {:?}, leaf phase {:?} with {:?} busy in leaf gcds), trees {} MiB\n",
         stats.input_count,
         stats.total_time(),
         stats.product_tree_time,
         stats.remainder_tree_time,
+        stats.gcd_exec.busy_total(),
         stats.tree_bytes / (1 << 20),
     );
 

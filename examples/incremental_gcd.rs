@@ -75,9 +75,10 @@ fn main() {
     let delta = corpus.moduli_since(snapshot).to_vec();
     println!("month 2: {} new distinct moduli", delta.len());
 
-    // The delta run: sweep the cached shard roots with the delta product,
-    // reduce the cached top product through the delta tree, append the new
-    // shards, and persist the updated cache — all in one call.
+    // The delta run: push the delta's own cofactor job and the cached top
+    // product down the delta tree in one pass, sweep the cached shard roots
+    // with the delta product, append the new shards, and persist the
+    // updated cache — all in one call.
     let capacity = store.capacity() as usize;
     let result = incremental_batch_gcd(&mut store, &mut cache, &delta, capacity, 2)
         .expect("incremental delta run");
@@ -89,8 +90,14 @@ fn main() {
         result.vulnerable_count()
     );
     println!(
-        "  phases: delta tree {:?}, sweep {:?}, cross {:?}, cache update {:?}",
-        d.delta_tree_time, d.delta_sweep_time, d.delta_cross_time, d.delta_cache_update_time
+        "  phases: delta tree {:?}, sweep {:?}, cache update {:?}",
+        d.delta_tree_time, d.delta_sweep_time, d.delta_cache_update_time
+    );
+    let stats = &result.stats;
+    println!(
+        "  leaf phase {:?} wall, leaf gcds {:?} busy",
+        stats.remainder_tree_time,
+        stats.gcd_exec.busy_total()
     );
 
     for (idx, status) in result.statuses.iter().enumerate() {
