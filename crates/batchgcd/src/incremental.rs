@@ -15,16 +15,19 @@
 //!   the small product tree over the delta and pushing two jobs down it
 //!   at once — the delta's own cofactor job and the cached `P_old` as a
 //!   plain job — to resolve *new* moduli against the full corpus, and (b)
-//!   sweeping `P_new` across the cached shard roots to find *old* moduli
-//!   sharing a prime with the delta — one cheap small-modulus reduction per
-//!   old modulus, no multiplies.
+//!   sweeping the delta's divisors across the cached shard roots to find
+//!   *old* moduli sharing a prime with the delta — one small reduction per
+//!   shard and divisor, and per-modulus work only in the shards a divisor
+//!   reaches.
 //!
 //! The output is byte-identical to a from-scratch run over the union
 //! (cross-checked in `tests/incremental_equiv.rs`): for an old modulus
-//! `gcd(N, P_union/N) = gcd(N, g_old * gcd(N, P_new))` and for a new one
-//! `gcd(N, P_union/N) = gcd(N, g_delta * gcd(N, P_old))`, both instances of
-//! `gcd(N, a*b) = gcd(N, gcd(N,a) * gcd(N,b))`, the rule every path folds
-//! divisors by — see DESIGN.md §8 for the correctness argument.
+//! `gcd(N, P_union/N) = gcd(N, g_old * gcd(N, G))`, `G` the product of the
+//! delta's raw divisors, which shares with `N` exactly what `P_new` does,
+//! and for a new one `gcd(N, P_union/N) = gcd(N, g_delta * gcd(N, P_old))`,
+//! both instances of `gcd(N, a*b) = gcd(N, gcd(N,a) * gcd(N,b))`, the rule
+//! every path folds divisors by — see DESIGN.md §8 for the correctness
+//! argument.
 //!
 //! # Examples
 //!
@@ -175,8 +178,9 @@ impl From<io::Error> for IncrementalError {
 /// The times are wall-clock times of the three delta phases (the timing
 /// rule of [`BatchStats`]); executor metrics live on [`BatchStats`] itself:
 /// the delta tree and the cache update's chunk products in
-/// `product_tree_exec`, the delta tree's two descents in
-/// `remainder_tree_exec`, and its leaf folds and the sweep in `gcd_exec`.
+/// `product_tree_exec`, the delta tree's two descents and the sweep's
+/// shard tests in `remainder_tree_exec`, and the leaf folds of the delta
+/// and of the old shards the sweep reaches in `gcd_exec`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DeltaMetrics {
     /// New moduli resolved this run (the delta size `M`).
@@ -186,7 +190,11 @@ pub struct DeltaMetrics {
     /// Wall-clock time for the delta product tree plus its leaf pass (the
     /// delta's own cofactor job and the cached `P_old`'s plain job).
     pub delta_tree_time: Duration,
-    /// Wall-clock time sweeping `P_new` across the cached old-shard roots.
+    /// Wall-clock time of the sweep: testing each cached old-shard root
+    /// against the delta's divisors, reading the shards they reach or that
+    /// hold a cached hit, and folding `G`, the divisors' product, into the
+    /// reached shards' moduli. It grows with the shards and with the hits,
+    /// not with the moduli of the shards nothing reaches.
     pub delta_sweep_time: Duration,
     /// Wall-clock time appending the delta shards and persisting the
     /// updated cache (chunk products plus the one `P_old * P_new`
@@ -356,26 +364,6 @@ fn hits_of(raw_divisors: &[Option<Natural>]) -> Vec<(u64, Natural)> {
         .enumerate()
         .filter_map(|(i, g)| g.as_ref().map(|g| (i as u64, g.clone())))
         .collect()
-}
-
-/// Global index of each shard's first modulus, in shard order.
-fn shard_bases(store: &ShardStore) -> Vec<u64> {
-    store
-        .shards()
-        .iter()
-        .scan(0u64, |next, meta| {
-            let base = *next;
-            *next += meta.count;
-            Some(base)
-        })
-        .collect()
-}
-
-/// `(shard, index within the shard)` of global modulus `index`, given
-/// [`shard_bases`]; an index past the end lands in the last shard.
-fn locate(bases: &[u64], index: u64) -> (usize, u64) {
-    let s = bases.partition_point(|&b| b <= index).saturating_sub(1);
-    (s, index - bases.get(s).copied().unwrap_or(0))
 }
 
 impl TreeCache {
@@ -720,23 +708,27 @@ impl TreeCache {
 ///    one leaf pass down it with two jobs under one Newton inverse of
 ///    `P_new`: the cofactor job `(P_new/N) mod N` and the plain job
 ///    `P_old mod N` of the cached corpus product. Each new modulus folds
-///    both residues into `gcd(N, P_union/N)`.
-/// 2. **sweep** — for each *old* shard, reduce `P_new` by the cached shard
-///    root (a no-op short-circuit while `P_new` is smaller) and take one
-///    small-modulus reduction per old modulus, `P_new mod N`, folded into
-///    its cached divisor `g_old` as `gcd(N, g_old·gcd(N, P_new))` — which
-///    is `g_old` itself whenever `N` shares nothing with the delta. No
-///    multiplies, no old-tree rebuild.
+///    both residues into its raw divisor `d = gcd(N, P_union/N)`.
+/// 2. **sweep** — an old modulus shares with `P_new` exactly what it shares
+///    with `G`, the product of the delta's divisors `d` (DESIGN.md §8.1).
+///    Each old shard tests its cached root `R` against every `d`
+///    (`gcd(d, R mod d)`); a shard no `d` reaches keeps its cached
+///    divisors, and is read only if it holds one. A reached shard folds
+///    `G_s mod N` into each modulus's cached divisor, `G_s` the product of
+///    the divisors that reach it. No multiplies beyond `G_s`, no old-tree
+///    rebuild, and no per-modulus work where the delta shares nothing.
 /// 3. **cache update** — append the delta shards, multiply
 ///    `P_old * P_new` once, compute the new shards' products, persist.
 ///
 /// On the stats, by the timing rule of [`BatchStats`]: `product_tree_time`
 /// is the delta tree's build, and `remainder_tree_time` the leaf work of
 /// phases 1 and 2. `product_tree_exec` counts the delta tree and phase 3's
-/// chunk products, `remainder_tree_exec` the two descents, and `gcd_exec`
-/// the leaf folds of phase 1 and the sweep's reductions. An empty delta
-/// skips every phase and reconstructs the cached result from the hit list,
-/// reading only the shards that contain hits.
+/// chunk products, `remainder_tree_exec` the two descents and one shard
+/// test per old shard, and `gcd_exec` the leaf folds of phase 1 and one
+/// fold per reached shard; no task runs inside another, so each busy
+/// nanosecond is counted once. An empty delta has no tree and reaches no
+/// shard: it rebuilds the cached result, reading only the shards that
+/// contain hits, and leaves store and cache as they are.
 ///
 /// # Errors
 /// [`IncrementalError::Stale`] if `cache` does not bind to `store`'s
@@ -756,13 +748,6 @@ pub fn incremental_batch_gcd(
 ) -> Result<BatchGcdResult, IncrementalError> {
     check_capacity(store.dir(), capacity)?;
     cache.validate(store)?;
-    if delta.is_empty() {
-        return reconstruct_cached(store, cache);
-    }
-    if let Some(index) = delta.iter().position(Natural::is_zero) {
-        return Err(IncrementalError::Delta(TreeError::ZeroModulus { index }));
-    }
-
     let old_total = cache.total_moduli as usize;
     let total = old_total + delta.len();
 
@@ -772,63 +757,79 @@ pub fn incremental_batch_gcd(
     let gcd_domain = pool.domain();
 
     // Phase 1: the delta tree, then its cofactor job and the cached P_old
-    // as a plain job in one leaf pass.
+    // as a plain job in one leaf pass. An empty delta has no tree.
     let t0 = Instant::now();
-    let t_new = ProductTree::build(delta, pool.exec_in(&tree_domain))
-        // lint:allow(no-panic-in-lib) invariant: delta is nonempty and zero-free, checked above
-        .expect("validated delta");
+    let t_new = match ProductTree::build(delta, pool.exec_in(&tree_domain)) {
+        Ok(tree) => Some(tree),
+        Err(TreeError::EmptyInput) => None,
+        Err(e) => return Err(IncrementalError::Delta(e)),
+    };
     let product_tree_time = t0.elapsed();
-    let tree_bytes = t_new.total_bytes();
-    let new_divisors = leaf_divisors(
-        &t_new,
-        &[
-            Descent::Cofactor(&Natural::one()),
-            Descent::Plain(&cache.top_product),
-        ],
-        pool.exec_in(&remainder_domain),
-        pool.exec_in(&gcd_domain),
-    );
-    let p_new = t_new.root().clone();
+    let (new_divisors, p_new, tree_bytes) = match &t_new {
+        Some(tree) => {
+            let jobs = [
+                Descent::Cofactor(&Natural::one()),
+                Descent::Plain(&cache.top_product),
+            ];
+            let descent = pool.exec_in(&remainder_domain);
+            let divisors = leaf_divisors(tree, &jobs, descent, pool.exec_in(&gcd_domain));
+            (divisors, tree.root().clone(), tree.total_bytes())
+        }
+        None => (Vec::new(), Natural::one(), 0),
+    };
     drop(t_new);
     let delta_tree_time = t0.elapsed();
 
-    // Phase 2: sweep P_new across the old corpus, one task per shard, each
-    // seeded with the cached divisors of its moduli. Reducing by the cached
-    // shard root first keeps every per-leaf division at shard scale; while
-    // P_new is smaller than the shard product the reduction short-circuits
-    // to a comparison.
+    // Phase 2: one task per old shard, seeded with the cached divisors of
+    // its moduli, tests its root against the delta's divisors; the shards
+    // they reach then fold G_s on the gcd domain.
     let t1 = Instant::now();
+    let reach: Vec<&Natural> = new_divisors.iter().flatten().collect();
     let mut cached = cache.hits.iter().peekable();
     let mut end = 0u64;
-    let sweep_tasks: Vec<_> = store
+    let shard_tasks: Vec<_> = store
         .shards()
         .iter()
         .zip(&cache.shard_products)
         .enumerate()
-        .map(|(s, (meta, shard_product))| {
+        .map(|(s, (meta, root))| {
             let base = end;
             end += meta.count;
             let mut divisors: Vec<Option<Natural>> = vec![None; meta.count as usize];
             while let Some((index, g_old)) = cached.next_if(|(index, _)| *index < end) {
                 divisors[(index - base) as usize] = Some(g_old.clone());
             }
-            let (pool, gcd_domain, p_new, store) = (&pool, &gcd_domain, &p_new, &*store);
-            move || -> Result<ShardLeaves, CorpusError> {
-                let moduli = store.read_shard(s as u32)?;
-                let reduced = p_new % shard_product;
-                let items = moduli.iter().zip(divisors).collect();
-                let divisors = pool.exec_in(gcd_domain).map(items, |(n, mut divisor)| {
-                    merge_divisor(&mut divisor, n, &(&reduced % n));
-                    divisor
-                });
-                Ok(ShardLeaves::new(moduli, divisors))
-            }
+            let (reach, store) = (&reach, &*store);
+            move || sweep_shard(store, s as u32, root, reach, divisors)
         })
         .collect();
+    let mut swept = Vec::with_capacity(shard_tasks.len());
+    let mut reached = Vec::new();
+    for outcome in pool.exec_in(&remainder_domain).run_tasks(shard_tasks) {
+        match outcome? {
+            Swept::Kept(leaves) => swept.push(Some(leaves)),
+            Swept::Reached(moduli, divisors, g) => {
+                swept.push(None);
+                reached.push((moduli, divisors, g));
+            }
+        }
+    }
+    let mut folded = pool
+        .exec_in(&gcd_domain)
+        .map(reached, |(moduli, mut divisors, g)| {
+            for (n, divisor) in moduli.iter().zip(&mut divisors) {
+                merge_divisor(divisor, n, &(&g % n));
+            }
+            ShardLeaves::new(moduli, divisors)
+        })
+        .into_iter();
     let mut raw_divisors: Vec<Option<Natural>> = Vec::with_capacity(total);
     let mut resolve_hits: Vec<(usize, Natural)> = Vec::new();
-    for leaves in pool.exec().run_tasks(sweep_tasks) {
-        leaves?.append_to(&mut raw_divisors, &mut resolve_hits);
+    for leaves in swept
+        .into_iter()
+        .flat_map(|kept| kept.or_else(|| folded.next()))
+    {
+        leaves.append_to(&mut raw_divisors, &mut resolve_hits);
     }
     let delta_sweep_time = t1.elapsed();
     // The delta follows the old corpus, as its shards will on disk.
@@ -837,23 +838,25 @@ pub fn incremental_batch_gcd(
 
     // Phase 3: extend the store and bring the cache forward to the union.
     let t2 = Instant::now();
-    let appended = store.append(capacity, delta)?;
-    let chunks: Vec<&[Natural]> = delta.chunks(capacity).collect();
-    // Balanced pairwise products — the same values as the shards' roots.
-    let new_products = pool.exec_in(&tree_domain).map(chunks, product_root);
-    cache.shard_products.extend(new_products);
-    cache.source_crcs.extend(
-        store
-            .shards()
-            .get(appended.start as usize..appended.end as usize)
-            .unwrap_or(&[])
-            .iter()
-            .map(|m| m.crc),
-    );
-    cache.top_product = &cache.top_product * &p_new;
-    cache.total_moduli = total as u64;
-    cache.hits = hits_of(&raw_divisors);
-    cache.persist()?;
+    if !delta.is_empty() {
+        let appended = store.append(capacity, delta)?;
+        let chunks: Vec<&[Natural]> = delta.chunks(capacity).collect();
+        // Balanced pairwise products — the same values as the shards' roots.
+        let new_products = pool.exec_in(&tree_domain).map(chunks, product_root);
+        cache.shard_products.extend(new_products);
+        cache.source_crcs.extend(
+            store
+                .shards()
+                .get(appended.start as usize..appended.end as usize)
+                .unwrap_or(&[])
+                .iter()
+                .map(|m| m.crc),
+        );
+        cache.top_product = &cache.top_product * &p_new;
+        cache.total_moduli = total as u64;
+        cache.hits = hits_of(&raw_divisors);
+        cache.persist()?;
+    }
     let delta_cache_update_time = t2.elapsed();
 
     Ok(BatchGcdResult {
@@ -878,50 +881,41 @@ pub fn incremental_batch_gcd(
     })
 }
 
-/// Empty-delta fast path: rebuild the cached result from the hit list,
-/// reading only the shards that contain hits.
-fn reconstruct_cached(
-    store: &ShardStore,
-    cache: &TreeCache,
-) -> Result<BatchGcdResult, IncrementalError> {
-    let total = cache.total_moduli as usize;
-    let mut raw_divisors: Vec<Option<Natural>> = vec![None; total];
-    let mut resolve_hits: Vec<(usize, Natural)> = Vec::with_capacity(cache.hits.len());
+/// One old shard after the sweep's root test.
+enum Swept {
+    /// No delta divisor reaches the shard: its cached divisors stand.
+    Kept(ShardLeaves),
+    /// The shard's moduli, their cached divisors, and `G_s`, the product of
+    /// the delta divisors that reach it, still to be folded.
+    Reached(Vec<Natural>, Vec<Option<Natural>>, Natural),
+}
 
-    let bases = shard_bases(store);
-    let mut shard: Option<(usize, Vec<Natural>)> = None;
-    for (index, g) in &cache.hits {
-        let (s, local) = locate(&bases, *index);
-        let resident = matches!(&shard, Some((held, _)) if *held == s);
-        if !resident {
-            shard = Some((s, store.read_shard(s as u32)?));
-        }
-        let n = shard
-            .as_ref()
-            .and_then(|(_, moduli)| moduli.get(local as usize))
-            .ok_or_else(|| IncrementalError::Stale {
-                path: cache.dir.clone(),
-                detail: format!("cached hit index {index} outside shard {s}"),
-            })?
-            .clone();
-        if let Some(slot) = raw_divisors.get_mut(*index as usize) {
-            *slot = Some(g.clone());
-        }
-        resolve_hits.push((*index as usize, n));
+/// The sweep's test of shard `s`, whose cached root is `root` and whose
+/// moduli hold the cached `divisors`: which of the delta's divisors in
+/// `reach` share a prime with `root`? The shard is read only when one does
+/// or when it holds a cached hit.
+fn sweep_shard(
+    store: &ShardStore,
+    s: u32,
+    root: &Natural,
+    reach: &[&Natural],
+    divisors: Vec<Option<Natural>>,
+) -> Result<Swept, CorpusError> {
+    let g = reach
+        .iter()
+        .copied()
+        .filter(|d| !d.gcd(&(root % *d)).is_one())
+        .fold(None, |g: Option<Natural>, d| {
+            Some(g.map_or_else(|| d.clone(), |g| &g * d))
+        });
+    if g.is_none() && divisors.iter().all(Option::is_none) {
+        // Nothing to fold and no hit to resolve: all divisors are `None`.
+        return Ok(Swept::Kept(ShardLeaves::new(Vec::new(), divisors)));
     }
-    let statuses = resolve_with_hits(total, &resolve_hits, &raw_divisors);
-    Ok(BatchGcdResult {
-        raw_divisors,
-        statuses,
-        stats: BatchStats {
-            input_count: total,
-            delta: DeltaMetrics {
-                delta_count: 0,
-                cached_count: total as u64,
-                ..DeltaMetrics::default()
-            },
-            ..BatchStats::default()
-        },
+    let moduli = store.read_shard(s)?;
+    Ok(match g {
+        Some(g) => Swept::Reached(moduli, divisors, g),
+        None => Swept::Kept(ShardLeaves::new(moduli, divisors)),
     })
 }
 

@@ -35,8 +35,9 @@
 //!   product, previous hits; format in DESIGN.md §8) lets
 //!   [`incremental::incremental_batch_gcd`] resolve `M` new moduli against
 //!   `N` cached ones byte-identically to a from-scratch run over the union,
-//!   paying only delta-proportional multiplies plus one pass of cheap
-//!   small-modulus reductions.
+//!   paying only delta-proportional multiplies plus one small reduction
+//!   per cached shard root, and per-modulus work only in the shards that
+//!   share a prime with the delta.
 //!
 //! All the algorithms produce identical raw divisors and statuses for the
 //! same input — a cross-checked invariant in the test suites, prime-power

@@ -10,8 +10,8 @@
 //!     yields `(V/N_i) mod N_i` for any `V` the root divides. With `V = P`
 //!     that is the quantity batch GCD needs: `gcd(N_i, (P/N_i) mod N_i)` is
 //!     the product of the primes `N_i` shares with the other inputs;
-//!   - the **plain job**
-//!     ([`remainder_tree_plain`](ProductTree::remainder_tree_plain)) yields
+//!   - the **plain job** ([`Descent::Plain`], run through
+//!     [`remainder_trees`](ProductTree::remainder_trees)) yields
 //!     `V mod N_i` for a foreign `V` — another subset's product, or a cached
 //!     corpus product — which the leaves do not divide.
 //!
@@ -344,22 +344,6 @@ impl ProductTree {
         arena::recycle(inverse);
     }
 
-    /// One descent: [`remainder_trees`](ProductTree::remainder_trees) for a
-    /// single job.
-    fn remainder_tree(&self, job: Descent<'_>, exec: Exec<'_>) -> Vec<Natural> {
-        let mut out = Vec::new();
-        self.remainder_trees(&[job], exec, |_, leaves| out = leaves);
-        out
-    }
-
-    /// Compute `value mod leaf_i` for every leaf. This is the descent for
-    /// values the leaves do not divide, such as the distributed variant's
-    /// foreign subset products and the incremental path's cached corpus
-    /// product.
-    pub fn remainder_tree_plain(&self, value: &Natural, exec: Exec<'_>) -> Vec<Natural> {
-        self.remainder_tree(Descent::Plain(value), exec)
-    }
-
     /// Compute `(V/leaf_i) mod leaf_i` for every leaf, for any `V` the root
     /// product `R` divides, given only `cofactor_rem = (V / R) mod R`. The
     /// conventional `V = root` descent passes `cofactor_rem = 1`. The root
@@ -367,7 +351,10 @@ impl ProductTree {
     /// `frac(V / R²) = ((V / R) mod R) / R`, and the leaves come out
     /// exactly as the `(V/N) mod N` the gcd stage consumes.
     pub fn remainder_tree_cofactor(&self, cofactor_rem: &Natural, exec: Exec<'_>) -> Vec<Natural> {
-        self.remainder_tree(Descent::Cofactor(cofactor_rem), exec)
+        let mut out = Vec::new();
+        let job = Descent::Cofactor(cofactor_rem);
+        self.remainder_trees(&[job], exec, |_, leaves| out = leaves);
+        out
     }
 
     /// Consume the tree and return every node's limb buffer to the thread
@@ -537,6 +524,13 @@ mod tests {
         WorkerPool::new(1)
     }
 
+    /// `value mod N_i` at every leaf: the plain job on its own.
+    fn plain(tree: &ProductTree, value: &Natural, exec: Exec<'_>) -> Vec<Natural> {
+        let mut out = Vec::new();
+        tree.remainder_trees(&[Descent::Plain(value)], exec, |_, leaves| out = leaves);
+        out
+    }
+
     fn nat(v: u128) -> Natural {
         Natural::from(v)
     }
@@ -580,7 +574,7 @@ mod tests {
     fn single_leaf() {
         let tree = ProductTree::build(&[nat(42)], seq().exec()).unwrap();
         assert_eq!(tree.root(), &nat(42));
-        let r = tree.remainder_tree_plain(&nat(100), seq().exec());
+        let r = plain(&tree, &nat(100), seq().exec());
         assert_eq!(r, vec![nat(100 % 42)]);
         let r = tree.remainder_tree_cofactor(&Natural::one(), seq().exec());
         assert_eq!(r, vec![Natural::one()]);
@@ -597,7 +591,7 @@ mod tests {
             let moduli = pseudo_moduli(n, 8, 4242);
             let tree = ProductTree::build(&moduli, seq().exec()).unwrap();
             for v in [tree.root().clone(), foreign.clone(), foreign * foreign] {
-                let rems = tree.remainder_tree_plain(&v, seq().exec());
+                let rems = plain(&tree, &v, seq().exec());
                 for (m, r) in moduli.iter().zip(&rems) {
                     assert_eq!(r, &(&v % m), "n={n}");
                 }
@@ -610,7 +604,7 @@ mod tests {
         let moduli = pseudo_moduli(9, 1, 1234);
         let tree = ProductTree::build(&moduli, seq().exec()).unwrap();
         let external = nat(0xdead_beef_cafe_f00d_1234u128);
-        let rems = tree.remainder_tree_plain(&external, seq().exec());
+        let rems = plain(&tree, &external, seq().exec());
         for (m, r) in moduli.iter().zip(rems.iter()) {
             assert_eq!(r, &(&external % m));
         }
@@ -658,8 +652,8 @@ mod tests {
         let r4 = t4.remainder_tree_cofactor(&one, pool4.exec());
         assert_eq!(r1, r4);
         let foreign = &(t1.root() * t1.root()) + &one;
-        let r1 = t1.remainder_tree_plain(&foreign, pool1.exec());
-        let r4 = t4.remainder_tree_plain(&foreign, pool4.exec());
+        let r1 = plain(&t1, &foreign, pool1.exec());
+        let r4 = plain(&t4, &foreign, pool4.exec());
         assert_eq!(r1, r4);
     }
 

@@ -12,10 +12,17 @@
 use proptest::prelude::*;
 use wk_batchgcd::{
     batch_gcd, distributed_batch_gcd, incremental_batch_gcd, scratch_dir, sharded_batch_gcd,
-    ClusterConfig, ProductTree, ShardStore, TreeCache, WorkerPool,
+    ClusterConfig, Descent, Exec, ProductTree, ShardStore, TreeCache, WorkerPool,
 };
 use wk_bigint::Natural;
 use wk_keygen::{KeygenBehavior, ModelKeygen, PrimeShaping};
+
+/// `value mod N_i` at every leaf of `tree`: the plain job on its own.
+fn plain(tree: &ProductTree, value: &Natural, exec: Exec<'_>) -> Vec<Natural> {
+    let mut out = Vec::new();
+    tree.remainder_trees(&[Descent::Plain(value)], exec, |_, leaves| out = leaves);
+    out
+}
 
 /// A mixed population: `vulnerable` keys over a small shared-prime pool,
 /// `healthy` keys with fresh primes, interleaved. 128-bit moduli keep the
@@ -149,7 +156,7 @@ fn plain_descent_of_root_square_is_zero() {
     let domain = pool.domain();
     let tree = ProductTree::build(&moduli, pool.exec_in(&domain)).unwrap();
     let value = tree.root() * tree.root();
-    let leaves = tree.remainder_tree_plain(&value, pool.exec_in(&domain));
+    let leaves = plain(&tree, &value, pool.exec_in(&domain));
     assert_eq!(leaves.len(), moduli.len());
     for r in &leaves {
         assert!(
@@ -229,7 +236,7 @@ fn assert_leaves_exact(moduli: &[Natural], values: &[Natural]) {
         assert_eq!(r, &(&q % n), "cofactor leaf {i}");
     }
     for (j, v) in values.iter().enumerate() {
-        let leaves = tree.remainder_tree_plain(v, pool.exec_in(&domain));
+        let leaves = plain(&tree, v, pool.exec_in(&domain));
         for (i, (n, r)) in moduli.iter().zip(&leaves).enumerate() {
             assert_eq!(r, &(v % n), "value {j} ({} limbs), leaf {i}", v.limb_len());
         }
@@ -367,7 +374,7 @@ proptest! {
         let pool = WorkerPool::new(2);
         let domain = pool.domain();
         let tree = ProductTree::build(&moduli, pool.exec_in(&domain)).unwrap();
-        let leaves = tree.remainder_tree_plain(&value, pool.exec_in(&domain));
+        let leaves = plain(&tree, &value, pool.exec_in(&domain));
         for (m, r) in moduli.iter().zip(&leaves) {
             prop_assert_eq!(r, &(&value % m));
         }

@@ -189,6 +189,156 @@ fn delta_metrics_shrink_with_the_delta() {
     store.remove().unwrap();
 }
 
+/// Land `month` on a store and cache built over `old` in shards of
+/// `capacity`, on `threads` threads, and return the month's result beside
+/// the number of shards the old corpus took.
+fn land_month(
+    tag: &str,
+    old: &[Natural],
+    month: &[Natural],
+    capacity: usize,
+    threads: usize,
+) -> (wk_batchgcd::BatchGcdResult, usize) {
+    let store_dir = scratch_dir(&format!("incr-month-store-{tag}"));
+    let mut store = ShardStore::create(&store_dir, capacity, old).unwrap();
+    let old_shards = store.shard_count();
+    let (mut cache, _) =
+        TreeCache::build(&scratch_dir(&format!("incr-month-cache-{tag}")), &store, 1).unwrap();
+    let res = incremental_batch_gcd(&mut store, &mut cache, month, capacity, threads).unwrap();
+    // A month with no new moduli reproduces the union's result from the
+    // cache alone.
+    let again = incremental_batch_gcd(&mut store, &mut cache, &[], capacity, threads).unwrap();
+    assert_eq!(again.raw_divisors, res.raw_divisors, "{tag}: empty month");
+    assert_eq!(again.statuses, res.statuses, "{tag}: empty month");
+    cache.remove().unwrap();
+    store.remove().unwrap();
+    (res, old_shards)
+}
+
+#[test]
+fn sweep_reaches_exactly_the_shards_sharing_a_prime_with_the_delta() {
+    // Shards of two, small primes. Each month must match `batch_gcd` over
+    // the union, and the sweep must fold exactly `reached` old shards: the
+    // gcd domain runs one fold per new modulus and job (cofactor, plain)
+    // and one per reached shard.
+    let shapes: [(&str, &[u128], &[u128], u64); 8] = [
+        ("no-hit", &[5 * 7, 11 * 13, 17 * 19, 23 * 29], &[31 * 37], 0),
+        // 143 sits in shard 1, which holds no cached hit (15 and 21 in
+        // shard 0 share 3).
+        (
+            "partner-without-cached-hit",
+            &[3 * 5, 3 * 7, 11 * 13, 17 * 19],
+            &[11 * 23],
+            1,
+        ),
+        ("old-square-new-pr", &[3 * 3, 5 * 7, 11 * 13], &[3 * 17], 1),
+        // 9 takes 3 from each new modulus: its divisor is 9.
+        (
+            "old-square-new-pr-ps",
+            &[3 * 3, 5 * 7, 11 * 13],
+            &[3 * 17, 3 * 19],
+            1,
+        ),
+        // G = 17² shares nothing with the old corpus.
+        (
+            "delta-shares-within-only",
+            &[5 * 7, 11 * 13],
+            &[17 * 19, 17 * 23],
+            0,
+        ),
+        ("duplicate-of-old", &[5 * 7, 11 * 13], &[11 * 13], 1),
+        (
+            "hits-two-shards",
+            &[5 * 7, 11 * 13, 17 * 19, 23 * 29],
+            &[5 * 17],
+            2,
+        ),
+        // Two divisors reach one shard: G_s = 5 * 11.
+        (
+            "two-divisors-one-shard",
+            &[5 * 7, 11 * 13],
+            &[5 * 17, 11 * 19],
+            1,
+        ),
+    ];
+    for (tag, old, month, reached) in shapes {
+        let old: Vec<Natural> = old.iter().map(|&v| Natural::from(v)).collect();
+        let month: Vec<Natural> = month.iter().map(|&v| Natural::from(v)).collect();
+        let union: Vec<Natural> = old.iter().chain(&month).cloned().collect();
+        let classic = batch_gcd(&union, 1);
+        let (incr, _) = land_month(tag, &old, &month, 2, 1);
+        assert_eq!(incr.raw_divisors, classic.raw_divisors, "{tag}");
+        assert_eq!(incr.statuses, classic.statuses, "{tag}");
+        let folds = 2 * month.len() as u64 + reached;
+        assert_eq!(incr.stats.gcd_exec.tasks(), folds, "{tag}");
+    }
+}
+
+/// `count` healthy 128-bit keys: no two share a prime.
+fn healthy_keys(count: usize, seed: u64) -> Vec<wk_keygen::RsaPrivateKey> {
+    let behavior = KeygenBehavior::Healthy {
+        shaping: PrimeShaping::OpensslStyle,
+    };
+    let mut keygen = ModelKeygen::new(behavior, 128, seed);
+    (0..count).map(|_| keygen.generate()).collect()
+}
+
+#[test]
+fn sweep_tasks_are_metered_once() {
+    // 32 healthy moduli in 8 shards of 4, and a month whose second modulus
+    // shares a prime with the old modulus 13 (shard 3). Against the same
+    // month over an empty corpus, the sweep adds one shard test per old
+    // shard to the remainder domain and one fold, for the reached shard,
+    // to the gcd domain. No sweep task runs inside another, so the busy
+    // time of all phases fits in the threads' wall time.
+    let keys = healthy_keys(36, 31);
+    let old: Vec<Natural> = keys[..32].iter().map(|k| k.public.n.clone()).collect();
+    let month = vec![
+        keys[32].public.n.clone(),
+        &keys[13].p * &keys[33].q,
+        keys[34].public.n.clone(),
+    ];
+    let threads = 2;
+    let (incr, old_shards) = land_month("metered", &old, &month, 4, threads);
+    let (fresh, _) = land_month("metered-fresh", &[], &month, 4, threads);
+    assert_eq!(old_shards, 8);
+    assert!(incr.raw_divisors[13].is_some() && incr.raw_divisors[33].is_some());
+    let stats = &incr.stats;
+    assert_eq!(
+        stats.remainder_tree_exec.tasks(),
+        fresh.stats.remainder_tree_exec.tasks() + old_shards as u64
+    );
+    assert_eq!(stats.gcd_exec.tasks(), fresh.stats.gcd_exec.tasks() + 1);
+    let busy = stats.total_exec().busy_total();
+    assert!(
+        busy <= stats.total_time() * threads as u32,
+        "busy {busy:?} over {threads} threads × {:?}",
+        stats.total_time()
+    );
+}
+
+#[test]
+fn month_close_work_is_independent_of_the_corpus() {
+    // A month that shares no prime with the corpus runs the same gcd-domain
+    // tasks over 128 cached moduli as over 1,024: the sweep reaches no
+    // shard, so no old modulus is folded.
+    let moduli: Vec<Natural> = healthy_keys(1024 + 8, 2024)
+        .into_iter()
+        .map(|k| k.public.n)
+        .collect();
+    let month = &moduli[1024..];
+    let gcd_tasks = [128usize, 1024].map(|cached| {
+        let tag = format!("bound-{cached}");
+        let (res, _) = land_month(&tag, &moduli[..cached], month, 64, 2);
+        assert_eq!(res.vulnerable_count(), 0, "{tag}");
+        res.stats.gcd_exec.tasks()
+    });
+    assert_eq!(
+        gcd_tasks[0], gcd_tasks[1],
+        "gcd tasks over 128 vs 1,024 cached moduli"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -195,7 +195,7 @@ fn zero_modulus_shard_fails_incremental_sweep_and_reconstruction() {
     // and cache still bind, so the runs get as far as reading shard 0.
     write_raw_shard(&store.shard_path(0), 0, &[nat(33), Natural::zero()]);
 
-    // The sweep reduces P_new modulo every old modulus.
+    // The new 39 shares the prime 3 with 33, so the sweep reads shard 0.
     let err = incremental_batch_gcd(&mut store, &mut cache, &[nat(39)], 2, 1).unwrap_err();
     assert!(
         matches!(&err, IncrementalError::Corpus(e) if is_format_violation(e)),

@@ -101,7 +101,8 @@ fn main() {
 
         // The ablation's work claim: the rebuild multiplies and descends
         // over the whole union, the delta run over M new moduli plus one
-        // cheap reduction per cached modulus, so for M < N the executors
+        // small reduction per cached shard root and per-modulus work only
+        // in the shards the delta reaches, so for M < N the executors
         // must show strictly less summed busy time end to end.
         let full_tree_tasks = full.result.stats.product_tree_exec.tasks();
         let inc_tree_tasks = inc.result.stats.product_tree_exec.tasks();

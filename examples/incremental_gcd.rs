@@ -76,9 +76,10 @@ fn main() {
     println!("month 2: {} new distinct moduli", delta.len());
 
     // The delta run: push the delta's own cofactor job and the cached top
-    // product down the delta tree in one pass, sweep the cached shard roots
-    // with the delta product, append the new shards, and persist the
-    // updated cache — all in one call.
+    // product down the delta tree in one pass, test the cached shard roots
+    // against the new moduli's divisors and fold them into the shards they
+    // reach, append the new shards, and persist the updated cache — all in
+    // one call.
     let capacity = store.capacity() as usize;
     let result = incremental_batch_gcd(&mut store, &mut cache, &delta, capacity, 2)
         .expect("incremental delta run");
