@@ -920,8 +920,9 @@ fn read_shard_with<T>(
 
 /// A sharded run's result plus the tree material a caller needs to persist
 /// a [`TreeCache`](crate::incremental::TreeCache) without recomputing
-/// anything (see [`TreeCache::from_parts`](crate::incremental::TreeCache::from_parts)).
-/// Returned by [`assemble_from_shard_roots`].
+/// anything (see [`TreeCache::from_parts`](crate::incremental::TreeCache::from_parts)):
+/// the shard products, whose product is the corpus product, so that is not
+/// kept a second time. Returned by [`assemble_from_shard_roots`].
 #[derive(Debug)]
 pub struct ShardAssembly {
     /// Divisors and statuses, byte-identical to [`sharded_batch_gcd`] over
@@ -929,9 +930,6 @@ pub struct ShardAssembly {
     pub result: BatchGcdResult,
     /// The per-shard products, in shard order.
     pub shard_products: Vec<Natural>,
-    /// The top product `P` (product of every shard product; `1` when the
-    /// store is empty).
-    pub top_product: Natural,
 }
 
 /// Phases 2–3 of the sharded run, given per-shard products computed
@@ -978,9 +976,8 @@ pub fn assemble_from_shard_roots(
 /// [`shard_subtree_root`] per shard unless `roots` already holds the shard
 /// products; phases 2–3 build the top tree, descend it to per-shard seeds,
 /// and run the per-shard leaf work. With `keep_tree` the assembly carries
-/// the shard products and the top product; without it both are released
-/// before the leaf phase (the bounded-memory mode) and come back as `[]`
-/// and `1`.
+/// the shard products; without it they are released before the leaf phase
+/// (the bounded-memory mode) and come back as `[]`.
 pub(crate) fn run_sharded(
     store: &ShardStore,
     roots: Option<Vec<Natural>>,
@@ -991,7 +988,6 @@ pub(crate) fn run_sharded(
         return Ok(ShardAssembly {
             result: BatchGcdResult::default(),
             shard_products: Vec::new(),
-            top_product: Natural::one(),
         });
     }
     let total = store.total_moduli() as usize;
@@ -1023,14 +1019,12 @@ pub(crate) fn run_sharded(
         .expect("shard products are nonempty and nonzero");
     let product_tree_time = t0.elapsed();
     let top_bytes = top.total_bytes();
-    let (shard_products, top_product) = if keep_tree {
-        let top_product = top.root().clone();
-        (shard_products, top_product)
+    // Streamed mode releases the corpus-sized product list before the leaf
+    // phase, preserving the bounded-memory property.
+    let shard_products = if keep_tree {
+        shard_products
     } else {
-        // Streamed mode: release the corpus-sized product list before the
-        // leaf phase, preserving the bounded-memory property.
-        drop(shard_products);
-        (Vec::new(), Natural::one())
+        Vec::new()
     };
 
     // Phase 3: descend P in cofactor form to per-shard seeds
@@ -1107,7 +1101,6 @@ pub(crate) fn run_sharded(
             },
         },
         shard_products,
-        top_product,
     })
 }
 

@@ -31,11 +31,11 @@
 //! * [`durable`] — how every artifact reaches disk (replace and first-wins
 //!   publish, the temp sweep) and the one framed header (DESIGN.md §8.2);
 //! * [`incremental`] — the delta-update path for new scan months: a
-//!   persisted [`incremental::TreeCache`] (per-shard roots, cached top
-//!   product, previous hits; format in DESIGN.md §8) lets
+//!   persisted [`incremental::TreeCache`] (per-shard roots and previous
+//!   hits; format in DESIGN.md §8) lets
 //!   [`incremental::incremental_batch_gcd`] resolve `M` new moduli against
 //!   `N` cached ones byte-identically to a from-scratch run over the union,
-//!   paying only delta-proportional multiplies plus one small reduction
+//!   paying only delta-proportional multiplies plus a few small reductions
 //!   per cached shard root, and per-modulus work only in the shards that
 //!   share a prime with the delta.
 //!

@@ -16,7 +16,9 @@
 //!   product tree on the same pool) deadlock-free;
 //! * executed tasks, steals, and per-slot busy time are counted globally and
 //!   per [`ExecDomain`], so each algorithm phase can report executor
-//!   metrics (see `BatchStats` and `ClusterReport`).
+//!   metrics (see `BatchStats` and `ClusterReport`). A task's busy time is
+//!   its *self* time: the metered tasks it runs inline or helps with while
+//!   it waits are counted in their own domains, not again in its.
 //!
 //! Results always come back in submission order, and execution order never
 //! affects values, so pooled runs are bit-identical to sequential ones.
@@ -243,18 +245,36 @@ impl Shared {
         self.deques.iter().any(|d| !locked(d).is_empty())
     }
 
-    fn execute(&self, task: Task, me: usize) {
+    /// Run one task's `job` on slot `me` and count it, in `domain` with its
+    /// self time: its wall time less the metered tasks it ran on this
+    /// thread, which their own domains count (and which it hands up).
+    fn run_counted<R>(
+        &self,
+        domain: Option<&DomainCounters>,
+        me: usize,
+        stolen: bool,
+        job: impl FnOnce() -> R,
+    ) -> R {
+        let outer = NESTED_BUSY.replace(Duration::ZERO);
         let start = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(task.job));
-        let busy = start.elapsed();
-        let stolen = task.home != me;
+        let out = job();
+        let wall = start.elapsed();
+        let nested = NESTED_BUSY.get();
+        NESTED_BUSY.set(outer + if domain.is_some() { wall } else { nested });
         self.tasks_total.fetch_add(1, Ordering::Relaxed); // lint:atomics(metrics) lifetime task tally, reporting only
         if stolen {
             self.steals_total.fetch_add(1, Ordering::Relaxed); // lint:atomics(metrics) lifetime steal tally, reporting only
         }
-        if let Some(domain) = &task.domain {
-            domain.record(me, busy, stolen);
+        if let Some(domain) = domain {
+            domain.record(me, wall.saturating_sub(nested), stolen);
         }
+        out
+    }
+
+    fn execute(&self, task: Task, me: usize) {
+        let outcome = self.run_counted(task.domain.as_deref(), me, task.home != me, || {
+            catch_unwind(AssertUnwindSafe(task.job))
+        });
         if let Err(payload) = outcome {
             *locked(&task.batch.panic) = Some(payload);
         }
@@ -272,6 +292,9 @@ impl Shared {
 thread_local! {
     /// (pool identity, slot index) of the pool worker running this thread.
     static WORKER_SLOT: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
+    /// Wall time of the metered tasks this thread has run so far inside the
+    /// task it is running now, inline or while helping.
+    static NESTED_BUSY: Cell<Duration> = const { Cell::new(Duration::ZERO) };
 }
 
 fn pool_id(shared: &Arc<Shared>) -> usize {
@@ -388,17 +411,10 @@ impl WorkerPool {
         let me = self.current_slot();
         if self.threads() == 1 || n == 1 {
             // Sequential fast path, still metered so phase accounting holds.
+            let domain = domain.map(|d| &*d.inner);
             return items
                 .into_iter()
-                .map(|item| {
-                    let start = Instant::now();
-                    let out = f(item);
-                    self.shared.tasks_total.fetch_add(1, Ordering::Relaxed); // lint:atomics(metrics) lifetime task tally, reporting only
-                    if let Some(d) = domain {
-                        d.inner.record(me, start.elapsed(), false);
-                    }
-                    out
-                })
+                .map(|item| self.shared.run_counted(domain, me, false, || f(item)))
                 .collect();
         }
 
@@ -646,6 +662,31 @@ mod tests {
         assert!(phase.busy_total() > Duration::ZERO);
         assert_eq!(untracked.phase().tasks(), 0);
         assert!(pool.total_tasks() >= 500);
+    }
+
+    #[test]
+    fn nested_metered_tasks_count_once() {
+        // An outer task runs two inner metered tasks, inline on one slot,
+        // helping with them on two. The outer domain keeps only its own
+        // time, so the two domains' busy time fits in the slots' wall time.
+        for threads in [1u32, 2] {
+            let pool = WorkerPool::new(threads as usize);
+            let (outer, inner) = (pool.domain(), pool.domain());
+            let nap = Duration::from_millis(10);
+            let start = Instant::now();
+            pool.exec_in(&outer).run_tasks(vec![|| {
+                std::thread::sleep(nap);
+                let naps = vec![|| std::thread::sleep(nap); 2];
+                pool.exec_in(&inner).run_tasks(naps);
+            }]);
+            let wall = start.elapsed();
+            let (outer, inner) = (outer.phase().busy_total(), inner.phase().busy_total());
+            assert!(outer >= nap && inner >= 2 * nap, "{outer:?}, {inner:?}");
+            assert!(
+                outer + inner <= wall * threads,
+                "threads={threads}: {outer:?} + {inner:?} > {wall:?} × {threads}"
+            );
+        }
     }
 
     #[test]

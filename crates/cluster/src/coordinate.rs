@@ -78,7 +78,7 @@ pub struct NodeExit {
 pub struct ClusterOutcome {
     /// The batch result plus tree material — `assembly.result` is
     /// byte-identical to the single-process sharded run over the same
-    /// store, and `assembly.shard_products`/`top_product` are what
+    /// store, and `assembly.result` with `assembly.shard_products` is what
     /// [`TreeCache::from_parts`](wk_batchgcd::TreeCache::from_parts)
     /// needs to persist a cache without recomputing.
     pub assembly: ShardAssembly,

@@ -576,7 +576,6 @@ impl AuditDaemon {
             &self.config.cache_dir(),
             &self.store,
             assembly.shard_products,
-            assembly.top_product,
             &assembly.result,
         )?;
         Ok(assembly.result)

@@ -2,11 +2,11 @@
 //! without rebuilding the product tree from scratch.
 //!
 //! Walks the delta-update workflow from DESIGN.md §8: month one seeds a
-//! persistent shard store and `TreeCache` (per-shard roots, top product,
-//! and hits); month two arrives as a delta and is resolved against the
-//! cached corpus by `incremental_batch_gcd` — paying tree work
-//! proportional to the delta, not the union. The output is byte-identical
-//! to a from-scratch classic run over both months — the example checks.
+//! persistent shard store and `TreeCache` (per-shard roots and hits);
+//! month two arrives as a delta and is resolved against the cached corpus
+//! by `incremental_batch_gcd` — paying tree work proportional to the
+//! delta, not the union. The output is byte-identical to a from-scratch
+//! classic run over both months — the example checks.
 //!
 //! ```sh
 //! cargo run --release --example incremental_gcd
@@ -52,7 +52,7 @@ fn main() {
         .expect("export month one");
 
     // Build the tree cache: a full batch-GCD pass over month one that
-    // also persists the per-shard roots, the top product, and the hits.
+    // also persists the per-shard roots and the hits.
     let (mut cache, month1) =
         TreeCache::build(&base.join("cache"), &store, 2).expect("build tree cache");
     println!(
@@ -75,8 +75,9 @@ fn main() {
     let delta = corpus.moduli_since(snapshot).to_vec();
     println!("month 2: {} new distinct moduli", delta.len());
 
-    // The delta run: push the delta's own cofactor job and the cached top
-    // product down the delta tree in one pass, test the cached shard roots
+    // The delta run: push the delta's own cofactor job and the cached
+    // corpus product mod P_new (folded from the cached shard roots) down
+    // the delta tree in one pass, test the cached shard roots
     // against the new moduli's divisors and fold them into the shards they
     // reach, append the new shards, and persist the updated cache — all in
     // one call.

@@ -6,7 +6,7 @@
 //! A month close persists in this order (DESIGN.md §10):
 //!
 //! 1. shard append (tmp write → rename per shard, directory fsync)
-//! 2. tree-cache persist (four section files, each tmp → rename)
+//! 2. tree-cache persist (two section files, each tmp → rename)
 //! 3. `labels.tsv`
 //! 4. `run_metadata.json` — the commit point
 //!
@@ -182,16 +182,14 @@ fn crash_after_shard_append_before_cache_update() {
 #[test]
 fn crash_between_cache_section_renames() {
     let b = boundary("mixed-sections", 2);
-    // Kill mid-step-2: some cache sections renamed to the new state, some
-    // still old. The cache is stale/corrupt either way -> roll back.
+    // Kill mid-step-2: the roots section renamed to the new state, the
+    // hits section still old. The tags disagree -> roll back.
     let crash = splice("mixed-sections", &b.new, &b.old, &b.old);
-    for section in ["roots.wkc", "hits.wkc"] {
-        fs::copy(
-            b.new.join("cache").join(section),
-            crash.join("cache").join(section),
-        )
-        .unwrap();
-    }
+    fs::copy(
+        b.new.join("cache").join("roots.wkc"),
+        crash.join("cache").join("roots.wkc"),
+    )
+    .unwrap();
     assert_eq!(assert_recovers(&crash, &b), "old");
 }
 
@@ -203,14 +201,14 @@ fn crash_after_tmp_write_before_rename() {
     // committed (old) corpus survives byte-identical.
     let crash = splice("tmp-orphan", &b.old, &b.old, &b.old);
     fs::write(
-        crash.join("cache").join("top.wkc.tmp"),
-        fs::read(b.new.join("cache").join("top.wkc")).unwrap(),
+        crash.join("cache").join("hits.wkc.tmp"),
+        fs::read(b.new.join("cache").join("hits.wkc")).unwrap(),
     )
     .unwrap();
     fs::write(crash.join("store").join("shard-000099.wks.tmp"), b"torn").unwrap();
     fs::write(crash.join("run_metadata.json.tmp"), b"{torn").unwrap();
     assert_eq!(assert_recovers(&crash, &b), "old");
-    assert!(!crash.join("cache").join("top.wkc.tmp").exists());
+    assert!(!crash.join("cache").join("hits.wkc.tmp").exists());
     assert!(!crash.join("store").join("shard-000099.wks.tmp").exists());
     assert!(!crash.join("run_metadata.json.tmp").exists());
 }
