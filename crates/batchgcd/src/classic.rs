@@ -164,7 +164,10 @@ pub(crate) fn merge_divisor(divisor: &mut Option<Natural>, n: &Natural, z: &Natu
 
 /// The leaf phase every tree path shares: run `jobs` down `tree` in one
 /// [`ProductTree::remainder_trees`] call on `descent`, and fold each job's
-/// leaf residues into the leaves' divisors with [`merge_divisor`] on `gcd`.
+/// leaf residues into the leaves' divisors on `gcd`, one task per leaf per
+/// job. Residues multiply mod `N` until the last job, whose product takes
+/// the leaf's one [`merge_divisor`]: `gcd(N, a·b) = gcd(N, gcd(N, a)·gcd(N,
+/// b))`, so one gcd of the product gives what a gcd per job, folded, would.
 pub(crate) fn leaf_divisors(
     tree: &ProductTree,
     jobs: &[Descent<'_>],
@@ -172,19 +175,36 @@ pub(crate) fn leaf_divisors(
     gcd: Exec<'_>,
 ) -> Vec<Option<Natural>> {
     let leaves = tree.leaves();
-    let mut divisors = vec![None; leaves.len()];
-    tree.remainder_trees(jobs, descent, |_, residues| {
-        let items = leaves
-            .iter()
-            .zip(std::mem::take(&mut divisors))
-            .zip(residues);
-        divisors = gcd.map_chunked(items.collect(), |((n, mut divisor), z)| {
-            merge_divisor(&mut divisor, n, &z);
-            arena::recycle(z);
+    // Each leaf's slot holds its residue product until the last job
+    // replaces it with the divisor.
+    let mut slots: Vec<Option<Natural>> = vec![None; leaves.len()];
+    tree.remainder_trees(jobs, descent, |j, residues| {
+        let last = j + 1 == jobs.len();
+        let items = leaves.iter().zip(std::mem::take(&mut slots)).zip(residues);
+        slots = gcd.map_chunked(items.collect(), |((n, acc), z)| {
+            let acc = match acc {
+                None => z,
+                Some(acc) => {
+                    let product = acc.mod_mul(&z, n);
+                    arena::recycle(acc);
+                    arena::recycle(z);
+                    product
+                }
+            };
+            if !last {
+                // Kept in a buffer of its own size: the residue's wider
+                // one goes back to the arena for the next descent.
+                let kept = arena::clone_natural(&acc);
+                arena::recycle(acc);
+                return Some(kept);
+            }
+            let mut divisor = None;
+            merge_divisor(&mut divisor, n, &acc);
+            arena::recycle(acc);
             divisor
         });
     });
-    divisors
+    slots
 }
 
 #[cfg(test)]

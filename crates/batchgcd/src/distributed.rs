@@ -15,13 +15,12 @@
 //!
 //! One precision beyond the paper's prose: the two kinds of product need
 //! two descents. The node's *own* product `P_i` is divisible by every leaf,
-//! so it runs the cofactor descent and each leaf takes
-//! `gcd(N, (P_i/N) mod N)`, as in the classic pass. A *foreign* product
-//! `P_j` shares no leaf, so it runs the plain descent and each leaf takes
-//! `gcd(N, P_j mod N)`, which is the correct pair-coverage quantity. A
-//! leaf folds its k gcds by the rule every path shares, `gcd(N, prev·g)`,
-//! so its divisor is `gcd(N, P/N)` exactly as the single tree reports it,
-//! prime-power moduli included.
+//! so it runs the cofactor descent and each leaf takes `(P_i/N) mod N`, as
+//! in the classic pass. A *foreign* product `P_j` shares no leaf, so it
+//! runs the plain descent and each leaf takes `P_j mod N`, which is the
+//! correct pair-coverage quantity. A leaf multiplies its k residues mod `N`
+//! and takes one gcd of the product, so its divisor is `gcd(N, P/N)`
+//! exactly as the single tree reports it, prime-power moduli included.
 
 use crate::classic::leaf_divisors;
 use crate::corpus::{CorpusError, ShardStore};
@@ -98,8 +97,11 @@ pub struct ClusterReport {
     pub k: usize,
     /// Executor metrics for phase 1 (all nodes' product-tree builds).
     pub build_exec: PhaseExec,
-    /// Executor metrics for phase 2 (all descents and leaf gcds).
+    /// Executor metrics for phase 2's remainder descents.
     pub descent_exec: PhaseExec,
+    /// Executor metrics for phase 2's leaf gcds: one task per leaf per
+    /// descended product (fewer once a node's leaves dispatch in chunks).
+    pub gcd_exec: PhaseExec,
 }
 
 impl ClusterReport {
@@ -121,6 +123,7 @@ impl ClusterReport {
     pub fn total_exec(&self) -> PhaseExec {
         let mut total = self.build_exec.clone();
         total.merge(&self.descent_exec);
+        total.merge(&self.gcd_exec);
         total
     }
 
@@ -334,14 +337,13 @@ fn run_cluster(
         reports.push(report);
     }
 
-    let mut build_exec = PhaseExec::default();
-    let mut descent_exec = PhaseExec::default();
-    for domain in &build_domains {
-        build_exec.merge(&domain.phase());
-    }
-    for domain in descent_domains.iter().chain(&gcd_domains) {
-        descent_exec.merge(&domain.phase());
-    }
+    let merged = |domains: &[ExecDomain]| {
+        let mut exec = PhaseExec::default();
+        for domain in domains {
+            exec.merge(&domain.phase());
+        }
+        exec
+    };
 
     (
         raw_divisors,
@@ -349,8 +351,9 @@ fn run_cluster(
             nodes: reports,
             wall_time: wall_start.elapsed(),
             k,
-            build_exec,
-            descent_exec,
+            build_exec: merged(&build_domains),
+            descent_exec: merged(&descent_domains),
+            gcd_exec: merged(&gcd_domains),
         },
     )
 }

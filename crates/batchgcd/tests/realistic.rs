@@ -228,6 +228,64 @@ fn algorithms_agree_on_prime_power_moduli() {
     }
 }
 
+/// Twelve 512-bit moduli whose divisors need residues from several
+/// descents of one k-subset leaf: `p·q` meets `p·r` and `q·s` in two
+/// other subsets for k = 3, 4 and 6, and `t²` sits beside `t·u` (for k = 6
+/// in its own two-modulus subset) with a third holder `t·v` further on.
+/// The rest are products of fresh primes.
+fn leaf_fold_moduli() -> Vec<Natural> {
+    let mut gen = ModelKeygen::new(
+        KeygenBehavior::Healthy {
+            shaping: PrimeShaping::OpensslStyle,
+        },
+        512,
+        24,
+    );
+    let mut primes = (0..10).flat_map(|_| {
+        let key = gen.generate();
+        [key.p, key.q]
+    });
+    let mut prime = || primes.next().unwrap();
+    let [p, q, r, s, t, u, v] = [(); 7].map(|_| prime());
+    let mut fresh = || &prime() * &prime();
+    vec![
+        &p * &q,
+        fresh(),
+        &t * &t,
+        &t * &u,
+        &p * &r,
+        fresh(),
+        fresh(),
+        fresh(),
+        &q * &s,
+        fresh(),
+        &t * &v,
+        fresh(),
+    ]
+}
+
+#[test]
+fn k_subset_leaf_fold_matches_classic() {
+    let moduli = leaf_fold_moduli();
+    let classic = batch_gcd(&moduli, 1);
+    // The fixture bites: both of p·q's primes and t twice divide the rest.
+    assert_eq!(classic.raw_divisors[0].as_ref(), Some(&moduli[0]));
+    assert_eq!(classic.raw_divisors[2].as_ref(), Some(&moduli[2]));
+    assert_eq!(classic.stats.gcd_exec.tasks(), moduli.len() as u64);
+    for k in [1usize, 2, 3, 4, 6] {
+        let dist = distributed_batch_gcd(&moduli, ClusterConfig::sequential(k));
+        assert_eq!(dist.raw_divisors, classic.raw_divisors, "k={k}");
+        assert_eq!(dist.statuses, classic.statuses, "k={k}");
+        // One gcd-domain task per leaf per descended product: the fold
+        // saves gcds, not tasks.
+        assert_eq!(
+            dist.report.gcd_exec.tasks(),
+            (k * moduli.len()) as u64,
+            "k={k}"
+        );
+    }
+}
+
 #[test]
 fn nine_prime_clique_fully_recovered() {
     let mut gen = ModelKeygen::new(

@@ -1,35 +1,25 @@
 //! Greatest common divisors: binary GCD, Lehmer's algorithm, and the
 //! extended Euclidean algorithm.
 //!
-//! `gcd` is the other half of the batch-GCD kernel: after the remainder tree
-//! produces `z_i = P mod N_i^2`, each modulus is tested with
-//! `gcd(N_i, z_i / N_i)`. Operands there are modulus-sized (tens of limbs),
-//! so Lehmer's single-precision simulation of Euclid's algorithm is the
-//! sweet spot; binary GCD is kept as the small-size base case and as a
-//! reference implementation for tests.
+//! `gcd` is the other half of the batch-GCD kernel: the remainder tree
+//! yields each modulus's cofactor residue `z_i = (P/N_i) mod N_i`, and the
+//! modulus is tested with `gcd(N_i, z_i)`. Operands there are modulus-sized
+//! (tens of limbs), so Lehmer's single-precision simulation of Euclid's
+//! algorithm is the sweet spot; binary GCD is kept as the reference
+//! implementation for tests.
 
 use crate::integer::Integer;
+use crate::limb;
 use crate::natural::Natural;
 
 impl Natural {
     /// Greatest common divisor. `gcd(0, b) == b`.
     ///
-    /// Working copies of both operands come from the thread arena
-    /// ([`crate::arena`]), so repeated GCDs over same-sized operands — the
-    /// batch-GCD per-modulus test — reuse the same limb buffers.
+    /// The two working buffers come from the thread arena
+    /// ([`crate::arena`]) and serve every round of the call; the result is
+    /// returned in one of them and the other goes back to the arena.
     pub fn gcd(&self, other: &Natural) -> Natural {
-        gcd_lehmer(
-            crate::arena::clone_natural(self),
-            crate::arena::clone_natural(other),
-        )
-    }
-
-    /// Arena-disciplined [`gcd`](Natural::gcd) variant: writes the result
-    /// into `out`, recycling `out`'s previous buffer through the arena.
-    pub fn gcd_into(&self, other: &Natural, out: &mut Natural) {
-        let g = self.gcd(other);
-        let old = core::mem::replace(out, g);
-        crate::arena::recycle(old);
+        gcd_lehmer(self, other)
     }
 
     /// Binary (Stein's) GCD. Exposed for tests and the ablation bench;
@@ -113,95 +103,141 @@ impl Natural {
     }
 }
 
-/// Lehmer's GCD: repeatedly simulate Euclid's algorithm on the top 63 bits
-/// of both operands with single-precision cofactors, then apply the
-/// accumulated 2x2 matrix to the full operands. Falls back to one full
-/// division step when the simulation makes no progress, and to a `u128`
-/// binary GCD once operands fit in two limbs.
+/// Lehmer's GCD with Jebelean's quotient test.
 ///
-/// Three things keep the per-round cost down to two single-pass limb scans:
-/// windows are read straight out of the limb slices (no shifted copies),
-/// the simulated quotients come from hardware `u64` division (63-bit
-/// windows guarantee the cofactor-adjusted sums fit a word; `i128`
-/// division compiles to a libcall an order of magnitude slower), and the
-/// matrix application is a fused two-scalar linear combination instead of
-/// four scalar products glued together with signed bigint adds.
-fn gcd_lehmer(mut a: Natural, mut b: Natural) -> Natural {
-    if a < b {
-        core::mem::swap(&mut a, &mut b);
+/// Each round reads the top 64 bits of `a` and the aligned bits of `b`,
+/// runs Euclid on those two words (one `u64` division per quotient) while
+/// Jebelean's condition proves each quotient equal to the full operands'
+/// one, and then applies the accumulated 2×2 cosequence matrix to both
+/// operands in one pass, in place. A round with no provable quotient, or
+/// with operand lengths more than one limb apart (the quotient is then
+/// wider than a word), takes one full division step instead; operands of
+/// at most two limbs finish on the `u128` base case.
+fn gcd_lehmer(x: &Natural, y: &Natural) -> Natural {
+    let (big, small) = if x < y { (y, x) } else { (x, y) };
+    if let (Some(u), Some(v)) = (big.to_u128(), small.to_u128()) {
+        return Natural::from(gcd_u128(u, v));
     }
+    let n = big.limb_len();
+    let mut a = crate::arena::take(n);
+    a.extend_from_slice(big.limbs());
+    let mut b = crate::arena::take(n);
+    b.extend_from_slice(small.limbs());
+    b.resize(n, 0);
+    lehmer_reduce(&mut a, &mut b);
+    crate::arena::put(b);
+    Natural::from_limbs(a)
+}
+
+/// Reduce `(a, b)` to `(gcd, 0)` in place. Invariants on entry and after
+/// every round: `a.len() == b.len()`, `a`'s top limb is nonzero and
+/// `a >= b`, `b` zero-padded to `a`'s length.
+fn lehmer_reduce(a: &mut Vec<u64>, b: &mut Vec<u64>) {
     loop {
-        if b.is_zero() {
-            return a;
+        let n = a.len();
+        let b_len = limb::effective_len(b);
+        if b_len == 0 {
+            return;
         }
-        // `b <= a`, so when `a` fits a u128 both do and the word-size
-        // algorithm finishes the job.
-        if let (Some(x), Some(y)) = (a.to_u128(), b.to_u128()) {
-            return Natural::from(gcd_u128(x, y));
+        if n <= 2 {
+            let g = gcd_u128(limbs_u128(a), limbs_u128(b));
+            a.clear();
+            a.extend([g as u64, (g >> 64) as u64]);
+            return;
         }
-        // Top 63-bit window of `a` and the aligned bits of `b`. 63 rather
-        // than 64 so that window + cofactor (capped at 2^62) stays below
-        // 2^64 and the simulated quotients divide in one word.
-        let k = a.bit_len();
-        let shift = k - 63;
-        let x = window_at(a.limbs(), shift);
-        let y = window_at(b.limbs(), shift);
-
-        // Simulate Euclid on (x, y) tracking cofactors: at every step
-        // a' = A*x0 + B*y0, b' = C*x0 + D*y0 for the original window values.
-        // Quotients are trusted only while both cofactor-adjusted ratios
-        // agree (Collins' condition).
-        let (mut xa, mut ya) = (x, y);
-        let (mut ma, mut mb, mut mc, mut md) = (1i128, 0i128, 0i128, 1i128);
-        loop {
-            let n1 = xa as i128 + ma;
-            let d1 = ya as i128 + mc;
-            let n2 = xa as i128 + mb;
-            let d2 = ya as i128 + md;
-            if n1 < 0 || n2 < 0 || d1 <= 0 || d2 <= 0 {
-                break;
-            }
-            // Windows < 2^63 and cofactors <= 2^62, so the sums fit u64;
-            // the checks above are sign guards, the divisions are hardware.
-            let q = (n1 as u64) / (d1 as u64);
-            if q != (n2 as u64) / (d2 as u64) {
-                break;
-            }
-            // (x, y) <- (y, x - q*y), matrix update alike.
-            let qi = q as i128;
-            let nya = xa as i128 - qi * ya as i128;
-            let (nmc, nmd) = (ma - qi * mc, mb - qi * md);
-            if nya < 0 || nmc.abs() > (1 << 62) || nmd.abs() > (1 << 62) {
-                break;
-            }
-            xa = ya;
-            ya = nya as u64;
-            (ma, mb) = (mc, md);
-            (mc, md) = (nmc, nmd);
-        }
-
-        if mb == 0 {
-            // No progress possible in single precision: one full Euclid step.
-            let r = &a % &b;
-            crate::arena::recycle(core::mem::replace(&mut a, b));
-            b = r;
+        let matrix = if n - b_len > 1 {
+            None
         } else {
-            // Apply the matrix: (a, b) <- (|A*a + B*b|, |C*a + D*b|). Each
-            // row always carries one nonnegative and one nonpositive entry
-            // (rows swap and subtract a positive multiple every step), so
-            // the row value is a plain difference of two scalar products.
-            let na = apply_row(ma, mb, &a, &b);
-            let nb = apply_row(mc, md, &a, &b);
-            debug_assert!(nb < b, "Lehmer step must make progress");
-            // The outgoing operands' buffers feed the next iteration's
-            // products through the arena.
-            crate::arena::recycle(core::mem::replace(&mut a, na));
-            crate::arena::recycle(core::mem::replace(&mut b, nb));
-            if a < b {
-                core::mem::swap(&mut a, &mut b);
+            // Top 64 bits of `a`, and the bits of `b` at the same place.
+            let shift = 64 * n as u64 - u64::from(a[n - 1].leading_zeros()) - 64;
+            cosequence(window_at(a, shift), window_at(b, shift))
+        };
+        match matrix {
+            // Odd rows put the positive coefficient on `b`: run the kernel
+            // with the operands exchanged, then exchange the results back.
+            Some(([u0, v0, u1, v1], true)) => {
+                apply_matrix(b, a, [v0, u0, v1, u1]);
+                core::mem::swap(a, b);
             }
+            Some((m, false)) => apply_matrix(a, b, m),
+            None => euclid_step(a, b),
         }
+        let len = limb::effective_len(a);
+        a.truncate(len);
+        b.truncate(len);
     }
+}
+
+/// Euclid on the windows `(x, y)`, `x >= y`, accepting quotients only
+/// while Jebelean's condition holds. Returns the cosequence magnitudes
+/// `[u0, v0, u1, v1]` of the last accepted step `k` and whether `k` is
+/// odd, or `None` if no quotient was accepted.
+///
+/// The window remainders satisfy `r_i = ±(u_i·x − v_i·y)` with signs
+/// alternating down the sequence, so the full operands' rows are
+/// `u_k·a − v_k·b` (even `k`) and `v_k·b − u_k·a` (odd `k`). Truncating
+/// the operands to the window moves row `i >= 1` by less than `v_i`
+/// window units (its cofactors have opposite signs and `u_i <= v_i`), so `r_{i+1} >= v_{i+1}` and `r_i − r_{i+1} >= v_i + v_{i+1}`
+/// keep the full remainders nonnegative and decreasing: the simulated
+/// quotient is the true one. Those conditions also give `v_{i+1}² < x`,
+/// so every accepted cofactor is below `2^32`.
+fn cosequence(mut r0: u64, mut r1: u64) -> Option<([u64; 4], bool)> {
+    let (mut u0, mut v0, mut u1, mut v1) = (1u64, 0u64, 0u64, 1u64);
+    let mut odd = false;
+    while r1 != 0 {
+        // One hardware division yields both; `v_{i+1}·r_i <= x` keeps
+        // the cofactor updates inside a word.
+        let (q, r) = (r0 / r1, r0 % r1);
+        let (u2, v2) = (u0 + q * u1, v0 + q * v1);
+        if r < v2 || r1 - r < v1 + v2 {
+            break;
+        }
+        (r0, r1) = (r1, r);
+        (u0, v0, u1, v1) = (u1, v1, u2, v2);
+        odd = !odd;
+    }
+    // `v0` is 0 only before the first accepted step.
+    (v0 != 0).then_some(([u0, v0, u1, v1], odd))
+}
+
+/// `(a, b) <- (u0·a − v0·b, v1·b − u1·a)` in one pass over the limbs, two
+/// signed 128-bit carries wide. Both rows are nonnegative and below `a`
+/// (the caller's quotients are exact), and the cofactors are below `2^32`,
+/// so each partial product fits 96 bits and the top carry comes out zero.
+fn apply_matrix(a: &mut [u64], b: &mut [u64], [u0, v0, u1, v1]: [u64; 4]) {
+    debug_assert!([u0, v0, u1, v1].iter().all(|&c| c < 1 << 32));
+    let (mut ca, mut cb) = (0i128, 0i128);
+    for (x, y) in a.iter_mut().zip(b.iter_mut()) {
+        let (ax, by) = (u128::from(*x), u128::from(*y));
+        let ta = ca + (u128::from(u0) * ax) as i128 - (u128::from(v0) * by) as i128;
+        let tb = cb + (u128::from(v1) * by) as i128 - (u128::from(u1) * ax) as i128;
+        *x = ta as u64;
+        *y = tb as u64;
+        ca = ta >> 64;
+        cb = tb >> 64;
+    }
+    debug_assert!(ca == 0 && cb == 0, "negative Lehmer row");
+}
+
+/// One full Euclid step, `(a, b) <- (b, a mod b)`, through the division
+/// kernel; the dividend's and quotient's buffers go back to the arena.
+fn euclid_step(a: &mut Vec<u64>, b: &mut Vec<u64>) {
+    let divisor = Natural::from_limbs(core::mem::take(b));
+    let dividend = Natural::from_limbs(core::mem::take(a));
+    let (q, r) = dividend.div_rem(&divisor);
+    crate::arena::recycle(q);
+    crate::arena::recycle(dividend);
+    *a = divisor.into_limbs();
+    *b = r.into_limbs();
+    b.resize(a.len(), 0);
+}
+
+/// The value of a limb slice of length at most two.
+fn limbs_u128(limbs: &[u64]) -> u128 {
+    limbs
+        .iter()
+        .rev()
+        .fold(0, |acc, &w| acc << 64 | u128::from(w))
 }
 
 /// Bits `[shift, shift+64)` of a limb slice, read without materializing a
@@ -216,41 +252,6 @@ fn window_at(limbs: &[u64], shift: u64) -> u64 {
     } else {
         lo | limbs.get(idx + 1).map_or(0, |&w| w) << (64 - off)
     }
-}
-
-/// One Lehmer matrix row `|p*a + q*b|` where `p` and `q` have opposite
-/// signs and magnitudes below `2^63` — dispatched to the positive-result
-/// orientation of [`lincomb_sub`].
-fn apply_row(p: i128, q: i128, a: &Natural, b: &Natural) -> Natural {
-    if q <= 0 {
-        debug_assert!(p >= 0, "Lehmer row signs must oppose");
-        lincomb_sub(p.unsigned_abs() as u64, a, q.unsigned_abs() as u64, b)
-    } else {
-        debug_assert!(p <= 0, "Lehmer row signs must oppose");
-        lincomb_sub(q.unsigned_abs() as u64, b, p.unsigned_abs() as u64, a)
-    }
-}
-
-/// `p*a - q*b` for a result the caller guarantees nonnegative, in one pass
-/// over the limbs with a signed 128-bit carry: each position accumulates
-/// `p*a_i - q*b_i + carry` and emits the low word. With `p, q < 2^63` the
-/// partial products stay below `2^126`, so the accumulator never wraps.
-/// The output buffer comes from the thread arena.
-fn lincomb_sub(p: u64, a: &Natural, q: u64, b: &Natural) -> Natural {
-    let la = a.limbs();
-    let lb = b.limbs();
-    let len = la.len().max(lb.len()) + 1;
-    let mut out = crate::arena::take(len);
-    let mut carry: i128 = 0;
-    for i in 0..len {
-        let av = la.get(i).map_or(0, |&w| w) as u128;
-        let bv = lb.get(i).map_or(0, |&w| w) as u128;
-        let acc = carry + (p as u128 * av) as i128 - (q as u128 * bv) as i128;
-        out.push(acc as u64);
-        carry = acc >> 64;
-    }
-    debug_assert_eq!(carry, 0, "negative Lehmer row combination");
-    Natural::from_limbs(out)
 }
 
 /// u128 binary GCD base case.

@@ -235,9 +235,14 @@ impl Natural {
         acc
     }
 
-    /// Modular multiplication `(self * rhs) mod m`.
+    /// Modular multiplication `(self * rhs) mod m`. The product and
+    /// quotient go back to the thread arena.
     pub fn mod_mul(&self, rhs: &Natural, m: &Natural) -> Natural {
-        &(self * rhs) % m
+        let product = self * rhs;
+        let (quotient, rem) = product.div_rem(m);
+        crate::arena::recycle(quotient);
+        crate::arena::recycle(product);
+        rem
     }
 }
 
