@@ -46,17 +46,23 @@ fn ablation_mul_algorithms(c: &mut Criterion) {
 fn ablation_div_algorithms(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_div_algorithms");
     group.sample_size(10);
-    // Dividend twice the divisor size — the remainder-tree shape.
-    for limbs in [32usize, 128, 512, 2048] {
-        let a = random_natural(2 * limbs, 3);
-        let b = random_natural(limbs, 4);
-        group.bench_with_input(BenchmarkId::new("dispatched", limbs), &limbs, |bch, _| {
-            bch.iter(|| black_box(&a).div_rem(black_box(&b)))
-        });
-        if limbs <= 512 {
-            group.bench_with_input(BenchmarkId::new("knuth_only", limbs), &limbs, |bch, _| {
-                bch.iter(|| black_box(&a).div_rem_knuth(black_box(&b)))
+    // Dividends twice the divisor (a remainder-tree node over its child)
+    // and eight times it (a fold over several chunks), divisors from
+    // below the Knuth cutoff (`BZ_THRESHOLD`) to the top of a
+    // 1,024-modulus 1024-bit product tree.
+    for (shape, times) in [("2m", 2usize), ("8m", 8)] {
+        for limbs in [32usize, 128, 512, 2048, 8192] {
+            let a = random_natural(times * limbs, 3);
+            let b = random_natural(limbs, 4);
+            let id = |name: &str| BenchmarkId::new(format!("{name}/{shape}"), limbs);
+            group.bench_with_input(id("dispatched"), &limbs, |bch, _| {
+                bch.iter(|| black_box(&a).div_rem(black_box(&b)))
             });
+            if limbs <= 2048 {
+                group.bench_with_input(id("knuth_only"), &limbs, |bch, _| {
+                    bch.iter(|| black_box(&a).div_rem_knuth(black_box(&b)))
+                });
+            }
         }
     }
     group.finish();

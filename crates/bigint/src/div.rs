@@ -1,20 +1,22 @@
-//! Division: short division, Knuth Algorithm D, and Burnikel-Ziegler
-//! recursive division.
+//! Division: short division, Knuth Algorithm D, and Newton division.
 //!
-//! The batch-GCD remainder tree divides a huge product by each half-size
-//! child; with quadratic (Knuth-only) division the tree would be `O(n^2)` and
-//! the paper's feasibility argument (§3.2) collapses. Burnikel-Ziegler
-//! reduces division to multiplication, so the remainder tree inherits the
-//! sub-quadratic multiplication cost.
+//! The batch-GCD feasibility argument (§3.2) needs division no slower than
+//! multiplication at the sizes where a product is divided by a large
+//! modulus. Above [`BZ_THRESHOLD`] limbs `div_rem` builds one Newton
+//! reciprocal of the divisor ([`Reciprocal`](crate::Reciprocal)) and folds
+//! the dividend through Barrett steps that also yield the quotient, so a
+//! large division costs a few multiplications. At or below it, Knuth
+//! Algorithm D is cheaper than the reciprocal.
 
-use crate::integer::Integer;
 use crate::limb;
 use crate::natural::Natural;
-use crate::ntt::{Prepared, NTT_THRESHOLD};
 use core::ops::{Div, Rem};
 
-/// Divisor size (limbs) at or below which Knuth Algorithm D is used directly.
-pub const BZ_THRESHOLD: usize = 128;
+/// Divisor size (limbs) at or below which `div_rem` runs Knuth Algorithm D;
+/// larger divisors take Newton division. Measured crossover: DESIGN.md §9.3.
+/// The name predates the Newton path; it stays because the benchmark ladder
+/// (`wk-benchmark`) imports it.
+pub const BZ_THRESHOLD: usize = 448;
 
 impl Natural {
     /// Divide by a single limb: returns `(quotient, remainder)`.
@@ -60,11 +62,13 @@ impl Natural {
         if rhs.limb_len() <= BZ_THRESHOLD {
             return knuth_div_rem(self, rhs);
         }
-        bz_div_rem(self, rhs)
+        crate::recip::div_rem_newton(self, rhs)
     }
 
-    /// Knuth Algorithm D regardless of size — the quadratic ablation
-    /// baseline for Burnikel-Ziegler (bench `ablation_div_algorithms`).
+    /// Knuth Algorithm D regardless of size: the quadratic reference the
+    /// division tests check against, the base of every fallback in the
+    /// Newton path (so a division never recurses into another), and the
+    /// baseline of the bench `ablation_div_algorithms`.
     ///
     /// # Panics
     /// Panics if `rhs` is zero.
@@ -168,154 +172,6 @@ fn knuth_normalized(u: &mut Vec<u64>, v: &[u64]) -> (Vec<u64>, Vec<u64>) {
     }
     u.truncate(n);
     (q, core::mem::take(u))
-}
-
-/// Split `a` into little-endian blocks of `n` limbs each.
-fn blocks_of(a: &Natural, n: usize) -> Vec<Natural> {
-    a.limbs().chunks(n).map(Natural::from_limb_slice).collect()
-}
-
-/// Shift left by whole limbs.
-fn shl_limbs(a: &Natural, n: usize) -> Natural {
-    a << (64 * n as u64)
-}
-
-/// Low `n` limbs of `a`.
-fn low_limbs(a: &Natural, n: usize) -> Natural {
-    if a.limb_len() <= n {
-        a.clone()
-    } else {
-        Natural::from_limb_slice(&a.limbs()[..n])
-    }
-}
-
-/// `a >> (64*n)` — the limbs above the low `n`.
-fn high_limbs(a: &Natural, n: usize) -> Natural {
-    if a.limb_len() <= n {
-        Natural::zero()
-    } else {
-        Natural::from_limb_slice(&a.limbs()[n..])
-    }
-}
-
-/// Burnikel-Ziegler driver. Pads the divisor to `n = j * 2^k` limbs
-/// (`j <= BZ_THRESHOLD`) with its top bit set, processes the dividend in
-/// `n`-limb blocks from the top, and unscales the remainder.
-fn bz_div_rem(a: &Natural, b: &Natural) -> (Natural, Natural) {
-    let s = b.limb_len();
-    // Choose n = j * 2^k >= s with j <= BZ_THRESHOLD so recursive halving
-    // always lands on even sizes until the base case.
-    let mut k = 0u32;
-    while s.div_ceil(1 << k) > BZ_THRESHOLD {
-        k += 1;
-    }
-    let j = s.div_ceil(1 << k);
-    let n = j << k;
-    // Normalize: limb-pad to n limbs and bit-shift so the top bit is set.
-    let sigma = 64 * (n - s) as u64 + b.top_limb().leading_zeros() as u64;
-    let bn = b << sigma;
-    let an = a << sigma;
-    debug_assert_eq!(bn.limb_len(), n);
-    let pieces = DivisorPieces::new(&bn, n);
-
-    let blocks = blocks_of(&an, n);
-    let t = blocks.len();
-    let mut r = blocks[t - 1].clone();
-    // Top block is < beta^n <= 2*bn (bn has its top bit set), so the leading
-    // quotient digit is 0 or 1.
-    let mut q_top = Natural::zero();
-    if r >= bn {
-        q_top = Natural::one();
-        r.sub_assign_ref(&bn);
-    }
-    let mut q = q_top;
-    for i in (0..t - 1).rev() {
-        let combined = &shl_limbs(&r, n) + &blocks[i];
-        let (qi, ri) = bz_div_2n_1n(&combined, &bn, n, &pieces);
-        q = &shl_limbs(&q, n) + &qi;
-        r = ri;
-    }
-    (q, &r >> sigma)
-}
-
-/// The forward transforms of one division's fixed divisor pieces. At every
-/// recursion size `2h`, `bz_div_3h_2h` multiplies a quotient of up to `h`
-/// limbs by the same piece — the low half of the divisor's top `2h` limbs —
-/// on every block and every recursive call. Pieces the dispatcher would
-/// multiply by NTT are transformed once per division, except the top one:
-/// it is as large as all the others together and used only twice per
-/// dividend block, so holding it would save a sixth of the top level's
-/// multiply work for that much memory.
-struct DivisorPieces(Vec<(usize, Prepared)>);
-
-impl DivisorPieces {
-    /// Transform the pieces of the `n`-limb normalized divisor `bn`.
-    fn new(bn: &Natural, n: usize) -> DivisorPieces {
-        // The recursion sizes, as bz_div_2n_1n tests them.
-        let sizes = core::iter::successors(Some(n), |&size| Some(size / 2))
-            .take_while(|&size| size % 2 == 0 && size > BZ_THRESHOLD && size / 2 >= NTT_THRESHOLD)
-            .skip(1);
-        let pieces = sizes.filter_map(|size| {
-            let h = size / 2;
-            let piece = bn.limbs().get(n - size..n - h)?;
-            Some((h, Prepared::new(piece, h)?))
-        });
-        DivisorPieces(pieces.collect())
-    }
-
-    /// `q * b0` for the piece `b0` of recursion size `2h`.
-    fn mul(&self, h: usize, q: &Natural, b0: &Natural) -> Natural {
-        self.0
-            .iter()
-            .find(|(size, _)| *size == h)
-            .and_then(|(_, prepared)| prepared.mul(q))
-            .unwrap_or_else(|| q * b0)
-    }
-}
-
-/// Divide a (up to) `2n`-limb value `a < b * beta^n` by the `n`-limb
-/// normalized divisor `b`. Recurses via two 3h/2h divisions.
-fn bz_div_2n_1n(a: &Natural, b: &Natural, n: usize, pieces: &DivisorPieces) -> (Natural, Natural) {
-    if n % 2 == 1 || n <= BZ_THRESHOLD {
-        return a.div_rem(b); // falls through to Knuth / short division
-    }
-    let h = n / 2;
-    let a_lo = low_limbs(a, h);
-    let a_hi = high_limbs(a, h); // up to 3h limbs
-    let (q1, r1) = bz_div_3h_2h(&a_hi, b, h, pieces);
-    let (q0, r) = bz_div_3h_2h(&(&shl_limbs(&r1, h) + &a_lo), b, h, pieces);
-    (&shl_limbs(&q1, h) + &q0, r)
-}
-
-/// Divide a (up to) `3h`-limb value `a < b * beta^h` by the `2h`-limb
-/// normalized divisor `b`. One recursive 2h/h division plus one full
-/// `h x h` multiplication — this multiplication is where sub-quadratic
-/// multiplication pays off.
-fn bz_div_3h_2h(a: &Natural, b: &Natural, h: usize, pieces: &DivisorPieces) -> (Natural, Natural) {
-    let b1 = high_limbs(b, h); // top h limbs, top bit set
-    let b0 = low_limbs(b, h);
-    let a12 = high_limbs(a, h); // top 2h limbs
-    let a0 = low_limbs(a, h);
-    let a2 = high_limbs(a, 2 * h); // top h limbs
-
-    let (mut q, r1) = if a2 < b1 {
-        bz_div_2n_1n(&a12, &b1, h, pieces)
-    } else {
-        // q = beta^h - 1; r1 = a12 - q*b1 = a12 - b1*beta^h + b1 (>= 0 here).
-        let q = &shl_limbs(&Natural::one(), h) - &Natural::one();
-        let r1 = &(&a12 - &shl_limbs(&b1, h)) + &b1;
-        (q, r1)
-    };
-    let d = pieces.mul(h, &q, &b0);
-    let lhs = Integer::from_natural(&shl_limbs(&r1, h) + &a0);
-    let mut r = &lhs - &Integer::from_natural(d);
-    // q may be up to 2 too large (standard BZ bound).
-    let bi = Integer::from_natural(b.clone());
-    while r.is_negative() {
-        q.sub_assign_ref(&Natural::one());
-        r = &r + &bi;
-    }
-    (q, r.into_magnitude())
 }
 
 impl Div<&Natural> for &Natural {
@@ -428,31 +284,99 @@ mod tests {
         check_div_identity(&a, &b);
     }
 
+    /// `div_rem` against the Knuth reference, quotient and remainder.
+    fn check_against_knuth(a: &Natural, b: &Natural, shape: &str) {
+        let (q, r) = a.div_rem(b);
+        let (q_kn, r_kn) = a.div_rem_knuth(b);
+        let (la, lb) = (a.limb_len(), b.limb_len());
+        assert_eq!(q, q_kn, "quotient {shape} la={la} lb={lb}");
+        assert_eq!(r, r_kn, "remainder {shape} la={la} lb={lb}");
+    }
+
+    fn pow2(bits: u64) -> Natural {
+        &Natural::one() << bits
+    }
+
     #[test]
-    fn bz_matches_knuth() {
+    fn division_matches_knuth() {
         for (la, lb, seed) in [
             (120, 60, 1),
             (200, 100, 2),
             (256, 96, 3),
-            (300, 97, 4), // odd-ish divisor length forces padding
+            (300, 97, 4),
             (512, 200, 5),
             (1500, 700, 6),
-            (3000, 1400, 7), // a divisor piece past NTT_THRESHOLD is prepared
+            (3000, 1400, 7), // past NTT_THRESHOLD: the steps multiply by transform
         ] {
-            let a = pseudo(la, seed);
-            let b = pseudo(lb, seed + 99);
-            let (q_bz, r_bz) = bz_div_rem(&a, &b);
-            let (q_kn, r_kn) = knuth_div_rem(&a, &b);
-            assert_eq!(q_bz, q_kn, "quotient la={la} lb={lb}");
-            assert_eq!(r_bz, r_kn, "remainder la={la} lb={lb}");
+            check_against_knuth(&pseudo(la, seed), &pseudo(lb, seed + 99), "random");
         }
     }
 
     #[test]
-    fn bz_identity_large() {
+    fn division_identity_large() {
         let a = pseudo(1000, 7);
         let b = pseudo(333, 8);
         check_div_identity(&a, &b);
+    }
+
+    /// The shapes where Newton division can go wrong, on both sides of the
+    /// cutoff: single-step and short quotients (`exact_inverse` builds the
+    /// reciprocal), a fold whose last chunk is short, extreme top limbs,
+    /// divisors just below a power of two (the clamp in `invert_newton`),
+    /// all-ones dividends, and exact multiples and their predecessors.
+    #[test]
+    fn division_edge_shapes_match_knuth() {
+        for m in [BZ_THRESHOLD, BZ_THRESHOLD + 1] {
+            let random = pseudo(m, 11);
+            let mut top_one = random.limbs().to_vec();
+            top_one[m - 1] = 1;
+            let mut top_full = random.limbs().to_vec();
+            top_full[m - 1] |= 1 << 63;
+            let bits = 64 * m as u64;
+            let divisors = [
+                ("random", random),
+                ("top limb 1", Natural::from_limbs(top_one)),
+                ("top bit set", Natural::from_limbs(top_full)),
+                ("2^64m - 1", &pow2(bits) - &Natural::one()),
+                ("2^64m - 2^64", &pow2(bits) - &pow2(64)),
+                ("2^(64m-1) - 1", &pow2(bits - 1) - &Natural::one()),
+            ];
+            for (name, b) in &divisors {
+                for (la, seed) in [
+                    (2 * m, 1),
+                    (2 * m + 1, 2),
+                    (m + 1, 3),
+                    (m + 2, 4),
+                    (m + 3, 5),
+                    (8 * m + 3, 6),
+                ] {
+                    check_against_knuth(&pseudo(la, seed), b, name);
+                }
+                for la in [2 * m, 8 * m + 3] {
+                    check_against_knuth(&(&pow2(64 * la as u64) - &Natural::one()), b, name);
+                }
+                for q in [Natural::one(), pseudo(m, 7), pseudo(7 * m, 8)] {
+                    let multiple = &q * b;
+                    check_against_knuth(&multiple, b, name);
+                    check_against_knuth(&(&multiple - &Natural::one()), b, name);
+                }
+            }
+        }
+    }
+
+    /// The shortest reciprocal above the cutoff is built by one exact
+    /// division, and a one- or two-limb quotient needs nothing longer: both
+    /// must return, exact, with that division done by Knuth rather than by
+    /// re-entering Newton division.
+    #[test]
+    fn division_fallbacks_do_not_recurse() {
+        let m = BZ_THRESHOLD + 1;
+        let n = pseudo(m, 21);
+        let mu = crate::invert_newton(&n, m + 1);
+        assert_eq!(mu, &pow2(64 * (m as u64 + 1)) / &n);
+        for la in [m, m + 1] {
+            check_against_knuth(&pseudo(la, 22), &n, "short quotient");
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Signed arbitrary-precision integers.
 //!
 //! [`Integer`] is a thin sign-magnitude wrapper over [`Natural`], used where
-//! intermediates can go negative: Toom-3 interpolation, the extended
-//! Euclidean algorithm, and Burnikel-Ziegler correction steps.
+//! intermediates can go negative: Toom-3 interpolation and the extended
+//! Euclidean algorithm.
 
 use crate::natural::Natural;
 use core::cmp::Ordering;

@@ -7,13 +7,12 @@
 //! which this crate provides:
 //!
 //! * [`Natural`] — unsigned big integers: schoolbook / Karatsuba / Toom-3 /
-//!   three-prime NTT multiplication, short / Knuth-D / Burnikel-Ziegler
-//!   division, binary and Lehmer GCD, extended GCD, Montgomery modular
-//!   exponentiation, Miller-Rabin primality, random generation over any
-//!   [`rand::RngCore`].
+//!   three-prime NTT multiplication, short / Knuth-D / Newton division
+//!   (Barrett steps on a [`Reciprocal`]), binary and Lehmer GCD, extended
+//!   GCD, Montgomery modular exponentiation, Miller-Rabin primality, random
+//!   generation over any [`rand::RngCore`].
 //! * [`Integer`] — sign-magnitude signed integers for algorithms with
-//!   negative intermediates (Toom-3 interpolation, extended Euclid,
-//!   Burnikel-Ziegler corrections).
+//!   negative intermediates (Toom-3 interpolation, extended Euclid).
 //!
 //! The crate replaces GMP in the original study's toolchain (see DESIGN.md,
 //! substitution table). Routines are **not constant-time**: the reproduction
@@ -53,7 +52,6 @@ mod prime;
 mod random;
 mod recip;
 mod shift;
-mod sqrt;
 
 pub use div::BZ_THRESHOLD;
 pub use fmt::ParseNaturalError;

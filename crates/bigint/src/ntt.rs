@@ -30,13 +30,14 @@
 //!   of `2^(k−1)` twiddle pairs. All but the output live in the thread's
 //!   arena workspace ([`crate::arena::take_workspace`]), so a warmed
 //!   transform touches no heap; twiddles are rebuilt per call.
-//! * **Squaring and fixed operands.** Squaring transforms its operand once.
-//!   [`Prepared`] keeps a fixed operand's forward transforms for many
-//!   multiplies (Burnikel–Ziegler's divisor pieces).
+//! * **Squaring.** Squaring transforms its operand once.
 //! * **Middle products.** [`mul_middle_into`] computes a window of a
 //!   product by one cyclic convolution that only has to cover the longer
 //!   operand and the window's top: the coefficients that wrap around land
 //!   below the window's two guard limbs, where nothing is read.
+//! * **Wrapped products.** [`mul_wrapped_into`] gives a product modulo
+//!   `β^L − 1` from one cyclic convolution of length `L`, for a Barrett
+//!   step that only needs the low limbs of `q̂·n`.
 //!
 //! The dispatcher turns NTT on at [`NTT_THRESHOLD`] limbs, the middle
 //! product at [`MIDDLE_NTT_THRESHOLD`](crate::MIDDLE_NTT_THRESHOLD).
@@ -449,8 +450,6 @@ enum Rhs<'a> {
     Same,
     /// Transform these limbs.
     Limbs(&'a [u64]),
-    /// Use these forward transforms, one per prime.
-    Prepared(&'a Prepared),
 }
 
 /// The limbs of `Σ_{j ∈ window} c_j·β^(j − window.start)` (`β = 2^64`),
@@ -488,15 +487,6 @@ fn convolve(
                 forward(other, b, shape, pairs(tw), None, pr);
                 Factor::Transform(other)
             }
-            Rhs::Prepared(prepared) => {
-                forward(buf, a, shape, pairs(tw), Some(scale), pr);
-                Factor::Transform(
-                    prepared
-                        .transforms
-                        .get(i * len..(i + 1) * len)
-                        .unwrap_or_default(),
-                )
-            }
         };
         pointwise(buf, factor, shape, pairs(tw), pr);
         invert_twiddles(tw.as_chunks_mut::<2>().0, pr.p);
@@ -511,16 +501,6 @@ fn convolve(
     let carry = garner(out, saved, buf.get(window).unwrap_or_default());
     arena::put_workspace(workspace);
     carry
-}
-
-/// `out = a · rhs`, `a` and the right operand (of `b_len` limbs) trimmed
-/// and nonempty, over a `shape` that holds all `a.len() + b_len − 1`
-/// coefficients.
-fn multiply(a: &[u64], rhs: Rhs<'_>, b_len: usize, shape: Shape, out: &mut Vec<u64>) {
-    let count = a.len() + b_len - 1;
-    let [c0, c1, c2] = convolve(a, rhs, shape, 0..count, out);
-    out.push(c0);
-    debug_assert_eq!((c1, c2), (0, 0), "product overflowed its limbs");
 }
 
 /// Per-prime scales with Shoup quotients: `2^64 · 2^-log` undoes the
@@ -572,74 +552,45 @@ fn garner(out: &mut [u64], r1: &[u64], r2: &[u64]) -> [u64; 3] {
     [c0, c1, c2]
 }
 
-/// A fixed operand's forward transforms, for multiplying it by many
-/// others: each multiply then runs two transforms per prime, not three.
-pub(crate) struct Prepared {
-    limbs: usize,
-    max_other: usize,
-    shape: Shape,
-    transforms: Vec<u64>,
-}
-
-impl Prepared {
-    /// Transform `b` for multiplies by operands of up to `max_other` limbs.
-    /// `None` when `b` is zero or the product is beyond the transform.
-    pub(crate) fn new(b: &[u64], max_other: usize) -> Option<Prepared> {
-        let b = crate::mul::trim(b);
-        if b.is_empty() || max_other == 0 {
-            return None;
-        }
-        let shape = Shape::for_coefficients(b.len() + max_other - 1)?;
-        let mut transforms = vec![0; 3 * shape.len()];
-        let mut workspace = arena::take_workspace(table_len(shape));
-        let tw = &mut workspace[..table_len(shape)];
-        for (pr, buf) in PRIMES
-            .into_iter()
-            .zip(transforms.chunks_exact_mut(shape.len()))
-        {
-            twiddles(pr, shape.log, tw);
-            forward(buf, b, shape, pairs(tw), None, pr);
-        }
-        arena::put_workspace(workspace);
-        Some(Prepared {
-            limbs: b.len(),
-            max_other,
-            shape,
-            transforms,
-        })
-    }
-
-    /// `a · b`, or `None` when `a` is longer than the operands `b` was
-    /// prepared for.
-    pub(crate) fn mul(&self, a: &Natural) -> Option<Natural> {
-        if a.limb_len() > self.max_other {
-            return None;
-        }
-        if a.is_zero() {
-            return Some(Natural::zero());
-        }
-        let mut out = crate::arena::take(a.limb_len() + self.limbs);
-        multiply(
-            a.limbs(),
-            Rhs::Prepared(self),
-            self.limbs,
-            self.shape,
-            &mut out,
-        );
-        Some(Natural::from_limbs(out))
-    }
-}
-
 /// `out = a · b` by transform; `a` and `b` trimmed and nonempty. Equal
 /// operands are squared. Returns `false`, leaving `out` alone, when the
 /// product is longer than the primes' roots reach.
 pub(crate) fn mul_into(a: &[u64], b: &[u64], out: &mut Vec<u64>) -> bool {
-    let Some(shape) = Shape::for_coefficients(a.len() + b.len() - 1) else {
+    let count = a.len() + b.len() - 1;
+    let Some(shape) = Shape::for_coefficients(count) else {
         return false;
     };
     let rhs = if a == b { Rhs::Same } else { Rhs::Limbs(b) };
-    multiply(a, rhs, b.len(), shape, out);
+    let [c0, c1, c2] = convolve(a, rhs, shape, 0..count, out);
+    out.push(c0);
+    debug_assert_eq!((c1, c2), (0, 0), "product overflowed its limbs");
     true
+}
+
+/// `out = a · b mod (β^L − 1)` over a transform length `L` of at least
+/// `min_len` limbs, returning `L`; `a` and `b` trimmed and nonempty. The
+/// cyclic convolution of length `L` is the product modulo `x^L − 1`, so at
+/// `x = β` the limbs above `L` wrap to the bottom. `out` holds `L` limbs,
+/// a value congruent to the product; `β^L − 1` may stand for zero.
+/// Returns `None`, leaving `out` alone, when `L` is beyond the primes'
+/// roots.
+pub(crate) fn mul_wrapped_into(
+    a: &[u64],
+    b: &[u64],
+    min_len: usize,
+    out: &mut Vec<u64>,
+) -> Option<usize> {
+    let shape = Shape::for_coefficients(a.len().max(b.len()).max(min_len).max(3))?;
+    let len = shape.len();
+    let rhs = if a == b { Rhs::Same } else { Rhs::Limbs(b) };
+    let carry = convolve(a, rhs, shape, 0..len, out);
+    // β^L ≡ 1: the pending limbs re-enter at the bottom, and so does the
+    // end-around carry (at most twice).
+    let mut c = crate::limb::add_assign_slice(out, &carry);
+    while c != 0 {
+        c = crate::limb::add_assign_slice(out, &[c]);
+    }
+    Some(len)
 }
 
 /// The truncated middle product `out` = limbs `[lo, lo + len)` of
@@ -856,24 +807,25 @@ mod tests {
         assert_eq!(mul_ntt(&Natural::one(), &a), a);
     }
 
+    /// The wrapped product against the full product reduced by hand.
+    #[test]
+    fn wrapped_product_matches_full_mod_beta_l_minus_one() {
+        for (la, lb, min_len, seed) in [(5, 3, 4, 1), (300, 290, 310, 2), (700, 400, 702, 3)] {
+            let (a, b) = (pseudo(la, seed), pseudo(lb, seed + 7));
+            let mut out = Vec::new();
+            let len = mul_wrapped_into(a.limbs(), b.limbs(), min_len, &mut out).expect("in range");
+            assert!(len >= min_len.max(la).max(lb) && out.len() == len);
+            let modulus = &(&Natural::one() << (64 * len as u64)) - &Natural::one();
+            let got = &Natural::from_limbs(out) % &modulus;
+            assert_eq!(got, &(&a * &b) % &modulus, "la={la} lb={lb}");
+        }
+    }
+
     #[test]
     fn square_via_ntt() {
         for len in [600, 683] {
             let a = pseudo(len, 6);
             assert_eq!(mul_ntt(&a, &a), a.mul_schoolbook(&a), "len={len}");
         }
-    }
-
-    #[test]
-    fn prepared_operand_matches_schoolbook() {
-        let b = pseudo(300, 7);
-        let prepared = Prepared::new(b.limbs(), 300).expect("in range");
-        for (len, seed) in [(300, 1), (299, 2), (1, 3), (150, 4)] {
-            let a = pseudo(len, seed);
-            assert_eq!(prepared.mul(&a), Some(a.mul_schoolbook(&b)), "len={len}");
-        }
-        assert_eq!(prepared.mul(&Natural::zero()), Some(Natural::zero()));
-        assert_eq!(prepared.mul(&pseudo(301, 5)), None);
-        assert!(Prepared::new(&[0, 0], 10).is_none());
     }
 }

@@ -8,10 +8,11 @@
 //!
 //! A modulus that is reduced against many times can also split its
 //! division into that precomputation and a per-value reduction of two
-//! multiplies plus at most two correction subtractions (HAC Algorithm
-//! 14.42, generalized to a configurable dividend capacity): [`Reciprocal`].
-//! No batch-GCD path uses it; the kernel stays as a tested reference for
-//! the layer benchmarks.
+//! multiplies plus a few correction subtractions (HAC Algorithm 14.42,
+//! generalized to a configurable dividend capacity): [`Reciprocal`]. The
+//! same steps, keeping each step's quotient, are [`Natural::div_rem`] above
+//! [`BZ_THRESHOLD`](crate::BZ_THRESHOLD) limbs: one reciprocal of the
+//! divisor, then a top-down fold of the dividend.
 //!
 //! The inverse is computed by Newton's method on truncated operands
 //! (precision roughly doubles per iteration, so the total cost is a small
@@ -51,10 +52,11 @@
 //! subtractions of `n` finish the reduction. The correction loop is
 //! bounded by [`MAX_BARRETT_CORRECTIONS`]; exceeding it (impossible for a
 //! reciprocal built here, conceivable only for a damaged one) falls back to
-//! one exact division, so the result is the true remainder
-//! unconditionally. Larger values are folded in `(cap - m)`-limb chunks
-//! from the top, each step staying under the capacity — the division-free
-//! analog of short division.
+//! one Knuth division, so the result is the true remainder unconditionally.
+//! Every fallback here divides by Knuth directly, never through `div_rem`,
+//! so a Newton division never re-enters another. Larger values are folded
+//! in `(cap - m)`-limb chunks from the top, each step staying under the
+//! capacity — the division-free analog of short division.
 
 use crate::natural::Natural;
 use std::fmt;
@@ -163,10 +165,10 @@ fn shl_pooled(z: &Natural, bits: u64) -> Natural {
     z.shl_bits(bits)
 }
 
-/// `floor(2^e / n)` by one exact division, every buffer recycled.
+/// `floor(2^e / n)` by one Knuth division, every buffer recycled.
 fn exact_inverse(e: u64, n: &Natural) -> Natural {
     let p = pow2(e);
-    let (q, r) = p.div_rem(n);
+    let (q, r) = p.div_rem_knuth(n);
     crate::arena::recycle(p);
     crate::arena::recycle(r);
     q
@@ -393,44 +395,94 @@ impl Reciprocal {
     /// One generalized-Barrett step for `x < beta^cap`: two multiplies and
     /// at most `2 + MU_MAX_SLACK_ULPS` correction subtractions (see the
     /// module-level bound), writing the remainder into `out` (which may
-    /// carry high zero limbs; callers normalize). Both product scratches
-    /// come from the thread arena, so a warmed pool runs the step without
-    /// heap allocation. A reciprocal so damaged that the correction bound
-    /// is exceeded — impossible for ones built here — degrades to one
-    /// exact division rather than a wrong remainder.
-    fn step_into(&self, x: &[u64], n: &Natural, out: &mut Vec<u64>) {
-        use crate::limb::{cmp_slices, effective_len, sub_assign_slice};
+    /// carry high zero limbs; callers normalize) and, when asked, the
+    /// quotient `q_hat` plus its corrections into `quotient`, which must
+    /// hold it. Both product scratches come from the thread arena, so a
+    /// warmed pool runs the step without heap allocation. A reciprocal so
+    /// damaged that the correction bound is exceeded — impossible for ones
+    /// built here — degrades to one Knuth division rather than a wrong
+    /// result.
+    fn step_into(
+        &self,
+        x: &[u64],
+        n: &Natural,
+        out: &mut Vec<u64>,
+        mut quotient: Option<&mut [u64]>,
+    ) {
+        use crate::limb::{
+            add_assign_slice, add_mul_slice, cmp_slices, effective_len, sub_assign_slice,
+        };
         use core::cmp::Ordering;
         debug_assert!(effective_len(x) <= self.cap);
         out.clear();
+        if let Some(q) = quotient.as_deref_mut() {
+            q.fill(0);
+        }
         if cmp_slices(x, n.limbs()) == Ordering::Less {
             out.extend_from_slice(x);
             return;
         }
         let m = self.m;
-        // q_hat = floor(floor(x / beta^(m-1)) * mu / beta^(cap-m+1)).
+        // q_hat = floor(floor(x / beta^(m-1)) * mu / beta^(cap-m+1)). The
+        // top limb of mu (1 for a bit-normalized n) is added by one linear
+        // pass, so a power-of-two m keeps a power-of-two transform.
         let q1 = high_limb_slice(x, m - 1);
+        let (mu_top, mu_low) = self.mu.limbs().split_last().unwrap_or((&0, &[]));
         let mut t1 = crate::arena::take(q1.len() + self.mu.limb_len());
-        crate::mul::mul_slices_into(q1, self.mu.limbs(), &mut t1);
-        let q3 = high_limb_slice(&t1, self.cap - m + 1);
-        // r = x - q_hat*n, computed mod beta^(m+1): the true value lies in
-        // [0, (3 + slack) n) which is far below beta^(m+1), so the low
-        // limbs determine it. The fixed-width subtraction ignoring the
-        // final borrow IS the mod-beta^(m+1) arithmetic (a wrapped result
-        // equals r1 + beta^k - r2).
+        crate::mul::mul_slices_into(q1, mu_low, &mut t1);
+        t1.resize(q1.len() + self.mu.limb_len(), 0);
+        add_mul_slice(&mut t1[mu_low.len()..], q1, *mu_top);
+        let q3 = crate::mul::trim(high_limb_slice(&t1, self.cap - m + 1));
+        if let Some(q) = quotient.as_deref_mut() {
+            q[..q3.len()].copy_from_slice(q3);
+        }
+        // r = x - q_hat*n lies in [0, (3 + slack) n), far below
+        // beta^(m+1), so any modulus above that determines it.
         let k = m + 1;
         let mut t2 = crate::arena::take(q3.len() + m);
-        crate::mul::mul_slices_into(q3, n.limbs(), &mut t2);
-        out.extend_from_slice(&x[..k.min(x.len())]);
-        out.resize(k, 0);
-        let r2 = &t2[..k.min(t2.len())];
-        let _wrap = sub_assign_slice(out, r2);
+        let wrapped = (q3.len().min(m) >= crate::NTT_THRESHOLD)
+            .then(|| crate::ntt::mul_wrapped_into(q3, n.limbs(), k + 1, &mut t2))
+            .flatten();
+        if let Some(len) = wrapped {
+            // Modulo beta^len - 1: a transform of about m limbs instead of
+            // the whole product's 2m. Fold x to len limbs, subtract, and
+            // undo the end-around borrow; the all-ones form of zero is the
+            // only value above beta^(m+1).
+            out.resize(len, 0);
+            for chunk in x.chunks(len) {
+                let mut carry = add_assign_slice(out, chunk);
+                while carry != 0 {
+                    carry = add_assign_slice(out, &[carry]);
+                }
+            }
+            if sub_assign_slice(out, &t2) != 0 {
+                sub_assign_slice(out, &[1]);
+            }
+            if effective_len(out) > k {
+                out.fill(0);
+            }
+            out.truncate(k);
+        } else {
+            // Modulo beta^(m+1): the fixed-width subtraction ignoring the
+            // final borrow IS that arithmetic (a wrapped result equals
+            // r1 + beta^k - r2).
+            crate::mul::mul_slices_into(q3, n.limbs(), &mut t2);
+            out.extend_from_slice(&x[..k.min(x.len())]);
+            out.resize(k, 0);
+            let r2 = &t2[..k.min(t2.len())];
+            let _wrap = sub_assign_slice(out, r2);
+        }
         crate::arena::put(t1);
         crate::arena::put(t2);
         let mut corrections = 0u32;
         while cmp_slices(out, n.limbs()) != Ordering::Less {
             if corrections == MAX_BARRETT_CORRECTIONS {
-                let r = Natural::from_limb_slice(x).div_rem(n).1;
+                let (q, r) = Natural::from_limb_slice(x).div_rem_knuth(n);
+                if let Some(dest) = quotient {
+                    dest.fill(0);
+                    dest[..q.limb_len()].copy_from_slice(q.limbs());
+                }
+                crate::arena::recycle(q);
                 let old = core::mem::replace(out, r.into_limbs());
                 crate::arena::put(old);
                 return;
@@ -439,7 +491,74 @@ impl Reciprocal {
             debug_assert_eq!(borrow, 0);
             corrections += 1;
         }
+        if let Some(q) = quotient {
+            let carry = add_assign_slice(q, &[u64::from(corrections)]);
+            debug_assert_eq!(carry, 0, "the quotient fits its limbs");
+        }
     }
+
+    /// `x mod n` for any length of `x` into `out` (unnormalized), and with
+    /// `quotient` (at least `len x - m + 1` limbs) `floor(x / n)` as well.
+    /// Values above the capacity fold from the top in chunks sized so every
+    /// step stays under it: `r < n < beta^m`, so `r * beta^take + chunk`
+    /// has at most `m + take <= cap` limbs, and its quotient is below
+    /// `beta^take` — each step's quotient fills its own `take` limbs.
+    fn fold_into(
+        &self,
+        x: &[u64],
+        n: &Natural,
+        out: &mut Vec<u64>,
+        mut quotient: Option<&mut [u64]>,
+    ) {
+        if x.len() <= self.cap {
+            self.step_into(x, n, out, quotient);
+            return;
+        }
+        let take_per_step = self.cap - self.m;
+        let mut pos = x.len() - self.cap;
+        self.step_into(
+            &x[pos..],
+            n,
+            out,
+            quotient.as_deref_mut().map(|q| &mut q[pos..]),
+        );
+        let mut window = crate::arena::take(self.cap);
+        while pos > 0 {
+            let take = take_per_step.min(pos);
+            pos -= take;
+            // window = r * beta^take + x[pos..pos+take], assembled
+            // without shifts: low limbs from the value, high from r.
+            window.clear();
+            window.extend_from_slice(&x[pos..pos + take]);
+            window.extend_from_slice(crate::mul::trim(out));
+            let q = quotient.as_deref_mut().map(|q| &mut q[pos..pos + take]);
+            self.step_into(&window, n, out, q);
+        }
+        crate::arena::put(window);
+    }
+}
+
+/// `(a / b, a mod b)` by Newton division: one reciprocal of `b` at capacity
+/// `min(len a, 2m)`, then the Barrett fold keeping each step's quotient.
+/// This is [`Natural::div_rem`] for divisors above
+/// [`BZ_THRESHOLD`](crate::BZ_THRESHOLD); it needs `a >= b` and `b` of at
+/// least two limbs.
+pub(crate) fn div_rem_newton(a: &Natural, b: &Natural) -> (Natural, Natural) {
+    debug_assert!(b.limb_len() >= 2 && a >= b);
+    let m = b.limb_len();
+    let cap = a.limb_len().min(2 * m).max(m + 1);
+    let recip = Reciprocal {
+        mu: invert_newton(b, cap),
+        m,
+        cap,
+        n_bits: b.bit_len(),
+    };
+    let mut q = crate::arena::take(a.limb_len() - m + 1);
+    q.resize(a.limb_len() - m + 1, 0);
+    let mut r = crate::arena::take(m + 1);
+    recip.fold_into(a.limbs(), b, &mut r, Some(&mut q));
+    crate::arena::recycle(recip.mu);
+    (Natural::from_limbs(q), Natural::from_limbs(r))
 }
 
 impl Natural {
@@ -447,8 +566,8 @@ impl Natural {
     /// [`Reciprocal`] of `n`. The result is the exact remainder —
     /// byte-identical to [`Natural::div_rem`]'s — for any operand sizes:
     /// values at or below the reciprocal's capacity reduce in one step
-    /// (two multiplies + at most two subtractions), larger values fold
-    /// top-down in capacity-sized chunks.
+    /// (two multiplies and a few correction subtractions), larger values
+    /// fold top-down in capacity-sized chunks.
     ///
     /// # Errors
     /// [`RecipError::ZeroModulus`] if `n` is zero;
@@ -495,30 +614,7 @@ impl Natural {
             out.normalize();
             return Ok(());
         }
-        if self.limb_len() <= recip.cap {
-            recip.step_into(self.limbs(), n, buf);
-            out.normalize();
-            return Ok(());
-        }
-        // Fold from the top in chunks sized so every step stays under the
-        // capacity: r < n < beta^m, so r * beta^take + chunk has at most
-        // m + take <= cap limbs.
-        let limbs = self.limbs();
-        let take_per_step = recip.cap - recip.m;
-        let mut pos = limbs.len() - recip.cap;
-        recip.step_into(&limbs[pos..], n, buf);
-        let mut window = crate::arena::take(recip.cap);
-        while pos > 0 {
-            let take = take_per_step.min(pos);
-            pos -= take;
-            // window = r * beta^take + limbs[pos..pos+take], assembled
-            // without shifts: low limbs from the value, high from r.
-            window.clear();
-            window.extend_from_slice(&limbs[pos..pos + take]);
-            window.extend_from_slice(crate::mul::trim(buf));
-            recip.step_into(&window, n, buf);
-        }
-        crate::arena::put(window);
+        recip.fold_into(self.limbs(), n, buf, None);
         out.normalize();
         Ok(())
     }
@@ -684,7 +780,7 @@ mod tests {
             (100, 60, 4),
             (120, 49, 5),
             (200, 100, 6),
-            (300, 129, 7), // divisor just above BZ_THRESHOLD
+            (2 * crate::BZ_THRESHOLD + 42, crate::BZ_THRESHOLD + 1, 7), // Newton division
         ] {
             let x = pseudo(xl, seed);
             let n = pseudo(nl, seed + 50);

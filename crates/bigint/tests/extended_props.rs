@@ -1,15 +1,11 @@
-//! Property tests for the extended arithmetic: NTT multiplication, integer
-//! square root, lcm, and cross-algorithm agreement at dispatch boundaries.
+//! Property tests for the extended arithmetic: NTT multiplication and
+//! cross-algorithm agreement at dispatch boundaries.
 
 use proptest::prelude::*;
 use wk_bigint::Natural;
 
 fn natural(max_limbs: usize) -> impl Strategy<Value = Natural> {
     proptest::collection::vec(any::<u64>(), 0..=max_limbs).prop_map(Natural::from_limbs)
-}
-
-fn nonzero_natural(max_limbs: usize) -> impl Strategy<Value = Natural> {
-    natural(max_limbs).prop_map(|n| if n.is_zero() { Natural::one() } else { n })
 }
 
 proptest! {
@@ -21,37 +17,6 @@ proptest! {
     #[test]
     fn ntt_matches_dispatched(a in natural(80), b in natural(80)) {
         prop_assert_eq!(wk_bigint::mul_ntt(&a, &b), &a * &b);
-    }
-
-    /// isqrt returns the exact floor square root.
-    #[test]
-    fn isqrt_bounds(a in natural(30)) {
-        let r = a.isqrt();
-        prop_assert!(r.square() <= a);
-        let r1 = &r + &Natural::one();
-        prop_assert!(r1.square() > a);
-    }
-
-    /// Perfect squares round-trip through isqrt.
-    #[test]
-    fn perfect_square_roundtrip(a in natural(15)) {
-        let sq = a.square();
-        prop_assert!(sq.is_perfect_square());
-        prop_assert_eq!(sq.isqrt(), a);
-    }
-
-    /// lcm * gcd == a * b.
-    #[test]
-    fn lcm_gcd_identity(a in nonzero_natural(12), b in nonzero_natural(12)) {
-        prop_assert_eq!(&a.lcm(&b) * &a.gcd(&b), &a * &b);
-    }
-
-    /// lcm is divisible by both arguments.
-    #[test]
-    fn lcm_is_common_multiple(a in nonzero_natural(8), b in nonzero_natural(8)) {
-        let l = a.lcm(&b);
-        prop_assert!((&l % &a).is_zero());
-        prop_assert!((&l % &b).is_zero());
     }
 
     /// NTT at asymmetric sizes (one operand far larger).

@@ -102,12 +102,13 @@ proptest! {
         prop_assert_eq!(&(&q * &b) + &r, a);
     }
 
-    // Forces the Burnikel-Ziegler path: divisors of BZ_THRESHOLD + 13 to
-    // 2·BZ_THRESHOLD + 64 limbs, with random top limbs and shifts and even
-    // recursion sizes, against dividends spanning several blocks.
+    // Forces the Newton path: divisors of BZ_THRESHOLD + 13 to
+    // 2·BZ_THRESHOLD + 64 limbs with random top limbs and shifts, against
+    // dividends of up to 8·BZ_THRESHOLD limbs, so single steps, short
+    // quotients and folds over several chunks all occur.
     #[test]
     fn division_identity_bz(
-        a in natural(800),
+        a in natural(8 * wk_bigint::BZ_THRESHOLD),
         b in nonzero_natural(2 * wk_bigint::BZ_THRESHOLD + 64),
     ) {
         let bits = 64 * (wk_bigint::BZ_THRESHOLD as u64 + 12);
