@@ -299,23 +299,27 @@ mod tests {
 
     #[test]
     fn division_matches_knuth() {
+        // Every divisor is above the cutoff, so each case runs Newton
+        // division against the Knuth reference.
+        let t = BZ_THRESHOLD;
         for (la, lb, seed) in [
-            (120, 60, 1),
-            (200, 100, 2),
-            (256, 96, 3),
-            (300, 97, 4),
-            (512, 200, 5),
+            (2 * (t + 1), t + 1, 1),
+            (2 * (t + 13), t + 13, 2),
+            (t + 52 + 5 * (t + 52) / 3, t + 52, 3),
+            (3 * (t + 53) + 9, t + 53, 4),
+            (t + 252 + 3 * (t + 252) / 2, t + 252, 5),
             (1500, 700, 6),
             (3000, 1400, 7), // past NTT_THRESHOLD: the steps multiply by transform
         ] {
+            assert!(lb > t, "lb={lb} is on the Knuth side of the cutoff");
             check_against_knuth(&pseudo(la, seed), &pseudo(lb, seed + 99), "random");
         }
     }
 
     #[test]
     fn division_identity_large() {
-        let a = pseudo(1000, 7);
-        let b = pseudo(333, 8);
+        let a = pseudo(3 * BZ_THRESHOLD + 4, 7);
+        let b = pseudo(BZ_THRESHOLD + 1, 8);
         check_div_identity(&a, &b);
     }
 

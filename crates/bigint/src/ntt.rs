@@ -35,9 +35,6 @@
 //!   product by one cyclic convolution that only has to cover the longer
 //!   operand and the window's top: the coefficients that wrap around land
 //!   below the window's two guard limbs, where nothing is read.
-//! * **Wrapped products.** [`mul_wrapped_into`] gives a product modulo
-//!   `β^L − 1` from one cyclic convolution of length `L`, for a Barrett
-//!   step that only needs the low limbs of `q̂·n`.
 //!
 //! The dispatcher turns NTT on at [`NTT_THRESHOLD`] limbs, the middle
 //! product at [`MIDDLE_NTT_THRESHOLD`](crate::MIDDLE_NTT_THRESHOLD).
@@ -567,32 +564,6 @@ pub(crate) fn mul_into(a: &[u64], b: &[u64], out: &mut Vec<u64>) -> bool {
     true
 }
 
-/// `out = a · b mod (β^L − 1)` over a transform length `L` of at least
-/// `min_len` limbs, returning `L`; `a` and `b` trimmed and nonempty. The
-/// cyclic convolution of length `L` is the product modulo `x^L − 1`, so at
-/// `x = β` the limbs above `L` wrap to the bottom. `out` holds `L` limbs,
-/// a value congruent to the product; `β^L − 1` may stand for zero.
-/// Returns `None`, leaving `out` alone, when `L` is beyond the primes'
-/// roots.
-pub(crate) fn mul_wrapped_into(
-    a: &[u64],
-    b: &[u64],
-    min_len: usize,
-    out: &mut Vec<u64>,
-) -> Option<usize> {
-    let shape = Shape::for_coefficients(a.len().max(b.len()).max(min_len).max(3))?;
-    let len = shape.len();
-    let rhs = if a == b { Rhs::Same } else { Rhs::Limbs(b) };
-    let carry = convolve(a, rhs, shape, 0..len, out);
-    // β^L ≡ 1: the pending limbs re-enter at the bottom, and so does the
-    // end-around carry (at most twice).
-    let mut c = crate::limb::add_assign_slice(out, &carry);
-    while c != 0 {
-        c = crate::limb::add_assign_slice(out, &[c]);
-    }
-    Some(len)
-}
-
 /// The truncated middle product `out` = limbs `[lo, lo + len)` of
 /// `Σ_{j ≥ lo − 2} c_j·β^j` (see [`Natural::mul_middle`]) by one cyclic
 /// convolution, `a` and `b` trimmed and nonempty. The transform only has
@@ -805,20 +776,6 @@ mod tests {
         let a = pseudo(50, 5);
         assert_eq!(mul_ntt(&a, &Natural::zero()), Natural::zero());
         assert_eq!(mul_ntt(&Natural::one(), &a), a);
-    }
-
-    /// The wrapped product against the full product reduced by hand.
-    #[test]
-    fn wrapped_product_matches_full_mod_beta_l_minus_one() {
-        for (la, lb, min_len, seed) in [(5, 3, 4, 1), (300, 290, 310, 2), (700, 400, 702, 3)] {
-            let (a, b) = (pseudo(la, seed), pseudo(lb, seed + 7));
-            let mut out = Vec::new();
-            let len = mul_wrapped_into(a.limbs(), b.limbs(), min_len, &mut out).expect("in range");
-            assert!(len >= min_len.max(la).max(lb) && out.len() == len);
-            let modulus = &(&Natural::one() << (64 * len as u64)) - &Natural::one();
-            let got = &Natural::from_limbs(out) % &modulus;
-            assert_eq!(got, &(&a * &b) % &modulus, "la={la} lb={lb}");
-        }
     }
 
     #[test]

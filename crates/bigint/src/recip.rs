@@ -436,42 +436,18 @@ impl Reciprocal {
         if let Some(q) = quotient.as_deref_mut() {
             q[..q3.len()].copy_from_slice(q3);
         }
-        // r = x - q_hat*n lies in [0, (3 + slack) n), far below
-        // beta^(m+1), so any modulus above that determines it.
+        // r = x - q_hat*n, computed mod beta^(m+1): the true value lies in
+        // [0, (3 + slack) n) which is far below beta^(m+1), so the low
+        // limbs determine it. The fixed-width subtraction ignoring the
+        // final borrow IS the mod-beta^(m+1) arithmetic (a wrapped result
+        // equals r1 + beta^k - r2).
         let k = m + 1;
         let mut t2 = crate::arena::take(q3.len() + m);
-        let wrapped = (q3.len().min(m) >= crate::NTT_THRESHOLD)
-            .then(|| crate::ntt::mul_wrapped_into(q3, n.limbs(), k + 1, &mut t2))
-            .flatten();
-        if let Some(len) = wrapped {
-            // Modulo beta^len - 1: a transform of about m limbs instead of
-            // the whole product's 2m. Fold x to len limbs, subtract, and
-            // undo the end-around borrow; the all-ones form of zero is the
-            // only value above beta^(m+1).
-            out.resize(len, 0);
-            for chunk in x.chunks(len) {
-                let mut carry = add_assign_slice(out, chunk);
-                while carry != 0 {
-                    carry = add_assign_slice(out, &[carry]);
-                }
-            }
-            if sub_assign_slice(out, &t2) != 0 {
-                sub_assign_slice(out, &[1]);
-            }
-            if effective_len(out) > k {
-                out.fill(0);
-            }
-            out.truncate(k);
-        } else {
-            // Modulo beta^(m+1): the fixed-width subtraction ignoring the
-            // final borrow IS that arithmetic (a wrapped result equals
-            // r1 + beta^k - r2).
-            crate::mul::mul_slices_into(q3, n.limbs(), &mut t2);
-            out.extend_from_slice(&x[..k.min(x.len())]);
-            out.resize(k, 0);
-            let r2 = &t2[..k.min(t2.len())];
-            let _wrap = sub_assign_slice(out, r2);
-        }
+        crate::mul::mul_slices_into(q3, n.limbs(), &mut t2);
+        out.extend_from_slice(&x[..k.min(x.len())]);
+        out.resize(k, 0);
+        let r2 = &t2[..k.min(t2.len())];
+        let _wrap = sub_assign_slice(out, r2);
         crate::arena::put(t1);
         crate::arena::put(t2);
         let mut corrections = 0u32;
