@@ -45,7 +45,8 @@ use crate::classic::{merge_divisor, BatchGcdResult, BatchStats};
 use crate::durable::{self, Frame, FrameError, FrameHeader, FRAME_HEADER_LEN};
 use crate::pool::WorkerPool;
 use crate::resolve::resolve_with_hits;
-use crate::tree::{product_root, ProductTree, TreeError};
+use crate::tree::{product_root, DescentScratch, ProductTree, TreeError};
+use std::cell::Cell;
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, BufReader, Read, Write};
@@ -970,6 +971,15 @@ pub fn assemble_from_shard_roots(
     run_sharded(store, Some(shard_products), threads, true)
 }
 
+thread_local! {
+    /// The shard leaf phase's descent buffers (level images and leaf
+    /// residues), kept per worker thread across the shards it claims so a
+    /// warmed shard descent allocates nothing. A shard task takes them and
+    /// puts them back, so a nested shard task on the same thread starts
+    /// from empty buffers instead of aliasing them.
+    static LEAF_DESCENT: Cell<(DescentScratch, Vec<Natural>)> = Cell::default();
+}
+
 /// The one sharded driver, behind [`sharded_batch_gcd`],
 /// [`assemble_from_shard_roots`] and
 /// [`TreeCache::build`](crate::incremental::TreeCache::build). Phase 1 runs
@@ -1045,20 +1055,20 @@ pub(crate) fn run_sharded(
                 let tree_bytes = tree.total_bytes();
                 // The seed is (P/root) mod root from the top descent —
                 // exactly this tree's cofactor seed. The descent stays on
-                // the claiming worker; the seed and the tree recycle after
-                // it.
-                let rems = tree.remainder_tree_cofactor_local(&seed);
+                // the claiming worker, in the buffers it kept from its last
+                // shard; the seed and the tree recycle after it.
+                let (mut scratch, mut rems) = LEAF_DESCENT.take();
+                tree.remainder_tree_cofactor_local_into(&seed, &mut scratch, &mut rems);
                 wk_bigint::arena::recycle(seed);
                 tree.recycle();
-                // One metered task (the single-closure fast path runs it
+                // One metered task (the single-item fast path runs it
                 // inline) keeps the gcd work attributed to its domain.
-                let moduli_ref = &moduli;
                 let divisors: Vec<Option<Natural>> = pool
                     .exec_in(gcd_domain)
-                    .run_tasks(vec![move || {
-                        moduli_ref
+                    .map(vec![&mut rems], |rems| {
+                        moduli
                             .iter()
-                            .zip(rems)
+                            .zip(rems.drain(..))
                             .map(|(n, zn)| {
                                 let mut divisor = None;
                                 merge_divisor(&mut divisor, n, &zn);
@@ -1066,9 +1076,10 @@ pub(crate) fn run_sharded(
                                 divisor
                             })
                             .collect::<Vec<_>>()
-                    }])
+                    })
                     .pop()
                     .unwrap_or_default();
+                LEAF_DESCENT.set((scratch, rems));
                 Ok((ShardLeaves::new(moduli, divisors), tree_bytes))
             }
         })

@@ -14,9 +14,9 @@
 //! * a thread waiting on a batch *helps* — it keeps executing queued tasks,
 //!   which makes nested submissions (a distributed node task building its
 //!   product tree on the same pool) deadlock-free;
-//! * executed tasks, steals, and per-slot busy time are counted globally and
-//!   per [`ExecDomain`], so each algorithm phase can report executor
-//!   metrics (see `BatchStats` and `ClusterReport`). A task's busy time is
+//! * executed tasks are counted globally, and tasks, steals and per-slot
+//!   busy time per [`ExecDomain`], so each algorithm phase can report
+//!   executor metrics (see `BatchStats` and `ClusterReport`). A task's busy time is
 //!   its *self* time: the metered tasks it runs inline or helps with while
 //!   it waits are counted in their own domains, not again in its.
 //!
@@ -220,7 +220,6 @@ struct Shared {
     wake: Condvar,
     shutdown: AtomicBool,
     tasks_total: AtomicU64,
-    steals_total: AtomicU64,
 }
 
 impl Shared {
@@ -262,9 +261,6 @@ impl Shared {
         let nested = NESTED_BUSY.get();
         NESTED_BUSY.set(outer + if domain.is_some() { wall } else { nested });
         self.tasks_total.fetch_add(1, Ordering::Relaxed); // lint:atomics(metrics) lifetime task tally, reporting only
-        if stolen {
-            self.steals_total.fetch_add(1, Ordering::Relaxed); // lint:atomics(metrics) lifetime steal tally, reporting only
-        }
         if let Some(domain) = domain {
             domain.record(me, wall.saturating_sub(nested), stolen);
         }
@@ -340,7 +336,6 @@ impl WorkerPool {
             wake: Condvar::new(),
             shutdown: AtomicBool::new(false),
             tasks_total: AtomicU64::new(0),
-            steals_total: AtomicU64::new(0),
         });
         let handles = (1..slots)
             .map(|me| {
@@ -359,11 +354,6 @@ impl WorkerPool {
     /// Tasks executed over the pool's lifetime.
     pub fn total_tasks(&self) -> u64 {
         self.shared.tasks_total.load(Ordering::Relaxed) // lint:atomics(metrics) reporting read, no decision made on it
-    }
-
-    /// Steals over the pool's lifetime.
-    pub fn total_steals(&self) -> u64 {
-        self.shared.steals_total.load(Ordering::Relaxed) // lint:atomics(metrics) reporting read, no decision made on it
     }
 
     /// Create a metrics domain sized for this pool.
@@ -498,11 +488,6 @@ pub struct Exec<'a> {
 }
 
 impl<'a> Exec<'a> {
-    /// The underlying pool.
-    pub fn pool(&self) -> &'a WorkerPool {
-        self.pool
-    }
-
     /// Map `f` over `items` on the pool, preserving input order.
     pub fn map<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
     where

@@ -177,19 +177,6 @@ impl ProductTree {
         e * nom - (e - 1) * min + GUARD_LIMBS
     }
 
-    /// `job`'s value reduced by the root when it is more than twice the
-    /// root's length, or `None` when it seeds the image as it is. A foreign
-    /// value many times the root takes this one exact reduction, so the
-    /// root's inverse stays at the root's own size.
-    fn seed_value(&self, job: Descent<'_>) -> Option<Natural> {
-        let (root, value) = (self.root(), job.value());
-        (value.limb_len() > 2 * root.limb_len()).then(|| {
-            let (q, r) = value.div_rem(root);
-            arena::recycle(q);
-            r
-        })
-    }
-
     /// The precision `k` of `job`'s root image and the limbs
     /// `K ≥ k + len(x) + 1` of the inverse `⌊β^K / R⌋` of the root `R` it
     /// needs for a seed value `x`: with those, the inverse's few units of
@@ -203,17 +190,21 @@ impl ProductTree {
     }
 
     /// `Z_R ≈ frac(x / R)·β^k` for `job`, `R` the root: the `k` limbs of
-    /// `x·⌊β^cap / R⌋` just below limb `cap`.
+    /// `x·⌊β^cap / R⌋` just below limb `cap`. The seed value `x` is `job`'s
+    /// value as it is, or reduced by the root when it is more than twice
+    /// the root's length: a foreign value many times the root takes this
+    /// one exact reduction, so the root's inverse stays at the root's own
+    /// size.
     fn root_image(&self, job: Descent<'_>, inverse: &Natural, cap: usize) -> Natural {
-        let (k, _) = self.seed_limbs(job);
-        match self.seed_value(job) {
-            Some(x) => {
-                let image = x.mul_middle(inverse, cap - k, k);
-                arena::recycle(x);
-                image
-            }
-            None => job.value().mul_middle(inverse, cap - k, k),
+        let ((k, _), root, value) = (self.seed_limbs(job), self.root(), job.value());
+        if value.limb_len() <= 2 * root.limb_len() {
+            return value.mul_middle(inverse, cap - k, k);
         }
+        let (q, x) = value.div_rem(root);
+        arena::recycle(q);
+        let image = x.mul_middle(inverse, cap - k, k);
+        arena::recycle(x);
+        image
     }
 
     /// The images of the children of node `j` at `level + 1`, from its
@@ -301,24 +292,69 @@ impl ProductTree {
         r
     }
 
-    /// The descent loop: push a root image down level by level on `exec`, one
-    /// task per node with children, rounding the leaves in their parents'
-    /// tasks. Wide levels dispatch in contiguous chunks.
-    fn descend(&self, e: usize, root_image: Natural, exec: Exec<'_>) -> Vec<Natural> {
+    /// The descent loop: push a root image down level by level through
+    /// `scratch`'s level buffers, rounding the leaves into `out`. On a pool
+    /// `exec` each level runs one task per node with children (wide levels
+    /// in contiguous chunks), and the leaves round in their parents' tasks;
+    /// without one, the nodes step in place on the calling thread.
+    fn descend(
+        &self,
+        e: usize,
+        root_image: Natural,
+        exec: Option<Exec<'_>>,
+        scratch: &mut DescentScratch,
+        out: &mut Vec<Natural>,
+    ) {
         if self.levels.len() == 1 {
-            return vec![self.finish(e, 0, root_image)];
+            out.push(self.finish(e, 0, root_image));
+            return;
         }
-        let mut current = vec![root_image];
+        let DescentScratch { cur, next } = scratch;
+        cur.push(root_image);
         for level in (0..self.levels.len() - 1).rev() {
-            let parents: Vec<(usize, Natural)> = current.into_iter().enumerate().collect();
-            let children = exec.map_chunked(parents, |(j, z)| self.step(e, level, j, z));
-            current = Vec::with_capacity(self.levels[level].len());
-            for (l, r) in children {
-                current.push(l);
-                current.extend(r);
+            let into = if level == 0 { &mut *out } else { &mut *next };
+            let parents = cur.drain(..).enumerate();
+            let step = |(j, z)| self.step(e, level, j, z);
+            let push = |(l, r): (Natural, Option<Natural>)| {
+                into.push(l);
+                into.extend(r);
+            };
+            match exec {
+                Some(exec) => exec
+                    .map_chunked(parents.collect(), step)
+                    .into_iter()
+                    .for_each(push),
+                None => parents.map(step).for_each(push),
             }
+            core::mem::swap(cur, next);
         }
-        current
+    }
+
+    /// Run `jobs` down this tree in order, sharing one Newton inverse of
+    /// the root, and hand each job's leaf residues in `out` to
+    /// `each(j, out)`.
+    fn descents<F>(
+        &self,
+        jobs: &[Descent<'_>],
+        exec: Option<Exec<'_>>,
+        scratch: &mut DescentScratch,
+        out: &mut Vec<Natural>,
+        mut each: F,
+    ) where
+        F: FnMut(usize, &mut Vec<Natural>),
+    {
+        let cap = jobs
+            .iter()
+            .map(|&job| self.seed_limbs(job).1)
+            .max()
+            .unwrap_or(0);
+        let inverse = invert_newton(self.root(), cap);
+        for (j, &job) in jobs.iter().enumerate() {
+            let image = self.root_image(job, &inverse, cap);
+            self.descend(job.power(), image, exec, scratch, out);
+            each(j, out);
+        }
+        arena::recycle(inverse);
     }
 
     /// Run several descents of this tree, in job order, sharing one Newton
@@ -331,17 +367,10 @@ impl ProductTree {
     where
         F: FnMut(usize, Vec<Natural>),
     {
-        let cap = jobs
-            .iter()
-            .map(|&job| self.seed_limbs(job).1)
-            .max()
-            .unwrap_or(0);
-        let inverse = invert_newton(self.root(), cap);
-        for (j, &job) in jobs.iter().enumerate() {
-            let image = self.root_image(job, &inverse, cap);
-            each(j, self.descend(job.power(), image, exec));
-        }
-        arena::recycle(inverse);
+        let scratch = &mut DescentScratch::default();
+        self.descents(jobs, Some(exec), scratch, &mut Vec::new(), |j, out| {
+            each(j, core::mem::take(out))
+        });
     }
 
     /// Compute `(V/leaf_i) mod leaf_i` for every leaf, for any `V` the root
@@ -370,55 +399,32 @@ impl ProductTree {
     }
 
     /// The cofactor descent on the calling thread, no pool dispatch — the
-    /// shard-leaf counterpart of
+    /// in-task counterpart of
     /// [`remainder_tree_cofactor`](ProductTree::remainder_tree_cofactor),
-    /// through the same seed, child and leaf steps. The enclosing tree's
-    /// cofactor descent hands each shard exactly the `(P / R) mod R` seed
-    /// this wants, `R` the shard's root.
-    pub fn remainder_tree_cofactor_local(&self, cofactor_rem: &Natural) -> Vec<Natural> {
-        let mut scratch = DescentScratch::default();
-        let mut out = Vec::new();
-        self.remainder_tree_cofactor_local_into(cofactor_rem, &mut scratch, &mut out);
-        out
-    }
-
-    /// [`remainder_tree_cofactor_local`](ProductTree::remainder_tree_cofactor_local)
-    /// writing into caller-owned buffers. `scratch` holds the per-level
+    /// through the same seed and descent loop. The shard leaf phase runs it
+    /// inside each shard's task: the enclosing tree's cofactor descent
+    /// hands each shard exactly the `(P / R) mod R` seed this wants, `R`
+    /// the shard's root.
+    ///
+    /// It writes into caller-owned buffers. `scratch` holds the per-level
     /// images and `out` receives the leaf residues; both keep their
     /// capacity across calls, and every `Natural` they held from a previous
-    /// pass is recycled through the arena on entry. A warmed (second and
-    /// later) pass over same-shaped trees therefore performs no heap
-    /// allocation — the property the `zero_alloc` test pins.
+    /// pass is recycled through the arena on entry. The shard leaf phase
+    /// keeps one pair per worker thread across the shards it claims, so a
+    /// warmed (second and later) pass over same-shaped trees performs no
+    /// heap allocation — the property the `zero_alloc` test pins.
     pub fn remainder_tree_cofactor_local_into(
         &self,
         cofactor_rem: &Natural,
         scratch: &mut DescentScratch,
         out: &mut Vec<Natural>,
     ) {
-        scratch.reset();
-        for dead in out.drain(..) {
+        let DescentScratch { cur, next } = scratch;
+        for dead in cur.drain(..).chain(next.drain(..)).chain(out.drain(..)) {
             arena::recycle(dead);
         }
-        let job = Descent::Cofactor(cofactor_rem);
-        let (e, (_, cap)) = (job.power(), self.seed_limbs(job));
-        let inverse = invert_newton(self.root(), cap);
-        let root_image = self.root_image(job, &inverse, cap);
-        arena::recycle(inverse);
-        if self.levels.len() == 1 {
-            out.push(self.finish(e, 0, root_image));
-            return;
-        }
-        let DescentScratch { cur, next } = scratch;
-        cur.push(root_image);
-        for level in (0..self.levels.len() - 1).rev() {
-            let into = if level == 0 { &mut *out } else { &mut *next };
-            for (j, z) in cur.drain(..).enumerate() {
-                let (l, r) = self.step(e, level, j, z);
-                into.push(l);
-                into.extend(r);
-            }
-            core::mem::swap(cur, next);
-        }
+        let jobs = [Descent::Cofactor(cofactor_rem)];
+        self.descents(&jobs, None, scratch, out, |_, _| {});
     }
 }
 
@@ -457,8 +463,8 @@ impl Descent<'_> {
     }
 }
 
-/// Reusable level buffers for the local (in-task) descent. Holding one of
-/// these across shards lets
+/// The descent loop's level buffers. Holding one of these across shards
+/// lets
 /// [`remainder_tree_cofactor_local_into`](ProductTree::remainder_tree_cofactor_local_into)
 /// run without container allocation once warmed; the `Natural`s inside are
 /// recycled through the limb arena between passes, never stored beyond one
@@ -467,18 +473,6 @@ impl Descent<'_> {
 pub struct DescentScratch {
     cur: Vec<Natural>,
     next: Vec<Natural>,
-}
-
-impl DescentScratch {
-    /// Recycle any held images and empty both buffers, keeping capacity.
-    fn reset(&mut self) {
-        for dead in self.cur.drain(..) {
-            arena::recycle(dead);
-        }
-        for dead in self.next.drain(..) {
-            arena::recycle(dead);
-        }
-    }
 }
 
 /// Pair up adjacent nodes of one level by reference: `[a, b, c]` becomes
@@ -528,6 +522,13 @@ mod tests {
     fn plain(tree: &ProductTree, value: &Natural, exec: Exec<'_>) -> Vec<Natural> {
         let mut out = Vec::new();
         tree.remainder_trees(&[Descent::Plain(value)], exec, |_, leaves| out = leaves);
+        out
+    }
+
+    /// The in-task cofactor descent on fresh buffers.
+    fn in_task(tree: &ProductTree, seed: &Natural) -> Vec<Natural> {
+        let mut out = Vec::new();
+        tree.remainder_tree_cofactor_local_into(seed, &mut DescentScratch::default(), &mut out);
         out
     }
 
@@ -620,8 +621,7 @@ mod tests {
             let root = tree.root().clone();
             // V = root: r_i = (P/N_i) mod N_i.
             let rems = tree.remainder_tree_cofactor(&Natural::one(), seq().exec());
-            let local = tree.remainder_tree_cofactor_local(&Natural::one());
-            assert_eq!(rems, local);
+            assert_eq!(rems, in_task(&tree, &Natural::one()));
             for (m, r) in moduli.iter().zip(rems.iter()) {
                 let (cof, rem) = root.div_rem(m);
                 assert!(rem.is_zero());
@@ -631,6 +631,7 @@ mod tests {
             let v = &root * &nat(7);
             let seed = &nat(7) % &root;
             let rems = tree.remainder_tree_cofactor(&seed, seq().exec());
+            assert_eq!(rems, in_task(&tree, &seed));
             for (m, r) in moduli.iter().zip(rems.iter()) {
                 let (cof, rem) = v.div_rem(m);
                 assert!(rem.is_zero());

@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use wk_batchgcd::{
     batch_gcd, distributed_batch_gcd, incremental_batch_gcd, scratch_dir, sharded_batch_gcd,
-    ClusterConfig, Descent, Exec, ProductTree, ShardStore, TreeCache, WorkerPool,
+    ClusterConfig, Descent, DescentScratch, Exec, ProductTree, ShardStore, TreeCache, WorkerPool,
 };
 use wk_bigint::Natural;
 use wk_keygen::{KeygenBehavior, ModelKeygen, PrimeShaping};
@@ -21,6 +21,13 @@ use wk_keygen::{KeygenBehavior, ModelKeygen, PrimeShaping};
 fn plain(tree: &ProductTree, value: &Natural, exec: Exec<'_>) -> Vec<Natural> {
     let mut out = Vec::new();
     tree.remainder_trees(&[Descent::Plain(value)], exec, |_, leaves| out = leaves);
+    out
+}
+
+/// The in-task cofactor descent (the shard leaf phase's) on fresh buffers.
+fn in_task(tree: &ProductTree, seed: &Natural) -> Vec<Natural> {
+    let mut out = Vec::new();
+    tree.remainder_tree_cofactor_local_into(seed, &mut DescentScratch::default(), &mut out);
     out
 }
 
@@ -129,10 +136,10 @@ fn cofactor_leaves_factor_the_squared_leaves() {
     let tree = ProductTree::build(&moduli, pool.exec_in(&domain)).unwrap();
 
     let cofactor = tree.remainder_tree_cofactor(&Natural::one(), pool.exec_in(&domain));
-    let cofactor_local = tree.remainder_tree_cofactor_local(&Natural::one());
     assert_eq!(
-        cofactor, cofactor_local,
-        "parallel vs serial cofactor descent"
+        cofactor,
+        in_task(&tree, &Natural::one()),
+        "pool vs in-task cofactor descent"
     );
 
     let root = tree.root().clone();
@@ -144,6 +151,22 @@ fn cofactor_leaves_factor_the_squared_leaves() {
             "P mod N^2 != r_N * N for modulus {n:?}"
         );
         assert!(r < n, "cofactor leaf not fully reduced");
+    }
+}
+
+#[test]
+fn warmed_scratch_descends_a_smaller_odd_shard() {
+    // The shard leaf phase reuses one scratch and leaf buffer per worker:
+    // here a full capacity-64 shard of 1024-bit moduli, then a store's
+    // short, odd-sized last shard, whose leaves must match the pool arm.
+    let pool = WorkerPool::new(2);
+    let (mut scratch, mut out) = (DescentScratch::default(), Vec::new());
+    for (count, seed) in [(64, 0x5eed), (13, 0x1a57)] {
+        let tree = ProductTree::build(&odd_moduli(count, 16, seed), pool.exec()).unwrap();
+        let cofactor = tree.root() - &Natural::one();
+        tree.remainder_tree_cofactor_local_into(&cofactor, &mut scratch, &mut out);
+        assert_eq!(out, tree.remainder_tree_cofactor(&cofactor, pool.exec()));
+        assert_eq!(out.len(), count);
     }
 }
 
@@ -226,10 +249,7 @@ fn assert_leaves_exact(moduli: &[Natural], values: &[Natural]) {
     let tree = ProductTree::build(moduli, pool.exec_in(&domain)).unwrap();
     let root = tree.root().clone();
     let cofactor = tree.remainder_tree_cofactor(&Natural::one(), pool.exec_in(&domain));
-    assert_eq!(
-        cofactor,
-        tree.remainder_tree_cofactor_local(&Natural::one())
-    );
+    assert_eq!(cofactor, in_task(&tree, &Natural::one()));
     for (i, (n, r)) in moduli.iter().zip(&cofactor).enumerate() {
         let (q, rem) = root.div_rem(n);
         assert!(rem.is_zero());

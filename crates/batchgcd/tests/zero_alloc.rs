@@ -1,7 +1,8 @@
 //! Counting-allocator proof that the steady-state cofactor descent is
-//! allocation-free (DESIGN.md §13). It is the scaled remainder descent
-//! every batch-GCD entry point runs: a Newton inverse of the root, then one
-//! middle product per node.
+//! allocation-free (DESIGN.md §13). It pins the in-task shard descent the
+//! sharded leaf phase runs on per-worker buffers; the pool descent shares
+//! its seed (a Newton inverse of the root) and its loop (one middle
+//! product per node).
 //!
 //! A warmed [`ProductTree::remainder_tree_cofactor_local_into`] pass —
 //! same tree, caller-owned [`DescentScratch`] and output vector, limb

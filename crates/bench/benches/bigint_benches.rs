@@ -19,7 +19,8 @@ fn ablation_mul_algorithms(c: &mut Criterion) {
     group.sample_size(10);
     // Sizes straddle the Karatsuba (64 limbs) and NTT (320) thresholds and
     // reach the top of a 1,024-modulus 1024-bit product tree (8,192).
-    // `toom3` is the transform-free reference (`mul_toom3` never uses NTT).
+    // `karatsuba` is the transform-free dispatcher (`mul_toom3`: Karatsuba
+    // over schoolbook, no NTT at any size).
     for limbs in [16usize, 64, 256, 320, 1024, 4096, 8192] {
         let a = random_natural(limbs, 1);
         let b = random_natural(limbs, 2);
@@ -32,7 +33,7 @@ fn ablation_mul_algorithms(c: &mut Criterion) {
             });
         }
         if limbs >= 256 {
-            group.bench_with_input(BenchmarkId::new("toom3", limbs), &limbs, |bch, _| {
+            group.bench_with_input(BenchmarkId::new("karatsuba", limbs), &limbs, |bch, _| {
                 bch.iter(|| black_box(&a).mul_toom3(black_box(&b)))
             });
             group.bench_with_input(BenchmarkId::new("ntt", limbs), &limbs, |bch, _| {

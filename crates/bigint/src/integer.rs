@@ -1,12 +1,12 @@
 //! Signed arbitrary-precision integers.
 //!
 //! [`Integer`] is a thin sign-magnitude wrapper over [`Natural`], used where
-//! intermediates can go negative: Toom-3 interpolation and the extended
+//! intermediates can go negative: the Bézout coefficients of the extended
 //! Euclidean algorithm.
 
 use crate::natural::Natural;
 use core::cmp::Ordering;
-use core::ops::{Add, Mul, Neg, Shl, Shr, Sub};
+use core::ops::{Add, Mul, Neg, Sub};
 
 /// Sign of an [`Integer`]. Zero always carries [`Sign::Zero`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -72,30 +72,6 @@ impl Integer {
     /// Borrow the magnitude.
     pub fn magnitude(&self) -> &Natural {
         &self.magnitude
-    }
-
-    /// Consume into the magnitude, discarding the sign.
-    pub fn into_magnitude(self) -> Natural {
-        self.magnitude
-    }
-
-    /// Convert to a [`Natural`], panicking (with `context`) if negative.
-    /// Used where an algorithm invariant guarantees nonnegativity, e.g.
-    /// Toom-3 interpolated coefficients.
-    pub fn into_natural_checked(self, context: &str) -> Natural {
-        assert!(
-            self.sign != Sign::Negative,
-            "negative intermediate in {context}"
-        );
-        self.magnitude
-    }
-
-    /// Exact division by a small limb; panics if the division is not exact.
-    /// Used by Toom-3 interpolation (division by 3 is always exact there).
-    pub fn div_exact_limb(&self, d: u64) -> Integer {
-        let (q, r) = self.magnitude.div_rem_limb(d);
-        assert_eq!(r, 0, "div_exact_limb: remainder {r} dividing by {d}");
-        Integer::from_sign_magnitude(self.is_negative(), q)
     }
 }
 
@@ -187,36 +163,6 @@ impl Mul<&Integer> for &Integer {
     }
 }
 
-impl Shl<u64> for &Integer {
-    type Output = Integer;
-    fn shl(self, bits: u64) -> Integer {
-        Integer::from_sign_magnitude(self.is_negative(), &self.magnitude << bits)
-    }
-}
-
-/// Arithmetic right shift, exact-division semantics: only used in Toom-3
-/// where the shifted value is known to be even; panics otherwise so the
-/// exactness invariant is enforced rather than silently truncated.
-impl Shr<u64> for &Integer {
-    type Output = Integer;
-    fn shr(self, bits: u64) -> Integer {
-        debug_assert!(
-            self.magnitude.trailing_zeros().is_none_or(|t| t >= bits),
-            "inexact right shift of Integer"
-        );
-        Integer::from_sign_magnitude(self.is_negative(), &self.magnitude >> bits)
-    }
-}
-
-/// Division by a small limb, used in Toom-3 interpolation (`w / 3`); must be
-/// exact.
-impl core::ops::Div<u64> for &Integer {
-    type Output = Integer;
-    fn div(self, d: u64) -> Integer {
-        self.div_exact_limb(d)
-    }
-}
-
 impl core::fmt::Debug for Integer {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         if self.is_negative() {
@@ -262,29 +208,5 @@ mod tests {
         assert!(i(-2) < i(0));
         assert!(i(0) < i(3));
         assert!(i(3) < i(10));
-    }
-
-    #[test]
-    fn exact_division_by_three() {
-        assert_eq!(i(-9).div_exact_limb(3), i(-3));
-        assert_eq!(i(0).div_exact_limb(3), i(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "remainder")]
-    fn inexact_division_panics() {
-        let _ = i(10).div_exact_limb(3);
-    }
-
-    #[test]
-    #[should_panic(expected = "negative intermediate")]
-    fn negative_into_natural_panics() {
-        let _ = i(-1).into_natural_checked("test");
-    }
-
-    #[test]
-    fn shifts_preserve_sign() {
-        assert_eq!(&i(-4) << 2u64, i(-16));
-        assert_eq!(&i(-16) >> 2u64, i(-4));
     }
 }

@@ -6,13 +6,13 @@
 //! feasibility argument assumes sub-quadratic multiplication and division,
 //! which this crate provides:
 //!
-//! * [`Natural`] — unsigned big integers: schoolbook / Karatsuba / Toom-3 /
+//! * [`Natural`] — unsigned big integers: schoolbook / Karatsuba /
 //!   three-prime NTT multiplication, short / Knuth-D / Newton division
 //!   (Barrett steps on a [`Reciprocal`]), binary and Lehmer GCD, extended
 //!   GCD, Montgomery modular exponentiation, Miller-Rabin primality, random
 //!   generation over any [`rand::RngCore`].
 //! * [`Integer`] — sign-magnitude signed integers for algorithms with
-//!   negative intermediates (Toom-3 interpolation, extended Euclid).
+//!   negative intermediates (the extended Euclidean algorithm).
 //!
 //! The crate replaces GMP in the original study's toolchain (see DESIGN.md,
 //! substitution table). Routines are **not constant-time**: the reproduction

@@ -1,5 +1,4 @@
-//! Multiplication: schoolbook, Karatsuba, Toom-3 and NTT with size-based
-//! dispatch.
+//! Multiplication: schoolbook, Karatsuba and NTT with size-based dispatch.
 //!
 //! Sub-quadratic multiplication is load-bearing for the reproduction: the
 //! batch-GCD product tree multiplies pairs of multi-megabit integers, and the
@@ -7,12 +6,11 @@
 //! `M(n) = n^(1+o(1))`. The dispatcher runs schoolbook below
 //! [`KARATSUBA_THRESHOLD`], Karatsuba (`n^1.585`) up to
 //! [`NTT_THRESHOLD`](crate::NTT_THRESHOLD), and the three-prime NTT
-//! (`O(n log n)`, [`crate::ntt`]) from there. Toom-3 (`n^1.465`) loses to the
-//! NTT at every size it would take over from Karatsuba, so the dispatcher
-//! only falls back to it for products longer than the transform reaches;
-//! [`Natural::mul_toom3`] keeps it as a transform-free reference.
+//! (`O(n log n)`, [`crate::ntt`]) from there. Products longer than the
+//! transform reaches (`3·2^40` limbs) fall back to Karatsuba. Operands
+//! more than twice as long as the other run block by block through the
+//! same tiers.
 
-use crate::integer::Integer;
 use crate::natural::Natural;
 use core::ops::{Mul, MulAssign};
 
@@ -20,9 +18,10 @@ use core::ops::{Mul, MulAssign};
 /// over from schoolbook multiplication.
 pub const KARATSUBA_THRESHOLD: usize = 64;
 
-/// Operand size (in limbs, of the smaller operand) at which Toom-3 takes over
-/// from Karatsuba where the NTT is not in play: inside
-/// [`Natural::mul_toom3`] and beyond the transform's reach.
+/// The operand size (limbs) of the benchmark ladder's `bigint.mul_ns.toom3`
+/// point. No tier starts here. It is kept only because the benchmark
+/// imports it, and it goes with the ladder's next revision (ROADMAP
+/// item 3).
 pub const TOOM3_THRESHOLD: usize = 352;
 
 /// Schoolbook `O(n*m)` multiplication on limb slices.
@@ -86,18 +85,16 @@ fn add_slices_into(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
 /// scratch intermediate checked out of the thread's
 /// [`arena`](crate::arena). This is the single kernel all multiplication
 /// entry points funnel through; a warmed arena runs the schoolbook,
-/// Karatsuba, and unbalanced-block paths without heap allocation. The
-/// Toom-3 and NTT tiers (operands of hundreds to thousands of limbs, a
-/// handful of nodes near a tree root) work on the heap: Toom-3's signed
-/// interpolation works over [`Integer`]s, the transform over buffers of
-/// its own length, and at those sizes the multiply dwarfs its allocations.
-/// A square (equal operands) takes one forward transform.
+/// Karatsuba, and unbalanced-block paths without heap allocation. The NTT
+/// tier splits the arena's transform workspace, which is kept between
+/// calls up to [`WORKSPACE_LIMBS`](crate::arena::WORKSPACE_LIMBS). A square
+/// (equal operands) takes one forward transform.
 pub(crate) fn mul_slices_into(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
     dispatch(a, b, out, true);
 }
 
 /// The dispatcher behind [`mul_slices_into`]; with `ntt` off it skips the
-/// NTT tier, leaving Karatsuba and, from [`TOOM3_THRESHOLD`], Toom-3.
+/// NTT tier, leaving schoolbook, Karatsuba and the unbalanced blocks.
 fn dispatch(a: &[u64], b: &[u64], out: &mut Vec<u64>, ntt: bool) {
     let a = trim(a);
     let b = trim(b);
@@ -128,16 +125,7 @@ fn dispatch(a: &[u64], b: &[u64], out: &mut Vec<u64>, ntt: bool) {
     if ntt && sn >= crate::ntt::NTT_THRESHOLD && crate::ntt::mul_into(small, large, out) {
         return;
     }
-    if sn < TOOM3_THRESHOLD {
-        return karatsuba_into(a, b, out, ntt);
-    }
-    let r = toom3(
-        &Natural::from_limb_slice(a),
-        &Natural::from_limb_slice(b),
-        ntt,
-    );
-    let old = core::mem::replace(out, r.into_limbs());
-    crate::arena::put(old);
+    karatsuba_into(a, b, out, ntt)
 }
 
 /// Karatsuba over slices: 3 recursive multiplications of half-size operands
@@ -178,100 +166,6 @@ fn karatsuba_into(a: &[u64], b: &[u64], out: &mut Vec<u64>, ntt: bool) {
     crate::arena::put(z0);
     crate::arena::put(z1);
     crate::arena::put(z2);
-}
-
-/// Split `n` at `at` limbs: returns `(low, high)` as Naturals.
-fn split(n: &Natural, at: usize) -> (Natural, Natural) {
-    let limbs = n.limbs();
-    if limbs.len() <= at {
-        (n.clone(), Natural::zero())
-    } else {
-        (
-            Natural::from_limb_slice(&limbs[..at]),
-            Natural::from_limb_slice(&limbs[at..]),
-        )
-    }
-}
-
-/// Shift left by whole limbs (multiply by `2^(64*limbs)`).
-fn shl_limbs(n: &Natural, limbs: usize) -> Natural {
-    if n.is_zero() {
-        return Natural::zero();
-    }
-    let mut v = vec![0u64; limbs + n.limb_len()];
-    v[limbs..].copy_from_slice(n.limbs());
-    Natural::from_limbs(v)
-}
-
-/// `x · y` for signed Toom-3 operands, through [`dispatch`].
-fn signed_product(x: &Integer, y: &Integer, ntt: bool) -> Integer {
-    let negative = x.is_negative() != y.is_negative();
-    let (x, y) = (x.magnitude(), y.magnitude());
-    let mut out = crate::arena::take(x.limb_len() + y.limb_len());
-    dispatch(x.limbs(), y.limbs(), &mut out, ntt);
-    Integer::from_sign_magnitude(negative, Natural::from_limbs(out))
-}
-
-/// Toom-3 with evaluation points {0, 1, -1, 2, inf} and Bodrato's
-/// interpolation sequence. Intermediates at -1 can be negative, so the
-/// evaluation/interpolation runs over signed [`Integer`]s. The pointwise
-/// products recurse through [`dispatch`] with the same `ntt` switch.
-fn toom3(a: &Natural, b: &Natural, ntt: bool) -> Natural {
-    let m = a.limb_len().max(b.limb_len()).div_ceil(3);
-    let (a0, rest) = split(a, m);
-    let (a1, a2) = split(&rest, m);
-    let (b0, rest) = split(b, m);
-    let (b1, b2) = split(&rest, m);
-
-    let a0 = Integer::from_natural(a0);
-    let a1 = Integer::from_natural(a1);
-    let a2 = Integer::from_natural(a2);
-    let b0 = Integer::from_natural(b0);
-    let b1 = Integer::from_natural(b1);
-    let b2 = Integer::from_natural(b2);
-
-    // Evaluation.
-    let pa = &a0 + &a2; // a(1) helper
-    let va1 = &pa + &a1; // a(1)
-    let vam1 = &pa - &a1; // a(-1)
-    let va2 = &(&(&(&a2 << 1u64) + &a1) << 1u64) + &a0; // a(2) = 4*a2 + 2*a1 + a0
-
-    let pb = &b0 + &b2;
-    let vb1 = &pb + &b1;
-    let vbm1 = &pb - &b1;
-    let vb2 = &(&(&(&b2 << 1u64) + &b1) << 1u64) + &b0;
-
-    // Pointwise products (recurse into Natural multiplication).
-    let w0 = signed_product(&a0, &b0, ntt); // c(0)
-    let w1 = signed_product(&va1, &vb1, ntt); // c(1)
-    let wm1 = signed_product(&vam1, &vbm1, ntt); // c(-1)
-    let w2 = signed_product(&va2, &vb2, ntt); // c(2)
-    let winf = signed_product(&a2, &b2, ntt); // c(inf)
-
-    // Interpolation (Bodrato): recover coefficients c0..c4 of the product
-    // polynomial c(x) = c4 x^4 + ... + c0.
-    let mut t3 = &(&w2 - &wm1) / 3u64; // exact
-    let t1 = &(&w1 - &wm1) >> 1u64; // exact: (c(1)-c(-1))/2
-    let mut t2 = &w1 - &w0; // c(1) - c(0)
-    t3 = &(&t3 - &t2) >> 1u64;
-    t2 = &(&t2 - &t1) - &winf;
-    t3 = &t3 - &(&winf << 1u64);
-    let t1 = &t1 - &t3;
-
-    // c0 = w0, c1 = t1, c2 = t2, c3 = t3, c4 = winf; all nonnegative for a
-    // product of naturals.
-    let c0 = w0.into_natural_checked("toom3 c0");
-    let c1 = t1.into_natural_checked("toom3 c1");
-    let c2 = t2.into_natural_checked("toom3 c2");
-    let c3 = t3.into_natural_checked("toom3 c3");
-    let c4 = winf.into_natural_checked("toom3 c4");
-
-    let mut out = shl_limbs(&c4, 4 * m);
-    out.add_assign_ref(&shl_limbs(&c3, 3 * m));
-    out.add_assign_ref(&shl_limbs(&c2, 2 * m));
-    out.add_assign_ref(&shl_limbs(&c1, m));
-    out.add_assign_ref(&c0);
-    out
 }
 
 /// Size (limbs, of the shorter operand and of the window) from which
@@ -361,13 +255,15 @@ impl Natural {
         out.normalize();
     }
 
-    /// Toom-3 at the top level regardless of size, with no NTT below it:
-    /// the recursive products run schoolbook, Karatsuba and, from
-    /// [`TOOM3_THRESHOLD`], Toom-3. This is the transform-free reference
-    /// the benchmark ladder checks the NTT tier against, and the Toom-3 arm
-    /// of bench `ablation_mul_algorithms`.
+    /// The transform-free product: the dispatcher with the NTT tier off,
+    /// so schoolbook, Karatsuba and the unbalanced blocks. The benchmark
+    /// ladder checks the NTT tier against it. The name is kept only
+    /// because the benchmark calls it, and it goes with the ladder's next
+    /// revision (ROADMAP item 3).
     pub fn mul_toom3(&self, rhs: &Natural) -> Natural {
-        toom3(self, rhs, false)
+        let mut out = crate::arena::take(self.limb_len() + rhs.limb_len());
+        dispatch(self.limbs(), rhs.limbs(), &mut out, false);
+        Natural::from_limbs(out)
     }
 
     /// The middle product: limbs `[lo, lo + len)` of `self · rhs`, that is
@@ -498,27 +394,6 @@ mod tests {
             let slow = Natural::from_limbs(schoolbook(a.limbs(), b.limbs()));
             assert_eq!(fast, slow, "la={la} lb={lb}");
         }
-    }
-
-    #[test]
-    fn toom3_matches_schoolbook() {
-        for (la, lb, seed) in [(150, 150, 1), (160, 200, 2), (300, 150, 3)] {
-            let a = pseudo(la, seed);
-            let b = pseudo(lb, seed + 7);
-            let fast = toom3(&a, &b, true);
-            let slow = Natural::from_limbs(schoolbook(a.limbs(), b.limbs()));
-            assert_eq!(fast, slow, "la={la} lb={lb}");
-        }
-    }
-
-    /// The transform-free path on unbalanced operands, whose Karatsuba
-    /// halves cross `NTT_THRESHOLD` (667×340 thirds, then 334-limb halves).
-    #[test]
-    fn transform_free_toom3_matches_schoolbook() {
-        let a = pseudo(2000, 5);
-        let b = pseudo(340, 6);
-        let slow = Natural::from_limbs(schoolbook(a.limbs(), b.limbs()));
-        assert_eq!(a.mul_toom3(&b), slow);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Number-theoretic-transform multiplication on whole 64-bit limbs.
 //!
-//! Karatsuba/Toom-3 give `n^1.58` / `n^1.46`; the batch-GCD feasibility
+//! Karatsuba gives `n^1.58`; the batch-GCD feasibility
 //! argument (§3.2) rests on `M(n) = n^(1+o(1))`, which needs FFT-class
 //! multiplication. The product of two limb vectors is their convolution
 //! followed by carry propagation; this module computes the convolution
@@ -16,7 +16,7 @@
 //!   transform. The radix-2 levels split `x^len − 1` down to the factors
 //!   `x^leaf − ζ`; for `leaf = 3` the pointwise step multiplies the residue
 //!   pairs as polynomials modulo `x^3 − ζ`. Longer products fall back to
-//!   Toom-3.
+//!   Karatsuba.
 //! * **Butterflies.** Forward levels are Cooley–Tukey, inverse levels are
 //!   Gentleman–Sande, two levels per pass, with one twiddle per block in
 //!   bit-reversed order and Shoup (precomputed-quotient) multiplies. Values
@@ -627,7 +627,7 @@ pub fn mul_ntt(a: &Natural, b: &Natural) -> Natural {
         Natural::from_limbs(out)
     } else {
         crate::arena::put(out);
-        a.mul_toom3(b)
+        a * b
     }
 }
 

@@ -3,8 +3,10 @@
 //!
 //! The NTT computes each product coefficient modulo three word primes and
 //! recombines it by CRT, so a wrong twiddle, bound or carry shows up as a
-//! wrong limb here. Every check runs the dispatcher and `mul_ntt` (the
-//! transform at any size) against `mul_schoolbook`.
+//! wrong limb here. Every check runs the dispatcher, the transform-free
+//! dispatcher (`mul_toom3`: schoolbook, Karatsuba and the unbalanced
+//! blocks at any size) and `mul_ntt` (the transform at any size) against
+//! `mul_schoolbook`.
 //!
 //! The middle product `mul_middle(a, b, lo, len)` is checked against the
 //! limbs `[lo, lo + len)` of the full product, `((a·b) >> 64·lo) mod β^len`:
@@ -15,7 +17,6 @@
 use proptest::prelude::*;
 use wk_bigint::{
     mul_middle_ntt, mul_ntt, Natural, KARATSUBA_THRESHOLD, MIDDLE_NTT_THRESHOLD, NTT_THRESHOLD,
-    TOOM3_THRESHOLD,
 };
 
 /// `len` pseudo-random limbs with the top one nonzero, so the operand has
@@ -45,6 +46,7 @@ fn check(a: &Natural, b: &Natural) {
     let (la, lb) = (a.limb_len(), b.limb_len());
     let expect = a.mul_schoolbook(b);
     assert_eq!(a * b, expect, "dispatched {la}x{lb}");
+    assert_eq!(a.mul_toom3(b), expect, "transform-free {la}x{lb}");
     assert_eq!(mul_ntt(a, b), expect, "mul_ntt {la}x{lb}");
 }
 
@@ -101,10 +103,7 @@ fn check_middle(a: &Natural, b: &Natural, lo: usize, len: usize) {
 
 #[test]
 fn every_dispatch_threshold_plus_minus_one() {
-    for (i, t) in [KARATSUBA_THRESHOLD, TOOM3_THRESHOLD, NTT_THRESHOLD]
-        .into_iter()
-        .enumerate()
-    {
+    for (i, t) in [KARATSUBA_THRESHOLD, NTT_THRESHOLD].into_iter().enumerate() {
         for n in [t - 1, t, t + 1] {
             let seed = 10 * i as u64 + n as u64;
             check(&pseudo(n, seed), &pseudo(n, seed + 1));
@@ -142,6 +141,8 @@ fn all_ones_operands_carry_the_largest_coefficients() {
 }
 
 /// One operand more than twice the other's length takes the block path.
+/// Transform-free, 2000×340 runs in 340-limb blocks whose Karatsuba
+/// halves cross `NTT_THRESHOLD`.
 #[test]
 fn unbalanced_shapes_take_the_block_path() {
     let n = NTT_THRESHOLD + 5;
@@ -151,6 +152,7 @@ fn unbalanced_shapes_take_the_block_path() {
         (2 * n + 1, n),
         (n, 2 * n + 1),
         (3 * n + 2, n),
+        (2000, 340),
     ] {
         check(&pseudo(la, la as u64), &pseudo(lb, 3 * lb as u64));
     }
