@@ -396,6 +396,16 @@ mod tests {
         }
     }
 
+    /// The transform-free product on unbalanced operands: 340-limb blocks
+    /// whose Karatsuba halves cross `NTT_THRESHOLD`.
+    #[test]
+    fn transform_free_toom3_matches_schoolbook() {
+        let a = pseudo(2000, 5);
+        let b = pseudo(340, 6);
+        let slow = Natural::from_limbs(schoolbook(a.limbs(), b.limbs()));
+        assert_eq!(a.mul_toom3(&b), slow);
+    }
+
     #[test]
     fn unbalanced_block_path_matches_schoolbook() {
         let a = pseudo(35, 9); // above Karatsuba threshold
